@@ -75,6 +75,9 @@ class AMLayer:
         #: (watchdog + exponential-backoff retry + idempotency tokens).
         self.faults = None
         self._tokens = itertools.count(1)
+        #: (is_long, src, dst) -> the four counters one message bumps,
+        #: bound on a link's first message of that size class.
+        self._bound_counters: dict = {}
 
     def endpoint(self, node_index: int) -> Endpoint:
         return self.endpoints[node_index]
@@ -97,12 +100,15 @@ class AMLayer:
             self.short_sent += 1
         self.bytes_sent += nbytes
         if self.metrics is not None:
-            kind = "long" if payload_bytes > 0 else "short"
-            self.metrics.inc(f"am.{kind}_sent")
-            self.metrics.inc("am.bytes_sent", nbytes)
-            link = f"am.link.{src}->{dst}"
-            self.metrics.inc(f"{link}.messages")
-            self.metrics.inc(f"{link}.bytes", nbytes)
+            key = (payload_bytes > 0, src, dst)
+            bound = self._bound_counters.get(key)
+            if bound is None:
+                bound = self._bound_counters[key] = self._bind_counters(*key)
+            c_sent, c_bytes, c_link_messages, c_link_bytes = bound
+            c_sent.value += 1
+            c_bytes.value += nbytes
+            c_link_messages.value += 1
+            c_link_bytes.value += nbytes
             if fused > 1:
                 self.metrics.inc("am.fused_messages")
                 self.metrics.inc("am.fused_entries", fused)
@@ -127,6 +133,13 @@ class AMLayer:
             return result
 
         return self.env.process(deliver())
+
+    def _bind_counters(self, is_long: bool, src: int, dst: int) -> tuple:
+        counter = self.metrics.counter
+        link = f"am.link.{src}->{dst}"
+        return (counter("am.long_sent" if is_long else "am.short_sent"),
+                counter("am.bytes_sent"),
+                counter(f"{link}.messages"), counter(f"{link}.bytes"))
 
     # ------------------------------------------------------------------
     # Fault-tolerant delivery (active only when a fault engine is attached)

@@ -51,6 +51,41 @@ class NodeProxy:
         #: tids whose inputs the datamove prestage already started moving
         #: (prevents re-spawning the same speculative fetches every poll).
         self.prestaged: set[int] = set()
+        # ``cluster.node<i>.*`` instruments, bound when the event they
+        # record first happens so an idle node exports no keys.
+        self._metric_ns = f"cluster.node{node_index}"
+        self._c_dispatched = None
+        self._c_presends = None
+        self._g_outstanding = None
+
+    def admit(self, task: Task) -> None:
+        """Dispatch bookkeeping: ``task`` now occupies one slot of this
+        node's presend window."""
+        self.outstanding += 1
+        self.tasks_dispatched += 1
+        self.inflight[task.tid] = task
+        task.node_index = self.node_index
+        if self._c_dispatched is None:
+            metrics = self.rt.metrics
+            self._c_dispatched = metrics.counter(
+                f"{self._metric_ns}.dispatched")
+            self._g_outstanding = metrics.gauge(
+                f"{self._metric_ns}.outstanding")
+        self._c_dispatched.value += 1
+        if self.outstanding > 1:
+            # Shipped while an earlier task still runs there: this
+            # dispatch's data movement is presend overlap.
+            if self._c_presends is None:
+                self._c_presends = self.rt.metrics.counter(
+                    f"{self._metric_ns}.presends")
+            self._c_presends.value += 1
+        self._g_outstanding.set(self.outstanding)
+
+    def release(self) -> None:
+        """A dispatched task left the node (completed or rerouted)."""
+        self.outstanding -= 1
+        assert self.outstanding >= 0, "presend window broke"
+        self._g_outstanding.set(self.outstanding)
 
     def accepts(self, task: Task) -> bool:
         # A remote node has CPUs and a GPU: it can host either device kind.
@@ -99,19 +134,7 @@ class CommThread:
                     task = self.image.scheduler.next_task(proxy)
                     if task is None:
                         break
-                    proxy.outstanding += 1
-                    proxy.tasks_dispatched += 1
-                    proxy.inflight[task.tid] = task
-                    task.node_index = proxy.node_index
-                    metrics = rt.metrics
-                    node_ns = f"cluster.node{proxy.node_index}"
-                    metrics.inc(f"{node_ns}.dispatched")
-                    if proxy.outstanding > 1:
-                        # Shipped while an earlier task still runs there:
-                        # this dispatch's data movement is presend overlap.
-                        metrics.inc(f"{node_ns}.presends")
-                    metrics.gauge(f"{node_ns}.outstanding").set(
-                        proxy.outstanding)
+                    proxy.admit(task)
                     if batch is not None and self._staged(task, proxy):
                         # Inputs already at the node: no staging leg, so
                         # the control message can fuse with siblings from
@@ -128,7 +151,7 @@ class CommThread:
                 if depth and self._prestage(proxy, depth):
                     progressed = True
             if not progressed:
-                yield rt.wait_for_work()
+                yield self.image.wait_for_work("node")
 
     def _staged(self, task: Task, proxy: NodeProxy) -> bool:
         """True when every input region is already current somewhere on the
@@ -237,11 +260,7 @@ class CommThread:
                     return
                 del proxy.inflight[task.tid]
                 proxy.prestaged.discard(task.tid)
-                proxy.outstanding -= 1
-                assert proxy.outstanding >= 0, "presend window broke"
-                self.rt.metrics.gauge(
-                    f"cluster.node{node_index}.outstanding").set(
-                        proxy.outstanding)
+                proxy.release()
                 finished_proxy = proxy
                 break
         # Credit the proxy (not the slave-side worker) so successor-first
@@ -255,9 +274,5 @@ class CommThread:
         for proxy in self.proxies:
             if proxy.node_index == node_index:
                 if proxy.inflight.pop(task.tid, None) is not None:
-                    proxy.outstanding -= 1
-                    assert proxy.outstanding >= 0, "presend window broke"
-                    self.rt.metrics.gauge(
-                        f"cluster.node{node_index}.outstanding").set(
-                            proxy.outstanding)
+                    proxy.release()
                 return

@@ -162,7 +162,7 @@ class GPUManager:
             if task is None:
                 task = self.image.scheduler.next_task(self)
             if task is None:
-                yield rt.wait_for_work("cuda")
+                yield self.image.wait_for_work("cuda")
                 continue
             self.current_task = task
             task.state = TaskState.RUNNING

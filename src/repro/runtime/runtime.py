@@ -37,6 +37,15 @@ from .worker import SMPWorker
 
 __all__ = ["Runtime", "Image"]
 
+#: which of an image's wake events a notification fires: the places that
+#: could run the newly ready work, plus the ``node`` waiter (the
+#: communication thread, which dispatches any task kind).
+_WAKE_KINDS = {
+    None: ("smp", "cuda", "node"),
+    "smp": ("smp", "node"),
+    "cuda": ("cuda", "node"),
+}
+
 
 class Image:
     """One runtime image: the per-node scheduler and execution places."""
@@ -46,8 +55,13 @@ class Image:
         self.node = node
         self.is_master = is_master
         self.host_space = rt.host_space(node.index)
+        #: wake events of this image's parked places, by waiter kind.  Each
+        #: node runs its own scheduler and task pool (paper Section III.D),
+        #: so work entering this image's queues wakes only this image.
+        self._work_events = {kind: rt.env.event()
+                             for kind in ("smp", "cuda", "node")}
         self.scheduler = make_scheduler(
-            rt.config.scheduler, rt.notify_work, rt.directory,
+            rt.config.scheduler, self.notify_work, rt.directory,
             steal=rt.config.steal, rr_chunk=rt.config.rr_chunk,
             metrics=rt.metrics, config=rt.config,
         )
@@ -89,6 +103,29 @@ class Image:
             env.process(self.comm_thread.run())
 
     # ------------------------------------------------------------------
+    def notify_work(self, device: Optional[str] = None) -> None:
+        """Wake this image's idle execution places.
+
+        ``device`` narrows the wakeup to the places that could actually run
+        the newly ready work (``"smp"`` workers or ``"cuda"`` managers);
+        the communication thread (the ``"node"`` waiter, parked on the
+        image that owns the proxies) dispatches any task kind and is woken
+        either way.  A bare call wakes every kind.  Places of other images
+        poll other queues and are never touched — see
+        :meth:`Runtime.notify_work` for the broadcast.
+        """
+        events = self._work_events
+        for kind in _WAKE_KINDS[device]:
+            ev = events[kind]
+            if ev.callbacks:
+                events[kind] = Event(ev.env)
+                ev.succeed()
+
+    def wait_for_work(self, kind: str) -> Event:
+        """Event the next :meth:`notify_work` relevant to ``kind`` (the
+        waiter's worker kind: ``"smp"``, ``"cuda"`` or ``"node"``) fires."""
+        return self._work_events[kind]
+
     def submit_local(self, task: Task) -> None:
         """Enter a (ready) task into this image's scheduler."""
         self.scheduler.submit(task)
@@ -150,7 +187,8 @@ class Image:
         parent._children_left -= 1
         if parent._children_left == 0:
             parent._children_done.succeed()
-        self.rt.notify_work()
+        # Children never leave the image that runs their parent.
+        self.notify_work()
 
     def _notify_master(self, task: Task):
         yield self.rt.am.request(self.node.index, 0, "nanos.task_done",
@@ -291,8 +329,6 @@ class Runtime:
 
         # -- signalling ------------------------------------------------------------
         self.running = False
-        self._work_events = {kind: self.env.event()
-                             for kind in ("smp", "cuda", "node")}
         self._completion_event = self.env.event()
         #: fired (and cleared) when the graph drains; lazily created by
         #: taskwait so a full barrier costs one wakeup, not one per task.
@@ -356,45 +392,33 @@ class Runtime:
             self.faults.start()
         return self
 
-    def notify_work(self, device: Optional[str] = None) -> None:
-        """Wake idle execution places.
+    def notify_work(self) -> None:
+        """Broadcast: wake every idle execution place of every image.
 
-        ``device`` narrows the wakeup to the places that could actually run
-        the newly ready work (``"smp"`` workers or ``"cuda"`` managers);
-        node-proxy waiters accept any task and are woken either way.  A bare
-        call (completion, shutdown, fault recovery) wakes everyone — on
-        figure workloads the narrow path eliminates the thundering herd of
-        idle polls that used to follow every task completion.
+        For the rare events that can change what *any* place may run —
+        shutdown, a device blacklisted and its work re-placed by the fault
+        engine.  Ready work never comes through here: a scheduler wakes
+        only its own image (:meth:`Image.notify_work`), so a submission on
+        one node causes no idle poll on another.
         """
-        events = self._work_events
-        kinds = ("smp", "cuda", "node") if device is None else (device, "node")
-        new_event = self.env.event
-        for kind in kinds:
-            ev = events[kind]
-            if ev.callbacks:
-                events[kind] = new_event()
-                ev.succeed()
-
-    def wait_for_work(self, kind: str = "node") -> Event:
-        """Event the next :meth:`notify_work` relevant to ``kind`` fires.
-        ``kind`` is the waiter's worker kind; ``"node"`` waiters (proxies,
-        the communication thread) wake on every notification."""
-        return self._work_events[kind]
+        for image in self.images:
+            image.notify_work()
 
     def notify_completion(self) -> None:
         # SMP/GPU places are woken by scheduler.submit when a successor
-        # actually becomes ready, so completions don't wake them; node-level
-        # waiters (the communication thread) must still see completions —
-        # a remote task finishing frees proxy capacity, which can make a
+        # actually becomes ready, so completions don't wake them; the
+        # master's communication thread must still see completions — a
+        # remote task finishing frees proxy capacity, which can make a
         # long-queued dispatch possible without any new submission.
         ev = self._completion_event
         if ev.callbacks:
             self._completion_event = self.env.event()
             ev.succeed()
-        events = self._work_events
+        # Inlined Image.notify_work for the one kind (per-task path).
+        events = self.master_image._work_events
         node_ev = events["node"]
         if node_ev.callbacks:
-            events["node"] = self.env.event()
+            events["node"] = Event(self.env)
             node_ev.succeed()
         if self._idle_event is not None and self.graph.live_count == 0:
             ev, self._idle_event = self._idle_event, None

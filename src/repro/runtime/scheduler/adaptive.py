@@ -178,6 +178,9 @@ class AdaptiveScheduler(Scheduler):
     def pending(self) -> int:
         return len(self.global_queue) + self.active.pending
 
+    def recount_pending(self) -> int:
+        return len(self.global_queue) + self.active.recount_pending()
+
     # -- signals ----------------------------------------------------------
     def _live_tasks(self) -> float:
         rt = self._rt
@@ -229,10 +232,7 @@ class AdaptiveScheduler(Scheduler):
         moved: list[Task] = []
         for worker in list(self.workers):
             moved.extend(old.rebalance(worker))
-        moved.extend(old.global_queue.drain())
-        pglobal = getattr(old, "_pglobal", None)
-        if pglobal is not None:
-            moved.extend(pglobal.drain())
+        moved.extend(old.drain_shared())
         self.active = new
         self.switches += 1
         if self.metrics is not None:

@@ -92,6 +92,7 @@ class AffinityScheduler(Scheduler):
         stranded = super().blacklist(worker)
         queue = self._local.pop(id(worker), None)
         if queue is not None:
+            self._pending -= len(queue)
             stranded.extend(queue.drain())
         return stranded
 
@@ -99,6 +100,7 @@ class AffinityScheduler(Scheduler):
         queue = self._local.get(id(worker))
         if queue is None:
             return []
+        self._pending -= len(queue)
         return queue.drain()
 
     # -- scoring ------------------------------------------------------------
@@ -152,10 +154,12 @@ class AffinityScheduler(Scheduler):
         if queue._size:
             task = queue.pop_for(worker)
             if task is not None:
+                self._pending -= 1
                 return task
         if self.global_queue._size:
             task = self.global_queue.pop_for(worker)
             if task is not None:
+                self._pending -= 1
                 return task
         if self.steal:
             # Stealing stays within the node: the paper does not steal
@@ -169,6 +173,7 @@ class AffinityScheduler(Scheduler):
                 victim = local[id(other)]
                 task = victim.pop_for(worker) if victim._size else None
                 if task is not None:
+                    self._pending -= 1
                     self.stolen += 1
                     if self.metrics is not None:
                         self.metrics.inc("scheduler.steals")
@@ -183,6 +188,5 @@ class AffinityScheduler(Scheduler):
         far beyond what the overlap wins back)."""
         return self._local[id(worker)].peek_for(worker, n)
 
-    @property
-    def pending(self) -> int:
+    def recount_pending(self) -> int:
         return len(self.global_queue) + sum(len(q) for q in self._local.values())

@@ -154,6 +154,11 @@ class Scheduler:
         self.workers: list[WorkerProtocol] = []
         self.global_queue = TaskQueue()
         self.tasks_submitted = 0
+        #: tasks currently queued anywhere in this scheduler.  Maintained
+        #: at every push / pop / drain so the ``scheduler.pending`` gauge
+        #: write in :meth:`submit` is O(1); :meth:`recount_pending` is the
+        #: reference the tests hold it to.
+        self._pending = 0
         #: optional :class:`~repro.metrics.CounterRegistry`; counters are
         #: namespaced ``scheduler.*``.
         self.metrics = metrics
@@ -184,7 +189,16 @@ class Scheduler:
     def drain_unrunnable(self) -> list[Task]:
         """Remove queued tasks no remaining worker accepts (called after a
         blacklist leaves a device bucket with no taker)."""
-        return self.global_queue.drain_unacceptable(self.workers)
+        stranded = self.global_queue.drain_unacceptable(self.workers)
+        self._pending -= len(stranded)
+        return stranded
+
+    def drain_shared(self) -> list[Task]:
+        """Remove and return every task in the queues no single worker
+        owns (the adaptive tier re-places them on a policy switch)."""
+        moved = self.global_queue.drain()
+        self._pending -= len(moved)
+        return moved
 
     # -- protocol ------------------------------------------------------------
     def submit(self, task: Task) -> None:
@@ -193,10 +207,9 @@ class Scheduler:
         if self._c_ready is not None:
             self._c_ready.value += 1
         self._place(task)
+        self._pending += 1
         if self._g_pending is not None:
-            # Read the gauge after placement: _place may hand the task to a
-            # queue already, so pre-counting would over-report by one.
-            self._g_pending.set(self.pending)
+            self._g_pending.set(self._pending)
         self._notify(task.device)
 
     def task_finished(self, task: Task, worker: WorkerProtocol,
@@ -207,7 +220,10 @@ class Scheduler:
 
     def next_task(self, worker: WorkerProtocol) -> Optional[Task]:
         """Non-blocking poll for the next task ``worker`` should run."""
-        return self.global_queue.pop_for(worker)
+        task = self.global_queue.pop_for(worker)
+        if task is not None:
+            self._pending -= 1
+        return task
 
     def peek_for(self, worker: WorkerProtocol, n: int) -> list[Task]:
         """Up to ``n`` tasks ``worker`` would be handed next, left queued.
@@ -248,4 +264,10 @@ class Scheduler:
 
     @property
     def pending(self) -> int:
+        """Tasks queued in this scheduler (the maintained count)."""
+        return self._pending
+
+    def recount_pending(self) -> int:
+        """``pending`` recomputed from the queues themselves: O(queues),
+        for tests that check the maintained count against it."""
         return len(self.global_queue)

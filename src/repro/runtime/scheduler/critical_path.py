@@ -229,6 +229,7 @@ class CriticalPathScheduler(Scheduler):
         stranded = super().blacklist(worker)
         queue = self._local.pop(id(worker), None)
         if queue is not None:
+            self._pending -= len(queue)
             stranded.extend(queue.drain())
         return stranded
 
@@ -236,6 +237,7 @@ class CriticalPathScheduler(Scheduler):
         queue = self._local.get(id(worker))
         if queue is None:
             return []
+        self._pending -= len(queue)
         return queue.drain()
 
     def drain_unrunnable(self) -> list[Task]:
@@ -243,7 +245,14 @@ class CriticalPathScheduler(Scheduler):
         stranded.extend(self._pglobal.drain_unacceptable(self.workers))
         for queue in self._local.values():
             stranded.extend(queue.drain_unacceptable(self.workers))
+        self._pending -= len(stranded)
         return stranded
+
+    def drain_shared(self) -> list[Task]:
+        moved = super().drain_shared()
+        self._pending -= len(self._pglobal)
+        moved.extend(self._pglobal.drain())
+        return moved
 
     # -- placement --------------------------------------------------------
     def task_finished(self, task: Task, worker: WorkerProtocol,
@@ -286,9 +295,11 @@ class CriticalPathScheduler(Scheduler):
     def next_task(self, worker: WorkerProtocol) -> Optional[Task]:
         task = self._local[id(worker)].pop_for(worker)
         if task is not None:
+            self._pending -= 1
             return task
         task = self._pglobal.pop_for(worker)
         if task is not None:
+            self._pending -= 1
             return task
         if self.steal and worker.kind != "node":
             # Steal the *highest-priority* acceptable head among same-node
@@ -313,6 +324,7 @@ class CriticalPathScheduler(Scheduler):
             if best_queue is not None:
                 task = best_queue.pop_for(worker)
                 if task is not None:
+                    self._pending -= 1
                     self.stolen += 1
                     if self.metrics is not None:
                         self.metrics.inc("scheduler.steals")
@@ -333,7 +345,6 @@ class CriticalPathScheduler(Scheduler):
                     out.append(t)
         return out[:n]
 
-    @property
-    def pending(self) -> int:
+    def recount_pending(self) -> int:
         return (len(self.global_queue) + len(self._pglobal)
                 + sum(len(q) for q in self._local.values()))

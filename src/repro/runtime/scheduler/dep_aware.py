@@ -32,6 +32,7 @@ class DependencyAwareScheduler(Scheduler):
         stranded = super().blacklist(worker)
         queue = self._hints.pop(id(worker), None)
         if queue is not None:
+            self._pending -= len(queue)
             stranded.extend(queue.drain())
         return stranded
 
@@ -39,6 +40,7 @@ class DependencyAwareScheduler(Scheduler):
         queue = self._hints.get(id(worker))
         if queue is None:
             return []
+        self._pending -= len(queue)
         return queue.drain()
 
     def task_finished(self, task: Task, worker: WorkerProtocol,
@@ -54,6 +56,7 @@ class DependencyAwareScheduler(Scheduler):
                 hint.push(t)
             else:
                 self.global_queue.push(t)
+        self._pending += len(newly_ready)
         self._notify()
 
     def next_task(self, worker: WorkerProtocol) -> Optional[Task]:
@@ -61,9 +64,11 @@ class DependencyAwareScheduler(Scheduler):
         if hint is not None:
             task = hint.pop_for(worker)
             if task is not None:
+                self._pending -= 1
                 return task
         task = self.global_queue.pop_for(worker)
         if task is not None:
+            self._pending -= 1
             return task
         # Do not let hinted work rot if its worker is busy elsewhere: any
         # compatible worker may drain another worker's hint queue as a last
@@ -73,6 +78,7 @@ class DependencyAwareScheduler(Scheduler):
                 continue
             task = queue.pop_for(worker)
             if task is not None:
+                self._pending -= 1
                 return task
         return None
 
@@ -89,6 +95,5 @@ class DependencyAwareScheduler(Scheduler):
                     out.append(t)
         return out[:n]
 
-    @property
-    def pending(self) -> int:
+    def recount_pending(self) -> int:
         return len(self.global_queue) + sum(len(q) for q in self._hints.values())

@@ -56,6 +56,7 @@ class WorkStealingScheduler(Scheduler):
         stranded = super().blacklist(worker)
         dq = self._deques.pop(id(worker), None)
         if dq:
+            self._pending -= len(dq)
             stranded.extend(task for _seq, task in dq)
             dq.clear()
         return stranded
@@ -65,6 +66,7 @@ class WorkStealingScheduler(Scheduler):
         if not dq:
             return []
         moved = [task for _seq, task in dq]
+        self._pending -= len(moved)
         dq.clear()
         return moved
 
@@ -82,6 +84,7 @@ class WorkStealingScheduler(Scheduler):
             if dead:
                 dq.clear()
                 dq.extend(keep)
+                self._pending -= len(dead)
                 stranded.extend(dead)
         return stranded
 
@@ -128,17 +131,16 @@ class WorkStealingScheduler(Scheduler):
 
     def next_task(self, worker: WorkerProtocol) -> Optional[Task]:
         dq = self._deques[id(worker)]
-        if dq:
-            task = self._pop_front(dq, worker)
-            if task is not None:
-                return task
-        if self.global_queue._size:
+        task = self._pop_front(dq, worker) if dq else None
+        if task is None and self.global_queue._size:
             task = self.global_queue.pop_for(worker)
-            if task is not None:
-                return task
-        if self.steal and worker.kind != "node":
-            return self._steal(worker)
-        return None
+        if task is None and self.steal and worker.kind != "node":
+            # A steal moves the rest of its loot between deques; only the
+            # task handed out leaves the scheduler.
+            task = self._steal(worker)
+        if task is not None:
+            self._pending -= 1
+        return task
 
     def _steal(self, thief: WorkerProtocol) -> Optional[Task]:
         node_index = thief.node_index
@@ -209,6 +211,5 @@ class WorkStealingScheduler(Scheduler):
                     out.append(t)
         return out[:n]
 
-    @property
-    def pending(self) -> int:
+    def recount_pending(self) -> int:
         return len(self.global_queue) + sum(len(d) for d in self._deques.values())

@@ -83,7 +83,7 @@ class SMPWorker:
         while rt.running:
             task = self.image.scheduler.next_task(self)
             if task is None:
-                yield rt.wait_for_work("smp")
+                yield self.image.wait_for_work("smp")
                 continue
             yield from self.execute(task)
 

@@ -133,13 +133,9 @@ class Event:
 
     # -- composition ----------------------------------------------------
     def __and__(self, other: "Event") -> "Event":
-        from .sync import AllOf
-
         return AllOf(self.env, [self, other])
 
     def __or__(self, other: "Event") -> "Event":
-        from .sync import AnyOf
-
         return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -229,18 +225,12 @@ class Environment:
         return event
 
     def process(self, generator) -> "Process":
-        from .process import Process
-
         return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> Event:
-        from .sync import AllOf
-
         return AllOf(self, list(events))
 
     def any_of(self, events: Iterable[Event]) -> Event:
-        from .sync import AnyOf
-
         return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
@@ -383,3 +373,11 @@ class Environment:
             raise StopSimulation(event._value)
         event._defused = True
         raise event._value
+
+
+# Process and the composite events subclass Event, so their modules import
+# this one; binding them here, after everything they need is defined, keeps
+# an import statement off the spawn path (Environment.process runs once per
+# simulated activity).
+from .process import Process  # noqa: E402
+from .sync import AllOf, AnyOf  # noqa: E402

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from .core import Event, Interrupt, PRIORITY_URGENT, SimulationError
+from .core import (Event, Interrupt, PRIORITY_URGENT, SimulationError,
+                   _PENDING)
 
 __all__ = ["Process"]
 
@@ -19,17 +20,29 @@ __all__ = ["Process"]
 class Process(Event):
     """A running simulated activity (thread, engine, protocol handler...)."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_send", "_throw", "_target", "_name")
 
     def __init__(self, env, generator: Generator, name: str = ""):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        # One spawn per simulated activity: the slots are initialised
+        # directly (as Timeout does) instead of through Event.__init__, and
+        # binding the generator's methods doubles as the type check.
+        try:
+            self._send = generator.send
+            self._throw = generator.throw
+        except AttributeError:
             raise SimulationError(
                 f"Process needs a generator, got {type(generator).__name__}"
-            )
-        super().__init__(env)
+            ) from None
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
+        self._processed = False
+        self._defused = False
         self._generator = generator
         self._target: Event | None = None
-        self.name = name or getattr(generator, "__name__", "process")
+        self._name = name
         # Kick off the process at the current instant, ahead of normal
         # events.  The bootstrap is born triggered-and-scheduled and lands
         # directly in the urgent immediate lane (same fast path as Timeout:
@@ -41,6 +54,10 @@ class Process(Event):
         bootstrap._scheduled = True
         env._seq += 1
         env._imm[PRIORITY_URGENT].append((env._seq, bootstrap))
+
+    @property
+    def name(self) -> str:
+        return self._name or getattr(self._generator, "__name__", "process")
 
     @property
     def is_alive(self) -> bool:
@@ -72,10 +89,10 @@ class Process(Event):
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = self._send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = self._throw(event._value)
             except StopIteration as stop:
                 self.env.active_process = None
                 self._target = None
@@ -93,7 +110,7 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
                 try:
-                    self._generator.throw(exc)
+                    self._throw(exc)
                 except BaseException as err:
                     self.fail(err)
                     return

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from repro.apps import matmul, nbody, perlin, stream
 from repro.bench.harness import CLUSTER_BEST, fresh_cluster, fresh_multi_gpu
+from repro.cuda import KernelSpec
+from repro.runtime import Access, Direction, Runtime, Task
 from repro.runtime.config import RuntimeConfig
 
 __all__ = ["SCENARIOS"]
@@ -37,6 +39,47 @@ def _cluster(**overrides) -> RuntimeConfig:
     params = dict(CLUSTER_BEST)
     params.update(overrides)
     return RuntimeConfig(**params)
+
+
+def _nested_cluster() -> float:
+    """Decomposing parents on a 4-node cluster: 3 dependent waves of 24
+    cuda parents dealt across the nodes, each splitting its block over six
+    smp children plus a fold on the image that runs it — the
+    ``Image._account_child`` bookkeeping and wake path that no app scenario
+    reaches.  Parents are cuda so they park a GPU manager, not the SMP
+    workers their children need."""
+    rt = Runtime(fresh_cluster(4),
+                 _cluster(slave_to_slave=True, presend=2))
+    nparents, nparts, elems = 24, 6, 4096
+    blocks = [rt.register_array(f"blk{i}", nparts * elems)
+              for i in range(nparents)]
+    kernel = KernelSpec(name="touch", cost=lambda spec: 2e-4)
+
+    def children_of(obj, parts):
+        def make():
+            fills = [Task(name=f"{obj.name}.fill{j}", device="smp",
+                          smp_cost=5e-5 * (1 + j % 3),
+                          accesses=(Access(part, Direction.INOUT),))
+                     for j, part in enumerate(parts)]
+            fold = Task(name=f"{obj.name}.fold", device="smp", smp_cost=4e-5,
+                        accesses=tuple(Access(part, Direction.IN)
+                                       for part in parts[1:])
+                        + (Access(parts[0], Direction.INOUT),))
+            return fills + [fold]
+        return make
+
+    def main():
+        for wave in range(3):
+            for i, obj in enumerate(blocks):
+                parts = [obj.region(j * elems, elems) for j in range(nparts)]
+                rt.submit(Task(
+                    name=f"p{wave}.{i}", device="cuda", kernel=kernel,
+                    accesses=tuple(Access(part, Direction.INOUT)
+                                   for part in parts),
+                    subtasks=children_of(obj, parts)))
+        yield from rt.taskwait()
+
+    return rt.run_main(main())
 
 
 SCENARIOS = {
@@ -71,6 +114,8 @@ SCENARIOS = {
     "nbody-4node-stos-ps1": lambda: nbody.run_ompss(
         fresh_cluster(4), _NB,
         config=_cluster(slave_to_slave=True, presend=1)).makespan,
+    # -- GPU cluster + nested decomposition (children local to the image) --
+    "nested-4node-stos-ps2": _nested_cluster,
 }
 
 

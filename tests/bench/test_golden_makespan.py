@@ -28,6 +28,7 @@ GOLDEN_MAKESPANS = {
     'matmul-4node-mtos-ps0': 0.029240903241189706,
     'stream-2node-stos-ps4': 0.018976735986617525,
     'nbody-4node-stos-ps1': 0.0016021829672313867,
+    'nested-4node-stos-ps2': 0.024805902954022224,
 }
 
 

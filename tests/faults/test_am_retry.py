@@ -201,10 +201,8 @@ def test_stale_completion_does_not_double_decrement_window():
     task.done = rt.env.event()
     rt.graph.add_task(task)
 
-    # Simulate the dispatch bookkeeping the comm thread does.
-    proxy.outstanding += 1
-    proxy.inflight[task.tid] = task
-    task.node_index = proxy.node_index
+    # The dispatch bookkeeping the comm thread does.
+    proxy.admit(task)
 
     # The node's device dies; the fault engine pulls the task back.
     rt.faults.return_to_master(task, proxy.node_index)

@@ -17,21 +17,26 @@ carries the one-line replay command for it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dagfuzz import expected_arrays, run_workload
+from repro.dagfuzz import expected_arrays, generate, run_workload
 from repro.dagfuzz.cli import replay_command
 from repro.dagfuzz.strategies import (
     machine_names,
     runtime_config_kwargs,
     workload_specs,
 )
+from repro.faults import RegionLostError
 from repro.runtime import RuntimeConfig
 from repro.sim import Environment  # noqa: F401  (re-exported for helpers)
 
 
-@settings(max_examples=40, deadline=None)
+# Derandomized and database-free: tier-1 draws the same 40 examples on
+# every run and never replays a failure from .hypothesis/examples/.  The
+# open-ended search belongs to the dagfuzz CLI sweeps (CI fuzz-smoke).
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(spec=workload_specs(), cfg=runtime_config_kwargs(),
        machine=machine_names())
 def test_runtime_matches_sequential_reference(spec, cfg, machine):
@@ -48,11 +53,30 @@ def test_runtime_matches_sequential_reference(spec, cfg, machine):
             f"{cfg} on {machine}; shrink it with: {replay}")
 
 
+@pytest.mark.xfail(strict=True, raises=RegionLostError,
+                   reason="ROADMAP item 1: wb_elision + nocache + nested "
+                          "tasks loses the only holder of a region")
+def test_known_wb_elision_nocache_nested_crash():
+    """The case the undirected search used to stumble on: python -m
+    repro.dagfuzz --replay 126 --profile nested --schedulers bf
+    --cache-policies nocache --machines gpu1 --datamove on.  Strict, so
+    the item-1 fix flips this to XPASS (a failure) and gets unpinned."""
+    spec = generate(126, "nested")
+    config = RuntimeConfig(functional=True, scheduler="bf",
+                           cache_policy="nocache", wb_elision=True,
+                           coalescing=True, cost_aware_eviction=True,
+                           presend_depth=1)
+    outputs = run_workload(spec, machine="gpu1", config=config)[0]
+    expected = expected_arrays(spec)
+    for info in spec.regions():
+        assert np.array_equal(outputs[info.rid], expected[info.rid])
+
+
 # ---------------------------------------------------------------------------
 # Adaptive-tier schedulers never change numerics
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(nt=st.integers(2, 5), bs=st.sampled_from([8, 16]),
        machine=st.sampled_from(["gpu2", "cluster2"]))
 def test_adaptive_tier_bit_identical_to_default(nt, bs, machine):
