@@ -29,12 +29,13 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/sched_bench.py            # full
     PYTHONPATH=src python benchmarks/perf/sched_bench.py --quick    # CI
     PYTHONPATH=src python benchmarks/perf/sched_bench.py --out path.json
-    PYTHONPATH=src python benchmarks/perf/sched_bench.py --check    # gate
+    PYTHONPATH=src python benchmarks/perf/sched_bench.py --check    # gates
 
 ``--quick`` shrinks the problem sizes so the suite runs in seconds; the
 regime (write-through pressure, fan-in DAG) is preserved by construction,
 so the gates are checked in both modes, but quick results are never
-written over the checked-in full numbers.
+written over the checked-in full numbers.  In full mode ``--check`` also
+holds every makespan to the checked-in ``BENCH_sched.json`` with ``==``.
 """
 
 from __future__ import annotations
@@ -48,15 +49,15 @@ import sys
 from repro.apps import cholesky, matmul
 from repro.bench.harness import CLUSTER_BEST
 from repro.bench.sweep import PointSpec, run_points
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import SCHEDULERS, RuntimeConfig
 
 SCHEMA = "repro.bench.sched/v1"
 RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "..",
                            "BENCH_sched.json")
 
 #: paper tier, then adaptive tier — order matters for the report.
-PAPER_TIER = ("bf", "default", "affinity")
-NEW_TIER = ("ws", "cp", "adaptive")
+PAPER_TIER = SCHEDULERS[:3]     # bf, default, affinity
+NEW_TIER = SCHEDULERS[3:]       # ws, cp, adaptive
 
 #: the gate: best adaptive-tier policy must beat the best paper-tier
 #: policy by this geomean makespan fraction across the Cholesky sizes.
@@ -204,9 +205,17 @@ def main(argv=None) -> int:
                              "mode only)")
     parser.add_argument("--check", action="store_true",
                         help="gate: fail if the geomean improvement is "
-                             f"below {GEOMEAN_FLOOR:.0%} or the adaptive "
-                             f"regret exceeds {REGRET_CEIL:.0%}")
+                             f"below {GEOMEAN_FLOOR:.0%}, the adaptive "
+                             f"regret exceeds {REGRET_CEIL:.0%}, or (full "
+                             "mode) any makespan differs from the "
+                             "checked-in BENCH_sched.json")
     args = parser.parse_args(argv)
+
+    pinned = None
+    if args.check and not args.quick:
+        # Read before this run can write over it.
+        with open(os.path.normpath(RESULT_PATH)) as fh:
+            pinned = json.load(fh)["points"]
 
     results = run_suite(args.quick, parallel=args.parallel)
     print(render(results))
@@ -232,6 +241,14 @@ def main(argv=None) -> int:
                   f"{results['adaptive_max_regret']:.1%} exceeds the "
                   f"{REGRET_CEIL:.0%} ceiling", file=sys.stderr)
             failed = True
+        for point, rows in (pinned or {}).items():
+            for policy in PAPER_TIER + NEW_TIER:
+                want = rows[policy]["makespan"]
+                got = results["points"][point][policy]["makespan"]
+                if got != want:
+                    print(f"FAIL: {point}/{policy} makespan {got!r} differs "
+                          f"from the checked-in {want!r}", file=sys.stderr)
+                    failed = True
         if failed:
             return 1
     return 0

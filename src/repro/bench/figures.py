@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..apps import cholesky, matmul, nbody, perlin, stream
+from ..runtime import config as runtime_config
 from ..runtime.config import RuntimeConfig
 from .harness import CLUSTER_BEST, FigureResult
 from .sweep import PointSpec, run_points
@@ -396,7 +397,7 @@ def fig_datamove(parallel: int = 0,
 # ---------------------------------------------------------------------------
 
 #: every policy ``make_scheduler`` knows, paper tier first.
-SCHED_POLICIES = ("bf", "default", "affinity", "ws", "cp", "adaptive")
+SCHED_POLICIES = runtime_config.SCHEDULERS
 
 #: the points the policy ablation runs on: the Cholesky DAG on both
 #: machine shapes (where ordering dominates), plus a regular figure

@@ -1,8 +1,9 @@
 """Nanos++ reimplementation: the paper's primary contribution.
 
-Task model, dependency graph, three schedulers, coherence engine over the
-directory and per-GPU software caches, GPU manager threads, and the cluster
-master/slave machinery with presend and slave-to-slave transfers.
+Task model, dependency graph, the scheduler core and its policy table,
+coherence engine over the directory and per-GPU software caches, GPU manager
+threads, and the cluster master/slave machinery with presend and
+slave-to-slave transfers.
 """
 
 from .config import RuntimeConfig, SCHEDULERS
@@ -10,13 +11,7 @@ from .coherence import CoherenceEngine
 from .dependences import DependencyGraph
 from .gpu_manager import GPUManager
 from .runtime import Image, Runtime
-from .scheduler import (
-    AffinityScheduler,
-    BreadthFirstScheduler,
-    DependencyAwareScheduler,
-    Scheduler,
-    make_scheduler,
-)
+from .scheduler import Scheduler, make_scheduler
 from .task import Access, Direction, Task, TaskState
 from .trace import TraceEvent, Tracer
 from .worker import SMPWorker
@@ -34,9 +29,6 @@ __all__ = [
     "CoherenceEngine",
     "Scheduler",
     "make_scheduler",
-    "BreadthFirstScheduler",
-    "DependencyAwareScheduler",
-    "AffinityScheduler",
     "GPUManager",
     "SMPWorker",
     "Tracer",

@@ -3,7 +3,8 @@
 Every option corresponds to a configuration dimension in Section IV:
 
 * ``cache_policy`` — nocache / wt / wb (Figs. 5-8);
-* ``scheduler`` — bf / default (dependencies) / affinity (Figs. 5-6);
+* ``scheduler`` — bf / default (dependencies) / affinity (Figs. 5-6), rows
+  of the scheduler's policy table (``repro.runtime.scheduler.POLICIES``);
 * ``overlap`` — transfer/compute overlap via CUDA streams + pinned staging
   (Section III.D.2, "disabled by default but can be requested");
 * ``prefetch`` — GPU data prefetch of the next scheduled task;
@@ -11,7 +12,8 @@ Every option corresponds to a configuration dimension in Section IV:
   the one executing (Fig. 9's presend sweep);
 * ``slave_to_slave`` — direct StoS data transfers vs routing via the master
   (Fig. 9's MtoS/StoS dimension);
-* ``steal`` — work stealing between thread queues in the affinity scheduler.
+* ``steal`` — work stealing between the queues of one node's places (the
+  steal rules of the ``affinity`` / ``ws`` / ``cp`` rows).
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from ..memory.cache import CachePolicy
 
 __all__ = ["RuntimeConfig", "SCHEDULERS"]
 
-#: the paper's three policies plus the adaptive tier (docs/SCHEDULERS.md):
-#: ``ws`` work-stealing, ``cp`` critical-path lookahead, ``adaptive``
-#: metrics-driven meta-scheduler.
+#: the rows of the policy table in table order — the paper's three policies,
+#: then ``ws`` work-stealing and ``cp`` critical-path lookahead — plus
+#: ``adaptive``, the metrics-driven controller switching between rows
+#: (docs/SCHEDULERS.md).  The order is part of the interface: sweeps index it.
 SCHEDULERS = ("bf", "default", "affinity", "ws", "cp", "adaptive")
 
 
@@ -86,12 +89,7 @@ class RuntimeConfig:
     #: break cache-eviction LRU ties by re-fetch cost (nbytes divided by
     #: the source link bandwidth): cheap-to-refetch regions evict first.
     cost_aware_eviction: bool = False
-    # -- adaptive meta-scheduler knobs (scheduler="adaptive") -------------
-    #: scheduler events (submissions + polls) between signal evaluations.
-    adaptive_interval: int = 24
-    #: consecutive agreeing evaluations required before a policy (or
-    #: datamove write-mode) switch — the anti-thrash guard.
-    adaptive_hysteresis: int = 2
+    # -- adaptive meta-scheduler knob (scheduler="adaptive") --------------
     #: let the adaptive scheduler drive the datamove write mode (toggling
     #: write-back elision from live link/write-back pressure).  Constructs
     #: a DataMover (with liveness tracking) even when the static elision
@@ -122,10 +120,6 @@ class RuntimeConfig:
             raise ValueError("coalesce_window must be positive")
         if self.presend_depth < 0:
             raise ValueError("presend_depth cannot be negative")
-        if self.adaptive_interval < 1:
-            raise ValueError("adaptive_interval must be at least 1")
-        if self.adaptive_hysteresis < 1:
-            raise ValueError("adaptive_hysteresis must be at least 1")
         if self.fault_plan is not None and not hasattr(
                 self.fault_plan, "is_empty"):
             # Duck-typed on purpose: importing repro.faults here would

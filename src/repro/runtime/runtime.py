@@ -63,7 +63,8 @@ class Image:
         self.scheduler = make_scheduler(
             rt.config.scheduler, self.notify_work, rt.directory,
             steal=rt.config.steal, rr_chunk=rt.config.rr_chunk,
-            metrics=rt.metrics, config=rt.config,
+            metrics=rt.metrics,
+            adaptive_datamove=rt.config.adaptive_datamove,
         )
         if hasattr(self.scheduler, "attach_runtime"):
             # The adaptive meta-scheduler reads live runtime signals

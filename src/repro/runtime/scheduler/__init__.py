@@ -1,71 +1,39 @@
-"""The paper's three scheduling policies for Nanos++, plus the adaptive
-tier (work-stealing, critical-path lookahead, and the metrics-driven
-meta-scheduler) — see docs/SCHEDULERS.md."""
+"""One scheduler core, the policy table (the paper's ``bf`` / ``default`` /
+``affinity`` plus ``ws`` and ``cp``), and the metrics-driven ``adaptive``
+controller on top of it — see docs/SCHEDULERS.md."""
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ...memory.directory import Directory
 from .adaptive import AdaptiveScheduler
-from .affinity import AffinityScheduler
-from .base import Scheduler, TaskQueue, WorkerProtocol
-from .breadth_first import BreadthFirstScheduler
-from .critical_path import (BottomLevelEstimator, CriticalPathScheduler,
-                            PriorityTaskQueue)
-from .dep_aware import DependencyAwareScheduler
-from .work_stealing import WorkStealingScheduler
+from .base import PriorityTaskQueue, Scheduler, TaskQueue, WorkerProtocol
+from .critical_path import BottomLevelEstimator
+from .policies import POLICIES, Policy
 
 __all__ = [
     "Scheduler",
+    "AdaptiveScheduler",
+    "Policy",
+    "POLICIES",
     "TaskQueue",
     "PriorityTaskQueue",
     "WorkerProtocol",
-    "BreadthFirstScheduler",
-    "DependencyAwareScheduler",
-    "AffinityScheduler",
-    "WorkStealingScheduler",
-    "CriticalPathScheduler",
     "BottomLevelEstimator",
-    "AdaptiveScheduler",
     "make_scheduler",
 ]
 
 
-def make_scheduler(name: str, notify: Callable[[], None],
+def make_scheduler(name: str, notify: Callable[..., None],
                    directory: Directory, steal: bool = True,
                    rr_chunk: int = 1, metrics=None,
-                   config=None) -> Scheduler:
+                   adaptive_datamove: bool = False) -> Scheduler:
     """Instantiate a scheduling policy by its evaluation-chart name.
-
-    ``config`` (a :class:`~repro.runtime.config.RuntimeConfig`) is only
-    consulted by the adaptive meta-scheduler, for its interval/hysteresis
-    knobs; the static policies take everything through the explicit
-    arguments.
-    """
-    if name == "bf":
-        sched = BreadthFirstScheduler(notify, metrics=metrics)
-    elif name == "default":
-        sched = DependencyAwareScheduler(notify, metrics=metrics)
-    elif name == "affinity":
-        sched = AffinityScheduler(notify, directory, steal=steal,
-                                  rr_chunk=rr_chunk, metrics=metrics)
-    elif name == "ws":
-        sched = WorkStealingScheduler(notify, directory, steal=steal,
-                                      rr_chunk=rr_chunk, metrics=metrics)
-    elif name == "cp":
-        sched = CriticalPathScheduler(notify, directory, steal=steal,
-                                      rr_chunk=rr_chunk, metrics=metrics)
-    elif name == "adaptive":
-        kwargs = {}
-        if config is not None:
-            kwargs = dict(interval=config.adaptive_interval,
-                          hysteresis=config.adaptive_hysteresis,
-                          adaptive_datamove=config.adaptive_datamove)
-        sched = AdaptiveScheduler(notify, directory, steal=steal,
-                                  rr_chunk=rr_chunk, metrics=metrics,
-                                  **kwargs)
-    else:
+    ``adaptive_datamove`` only concerns the ``adaptive`` controller."""
+    if name == "adaptive":
+        return AdaptiveScheduler(notify, directory, steal=steal,
+                                 rr_chunk=rr_chunk, metrics=metrics,
+                                 adaptive_datamove=adaptive_datamove)
+    if name not in POLICIES:
         raise ValueError(f"unknown scheduler {name!r}")
-    if metrics is not None and name != "adaptive":
-        # The adaptive policy maintains this itself ("adaptive:<child>").
-        metrics.set_info("scheduler.policy", name)
-    return sched
+    return Scheduler(notify, directory, POLICIES[name], steal=steal,
+                     rr_chunk=rr_chunk, metrics=metrics)

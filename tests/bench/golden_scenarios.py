@@ -14,7 +14,7 @@ simulated-time behaviour, and say so in the commit message.
 
 from __future__ import annotations
 
-from repro.apps import matmul, nbody, perlin, stream
+from repro.apps import cholesky, matmul, nbody, perlin, stream
 from repro.bench.harness import CLUSTER_BEST, fresh_cluster, fresh_multi_gpu
 from repro.cuda import KernelSpec
 from repro.runtime import Access, Direction, Runtime, Task
@@ -28,6 +28,7 @@ _MM = matmul.MatmulSize(n=512, bs=64)          # 8x8 tiles -> 512 mult tasks
 _ST = stream.StreamSize(n=4096, bsize=256, ntimes=3)
 _PL = perlin.PerlinSize(height=128, width=128, rows_per_task=8, steps=3)
 _NB = nbody.NBodySize(n=1024, blocks=8, iters=3)
+_CH = cholesky.CholeskySize(n=8192, bs=512)    # 16x16 tiles -> 816 tasks
 
 
 def _mgpu(policy: str, sched: str) -> RuntimeConfig:
@@ -41,7 +42,15 @@ def _cluster(**overrides) -> RuntimeConfig:
     return RuntimeConfig(**params)
 
 
-def _nested_cluster() -> float:
+def _cholesky_mgpu(policy: str, sched: str, **extra) -> float:
+    """The fan-in DAG that separates the locality-placing policies: steals,
+    priority order and (under ``adaptive``) a mid-run policy switch."""
+    config = RuntimeConfig(functional=False, overlap=True, prefetch=True,
+                           cache_policy=policy, scheduler=sched, **extra)
+    return cholesky.run_ompss(fresh_multi_gpu(4), _CH, config=config).makespan
+
+
+def _nested_cluster(scheduler: str = "affinity") -> float:
     """Decomposing parents on a 4-node cluster: 3 dependent waves of 24
     cuda parents dealt across the nodes, each splitting its block over six
     smp children plus a fold on the image that runs it — the
@@ -49,7 +58,8 @@ def _nested_cluster() -> float:
     reaches.  Parents are cuda so they park a GPU manager, not the SMP
     workers their children need."""
     rt = Runtime(fresh_cluster(4),
-                 _cluster(slave_to_slave=True, presend=2))
+                 _cluster(slave_to_slave=True, presend=2,
+                          scheduler=scheduler))
     nparents, nparts, elems = 24, 6, 4096
     blocks = [rt.register_array(f"blk{i}", nparts * elems)
               for i in range(nparents)]
@@ -116,6 +126,19 @@ SCENARIOS = {
         config=_cluster(slave_to_slave=True, presend=1)).makespan,
     # -- GPU cluster + nested decomposition (children local to the image) --
     "nested-4node-stos-ps2": _nested_cluster,
+    # -- the policies the paper goldens above never select ------------------
+    "cholesky-4gpu-wb-cp": lambda: _cholesky_mgpu("wb", "cp"),
+    "cholesky-4gpu-wt-ws": lambda: _cholesky_mgpu("wt", "ws"),
+    # one policy switch (affinity -> cp) and the wt -> wb write-mode switch
+    "cholesky-4gpu-wt-adaptive-adm": lambda: _cholesky_mgpu(
+        "wt", "adaptive", adaptive_datamove=True),
+    # a dozen policy switches with the prestage lookahead (peek_for) armed
+    "cholesky-4node-adaptive-ps2-pd2": lambda: cholesky.run_ompss(
+        fresh_cluster(4), _CH,
+        config=_cluster(scheduler="adaptive", presend=2,
+                        presend_depth=2)).makespan,
+    # ``default`` releasing mixed smp/cuda work on a cluster (wake order)
+    "nested-4node-default": lambda: _nested_cluster("default"),
 }
 
 

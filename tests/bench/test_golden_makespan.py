@@ -29,6 +29,13 @@ GOLDEN_MAKESPANS = {
     'stream-2node-stos-ps4': 0.018976735986617525,
     'nbody-4node-stos-ps1': 0.0016021829672313867,
     'nested-4node-stos-ps2': 0.024805902954022224,
+    # ws / cp / adaptive / default-on-a-cluster: recorded from the six-class
+    # scheduler package before it was folded into one policy-table core.
+    'cholesky-4gpu-wb-cp': 0.13562707909928187,
+    'cholesky-4gpu-wt-ws': 0.19241645836451254,
+    'cholesky-4gpu-wt-adaptive-adm': 0.14442592173783708,
+    'cholesky-4node-adaptive-ps2-pd2': 0.3921041331244046,
+    'nested-4node-default': 0.020316992978374006,
 }
 
 

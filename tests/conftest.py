@@ -14,7 +14,7 @@ import pytest
 from repro.runtime.scheduler import Scheduler
 
 _OPERATIONS = ("submit", "task_finished", "next_task", "blacklist",
-               "rebalance", "drain_unrunnable", "drain_shared")
+               "rebalance", "drain_unrunnable", "drain_all")
 
 
 def _checked(method):

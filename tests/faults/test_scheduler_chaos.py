@@ -89,7 +89,5 @@ def test_gpu_loss_blacklists_worker_under_policy(policy):
     assert not dead.alive
     sched = rt.images[0].scheduler
     assert dead not in sched.workers
-    if policy == "adaptive":
-        for child in sched.children.values():
-            assert dead not in child.workers
+    assert id(dead) not in sched._local
     assert rt.tasks_finished == 8

@@ -369,12 +369,12 @@ def test_cluster_run_with_coalescing_fuses_messages():
 # ---------------------------------------------------------------------------
 
 def test_prestage_previews_disjoint_global_queue_slices():
-    """The base (global-queue) scheduler previews a *partitioned* slice of
-    the global queue per node proxy: each proxy sees a disjoint subset, so
+    """The scheduler core previews a *partitioned* slice of the shared
+    queue per node proxy: each proxy sees a disjoint subset, so
     no region is speculatively prestaged to two nodes (naive previewing
     was measured to congest the master NIC)."""
-    from repro.runtime.scheduler.base import Scheduler
-    sched = Scheduler(notify=lambda *a: None)
+    from repro.runtime.scheduler import make_scheduler
+    sched = make_scheduler("bf", lambda *a: None, None)
 
     class W:
         kind = "node"

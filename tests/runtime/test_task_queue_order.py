@@ -2,9 +2,11 @@
 
 The seed TaskQueue was a single deque scanned linearly per poll; the indexed
 queue buckets tasks by acceptance signature and pops across bucket heads.
-For any interleaving of pushes (back and front) and polls by any mix of the
-runtime's worker kinds, both must hand out exactly the same task at every
-poll — that equivalence is what makes the swap invisible to simulated time.
+For any interleaving of pushes, polls and back-steals by any mix of the
+runtime's worker kinds, both must hand out exactly the same tasks at every
+step — that equivalence is what makes the swap invisible to simulated time.
+The steal reference is the back-scan the ``ws`` policy ran over its private
+single deques before it moved onto TaskQueue.
 """
 
 from collections import deque
@@ -51,8 +53,19 @@ class ReferenceQueue:
     def push(self, task):
         self._q.append(task)
 
-    def push_front(self, task):
-        self._q.appendleft(task)
+    def back(self):
+        return self._q[-1] if self._q else None
+
+    def pop_back_for(self, worker, k):
+        """Scan from the back collecting up to ``k`` entries the worker
+        accepts; stepped-over entries keep their place."""
+        loot, keep = [], []
+        while self._q and len(loot) < k:
+            task = self._q.pop()
+            (loot if worker.accepts(task) else keep).append(task)
+        self._q.extend(reversed(keep))
+        loot.reverse()  # back-of-deque pops reversed readiness order
+        return loot
 
     def pop_for(self, worker):
         for i, task in enumerate(self._q):
@@ -73,15 +86,16 @@ WORKERS = [
 
 _PARENT = object()
 
-# An operation is either a push (front or back) of a task with a random
-# signature, or a poll by a random worker kind.
+# An operation is a push of a task with a random signature, a poll by a
+# random worker kind, or that worker stealing up to k tasks from the back.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"),
                   st.sampled_from(["smp", "cuda"]),
-                  st.booleans(),          # top-level?
-                  st.booleans()),         # push_front?
+                  st.booleans()),         # top-level?
         st.tuples(st.just("pop"), st.sampled_from(range(len(WORKERS)))),
+        st.tuples(st.just("steal"), st.sampled_from(range(len(WORKERS))),
+                  st.integers(min_value=0, max_value=6)),
     ),
     min_size=1, max_size=200,
 )
@@ -94,16 +108,18 @@ def test_indexed_queue_matches_reference_scan(ops):
     next_tid = 0
     for op in ops:
         if op[0] == "push":
-            _, device, toplevel, front = op
+            _, device, toplevel = op
             task = FakeTask(tid=next_tid, device=device,
                             parent=None if toplevel else _PARENT)
             next_tid += 1
-            if front:
-                indexed.push_front(task)
-                reference.push_front(task)
-            else:
-                indexed.push(task)
-                reference.push(task)
+            indexed.push(task)
+            reference.push(task)
+        elif op[0] == "steal":
+            worker = WORKERS[op[1]]
+            assert indexed.back() is reference.back()
+            got = indexed.pop_back_for(worker, op[2])
+            want = reference.pop_back_for(worker, op[2])
+            assert [t.tid for t in got] == [t.tid for t in want]
         else:
             worker = WORKERS[op[1]]
             got = indexed.pop_for(worker)

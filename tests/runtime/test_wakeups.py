@@ -16,7 +16,7 @@ from repro.bench.harness import CLUSTER_BEST, fresh_cluster
 from repro.faults import FaultEvent, FaultPlan
 from repro.hardware import build_gpu_cluster
 from repro.runtime import Runtime, RuntimeConfig, Task
-from repro.runtime.scheduler import AffinityScheduler
+from repro.runtime.scheduler import Scheduler
 from repro.sim import Environment
 from tests.faults.helpers import assert_same_outputs, baseline, run_scenario
 
@@ -25,13 +25,13 @@ from tests.faults.helpers import assert_same_outputs, baseline, run_scenario
 def polls(monkeypatch):
     """Count ``next_task`` polls per place (``(kind, node_index)``)."""
     counts: Counter = Counter()
-    inner = AffinityScheduler.next_task
+    inner = Scheduler.next_task
 
     def counting(self, worker):
         counts[(worker.kind, worker.node_index)] += 1
         return inner(self, worker)
 
-    monkeypatch.setattr(AffinityScheduler, "next_task", counting)
+    monkeypatch.setattr(Scheduler, "next_task", counting)
     return counts
 
 
