@@ -20,13 +20,25 @@ lifecycle transitions are mirrored to the staging directory
 (``status.json``), so an out-of-process observer — the CLI ``status``
 command — sees the same states the in-process API reports.
 
+A service simulates each distinct request once.  Jobs whose requests
+have the same :meth:`~repro.service.job.JobRequest.content_key` — equal
+in everything but tenant, priority and cost — share one execution: the
+first is executed on a backend, the ones dispatched while it runs join
+it, the ones dispatched later are served from its stored payload
+(``JobResult.backend == "cache"``, ``cached_from`` naming the job that
+executed).  Every job still takes its fair-share turn and stages its own
+complete bundle.  The table lives and dies with the ``Service`` object;
+see "Result cache" in docs/SERVICE.md.
+
 Everything the service does is counted under ``service.*`` in its
 metrics registry (see docs/OBSERVABILITY.md): submissions, per-tenant
-dispatches, per-backend completions, failures, queue depth.
+dispatches, per-backend completions, failures, cache hits and misses,
+queue depth, host-time latency histograms.
 """
 
 from __future__ import annotations
 
+import copy
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -45,13 +57,27 @@ __all__ = ["Service"]
 @dataclass
 class _JobRecord:
     request: JobRequest
+    #: ``request.content_key()``; ``None`` for an uncacheable request.
+    key: Optional[str]
+    #: ``time.perf_counter()`` at submit and at dispatch.
+    submitted_at: float
+    dispatched_at: float = 0.0
     state: JobState = JobState.QUEUED
     backend: str = ""
     result: Optional[JobResult] = None
-    payload: Optional[dict] = None
     seq: int = 0
     dispatch_seq: Optional[int] = None
-    extras: dict = field(default_factory=dict)
+
+
+@dataclass
+class _CacheEntry:
+    """One distinct request content.  While ``payload`` is ``None`` the
+    ``leader`` job is executing it and ``followers`` wait for its outcome;
+    afterwards ``payload`` is what ``leader`` returned."""
+
+    leader: str
+    payload: Optional[dict] = None
+    followers: "list[str]" = field(default_factory=list)
 
 
 class Service:
@@ -82,6 +108,10 @@ class Service:
         self.staging = (staging if isinstance(staging, StagingDir)
                         else StagingDir(staging))
         self._jobs: "dict[str, _JobRecord]" = {}
+        #: content key -> the one execution of that content.  Memory only
+        #: and never evicted: it holds one payload per distinct request of
+        #: a service that already keeps every job's result.
+        self._cache: "dict[str, _CacheEntry]" = {}
         self._seq = 0
         self._dispatch_seq = 0
 
@@ -103,7 +133,8 @@ class Service:
             job_id = f"job-{self._seq:04d}-{request.tenant}-{request.app}"
         if job_id in self._jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
-        record = _JobRecord(request=request, seq=self._seq)
+        record = _JobRecord(request=request, key=request.content_key(),
+                            submitted_at=time.perf_counter(), seq=self._seq)
         self._seq += 1
         self._jobs[job_id] = record
         self.staging.write_request(job_id, request)
@@ -121,61 +152,124 @@ class Service:
         dispatches queued jobs in queue order until the next job's
         backend has no free slot — dispatch is head-of-line on purpose,
         so the fair-share order the queue computes is the order jobs
-        actually reach the backends.
+        actually reach the backends.  A job whose content is already in
+        the result cache needs no slot: it passes while every backend is
+        full, but only ever from the head of the queue.
         """
         progressed = 0
-        for name, backend in self.backends.items():
+        for backend in self.backends.values():
             for job_id in backend.active():
                 record = self._jobs.get(job_id)
                 if record is None or record.state is not JobState.RUNNING:
                     continue
                 outcome = backend.poll(job_id)
                 if outcome is not None:
-                    self._finish(job_id, record, outcome)
-                    progressed += 1
+                    progressed += self._settle(job_id, record, outcome,
+                                               backend)
         while self.queue:
             job_id, request = self.queue.peek()
-            backend = self.backends[self.picker.pick(request)]
-            if backend.free_slots() <= 0:
-                break
+            record = self._jobs[job_id]
+            entry = self._cache.get(record.key)
+            if entry is None:
+                backend = self.backends[self.picker.pick(request)]
+                if backend.free_slots() <= 0:
+                    break
             popped_id, request = self.queue.pop()
             assert popped_id == job_id
-            record = self._jobs[job_id]
             record.state = JobState.RUNNING
-            record.backend = backend.name
             record.dispatch_seq = self._dispatch_seq
             self._dispatch_seq += 1
-            self.staging.write_status(job_id, JobState.RUNNING,
-                                      backend=backend.name,
-                                      tenant=request.tenant)
-            self.metrics.inc(f"service.backend.{backend.name}.dispatched")
-            backend.start(job_id, request)
+            record.dispatched_at = time.perf_counter()
             progressed += 1
+            if entry is None:                      # miss: execute it
+                if record.key is not None:
+                    self._cache[record.key] = _CacheEntry(leader=job_id)
+                self._start(job_id, record, backend)
+                continue
+            record.backend = "cache"
+            if entry.payload is None:              # join the execution
+                # Joining is what makes hits and misses exact: a table of
+                # finished results only would execute a second copy
+                # whenever it is dispatched before the first one ends —
+                # a number that depends on timing and on the pool size.
+                entry.followers.append(job_id)
+                self.staging.write_status(job_id, JobState.RUNNING,
+                                          backend=record.backend,
+                                          tenant=request.tenant)
+            else:                                  # hit: finished already
+                self._finish(job_id, record, ("ok", entry.payload),
+                             cached_from=entry.leader)
         self.metrics.set_gauge(
             "service.active",
             sum(len(b.active()) for b in self.backends.values()))
         return progressed
 
-    def _finish(self, job_id: str, record: _JobRecord, outcome) -> None:
+    def _start(self, job_id: str, record: _JobRecord,
+               backend: AbstractBackend) -> None:
+        """Begin one execution of ``record``'s request on ``backend``."""
+        record.backend = backend.name
+        self.staging.write_status(job_id, JobState.RUNNING,
+                                  backend=backend.name,
+                                  tenant=record.request.tenant)
+        self.metrics.inc(f"service.backend.{backend.name}.dispatched")
+        self.metrics.inc("service.cache.misses")
+        backend.start(job_id, record.request)
+
+    def _settle(self, job_id: str, record: _JobRecord, outcome,
+                backend: AbstractBackend) -> int:
+        """Finish a job ``backend`` executed and whatever waited on it;
+        returns the number of state transitions."""
+        self._finish(job_id, record, outcome)
+        entry = self._cache.get(record.key)
+        if entry is None:                          # uncacheable request
+            return 1
+        followers, entry.followers = entry.followers, []
+        if outcome[0] == "ok":
+            entry.payload = outcome[1]
+            for follower in followers:
+                self._finish(follower, self._jobs[follower], outcome,
+                             cached_from=job_id)
+            return 1 + len(followers)
+        # A failure is never shared and never stored (a crash may be the
+        # host's, not the request's): the first follower takes the slot
+        # the leader just freed and leads the rest.
+        if not followers:
+            del self._cache[record.key]
+            return 1
+        entry.leader, *entry.followers = followers
+        self._start(entry.leader, self._jobs[entry.leader], backend)
+        return 2
+
+    def _finish(self, job_id: str, record: _JobRecord, outcome,
+                cached_from: Optional[str] = None) -> None:
         kind, value = outcome
         request = record.request
         if kind == "ok":
             payload = value
-            record.payload = payload
             record.state = JobState.DONE
+            # Copies, because the payload may be the cache's: no result
+            # aliases it, so no caller can edit another job's numbers.
+            # The ``engine.*`` gauges of a cached result are the executing
+            # job's wall-clock observations, not this job's.
             result = JobResult(
                 job_id=job_id, state=JobState.DONE, app=request.app,
                 version=request.version, tenant=request.tenant,
                 backend=record.backend,
                 makespan=payload["makespan"], metric=payload["metric"],
                 metric_unit=payload["metric_unit"],
-                metrics=payload["metrics"], findings=payload["sanitizer"])
+                metrics=copy.deepcopy(payload["metrics"]),
+                findings=copy.deepcopy(payload["sanitizer"]),
+                cached_from=cached_from)
             self.staging.write_result(job_id, result, payload)
             self.staging.write_status(job_id, JobState.DONE,
                                       backend=record.backend,
                                       tenant=request.tenant)
             self.metrics.inc("service.jobs_completed")
             self.metrics.inc(f"service.backend.{record.backend}.completed")
+            if cached_from is not None:
+                # Counted here, not at the join: counters cannot decrease,
+                # and a follower may yet be promoted to an execution.
+                self.metrics.inc("service.cache.hits")
             self.metrics.observe("service.job.makespan",
                                  payload["makespan"])
         else:
@@ -192,6 +286,12 @@ class Service:
             self.metrics.inc("service.jobs_failed")
             self.metrics.inc(f"service.backend.{record.backend}.failed")
         record.result = result
+        now = time.perf_counter()
+        self.metrics.observe("service.job.queue_wait",
+                             record.dispatched_at - record.submitted_at)
+        self.metrics.observe("service.job.run_wall",
+                             now - record.dispatched_at)
+        self.metrics.observe("service.job.total", now - record.submitted_at)
 
     # -- status & results -------------------------------------------------
     def _record(self, job_id: str) -> _JobRecord:

@@ -7,6 +7,12 @@ reports an outcome exactly once when the job finishes.  Outcomes are
 *result*, not a backend exception, so one crashing job can never take
 the queue down (the service marks it failed and keeps draining).
 
+A backend sees *executions*, not jobs: the service's result cache (see
+:mod:`repro.service.api`) starts one per distinct request content, so a
+backend is never asked to run a request whose twin is running or done.
+Jobs served from the cache report ``backend == "cache"`` — a name in
+results and counters, not a backend object; it has no slots to wait for.
+
 Two implementations ship, the shape leaving the seam open for remote
 plugins (a slurm/arq-style backend only has to implement the same four
 methods against a remote queue):

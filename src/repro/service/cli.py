@@ -9,10 +9,11 @@ directory *is* the queue — i-VRESSE bartender's file-staging shape):
   keeps scanning for new submissions.
 * ``status``    — print a job's ``status.json``.
 * ``artifacts`` — list (or ``--fetch`` one of) a job's staged artifacts.
-* ``demo``      — saturate a 2-worker pool with a mixed-tenant batch of
-  functional jobs, print the fair-share dispatch order and the
-  ``service.*`` counters, and cross-check one job eager-vs-pool
-  bit-identical.
+* ``demo``      — put a mixed-tenant batch of nine functional jobs
+  (three distinct simulations) on a 2-worker pool, print the fair-share
+  dispatch order and the ``service.*`` counters, check that the result
+  cache executed each distinct request once (6 hits, 3 misses), and
+  cross-check one job eager-vs-pool bit-identical.
 
 Examples::
 
@@ -36,7 +37,8 @@ from typing import Optional
 from ..runtime.config import SCHEDULERS, RuntimeConfig
 from .api import Service
 from .backends import EagerBackend, PoolBackend
-from .job import APPS, MACHINES, VERSIONS, JobRequest, JobState
+from .job import (APPS, MACHINES, VERSIONS, JobRequest, JobResult,
+                  JobState)
 from .picker import Picker
 from .queue import JobQueue
 from .staging import StagingDir
@@ -109,14 +111,33 @@ def cmd_submit(args) -> int:
 
 
 def _drain_pass(svc: Service, staging: StagingDir) -> int:
-    """Adopt every still-queued staged job; returns how many were new."""
+    """Adopt every still-queued staged job; returns how many were new.
+
+    The staging directory is outside input: a ``request.json`` that does
+    not decode into a valid :class:`JobRequest` (truncated JSON, unknown
+    app, a field of a newer schema) fails *that job*, with the reason in
+    its ``status.json`` / ``result.json``, and the pass goes on.
+    """
     adopted = 0
     for job_id in staging.jobs():
         if job_id in svc:
             continue
-        if staging.read_status(job_id).get("state") != JobState.QUEUED.value:
+        status = staging.read_status(job_id)
+        if status.get("state") != JobState.QUEUED.value:
             continue
-        svc.submit(staging.read_request(job_id), job_id=job_id)
+        try:
+            request = staging.read_request(job_id)
+        except (ValueError, TypeError) as exc:   # JSONDecodeError included
+            reason = f"bad request.json: {type(exc).__name__}: {exc}"
+            tenant = str(status.get("tenant", ""))
+            staging.write_result(job_id, JobResult(
+                job_id=job_id, state=JobState.FAILED, app="", version="",
+                tenant=tenant, backend="", error=reason))
+            staging.write_status(job_id, JobState.FAILED, error=reason,
+                                 tenant=tenant)
+            print(f"{job_id}: failed ({reason})")
+            continue
+        svc.submit(request, job_id=job_id)
         adopted += 1
     return adopted
 
@@ -164,7 +185,8 @@ def cmd_artifacts(args) -> int:
 
 
 def _demo_batch() -> "list[JobRequest]":
-    """Nine functional jobs: three tenants × three apps, sanitized."""
+    """Nine functional jobs: three tenants × three apps, sanitized —
+    three distinct request contents, each asked for by every tenant."""
     tenants = ("alice", "alice", "alice", "bob", "bob", "bob",
                "carol", "carol", "carol")
     apps = ("matmul", "cholesky", "jacobi") * 3
@@ -174,8 +196,12 @@ def _demo_batch() -> "list[JobRequest]":
 
 
 def cmd_demo(args) -> int:
+    """Nine jobs, three simulations, the same fair-share order: exits 1
+    unless every job is done, the cache counters are exactly (distinct
+    requests) misses and (the rest) hits, and eager equals pool."""
     weights = {"alice": 2.0, "bob": 1.0, "carol": 1.0}
     batch = _demo_batch()
+    distinct = len({req.content_key() for req in batch})
     print(f"submitting {len(batch)} functional jobs for "
           f"{len(weights)} tenants (weights {weights}) "
           f"onto a {args.workers}-worker fork-isolated pool…")
@@ -194,13 +220,20 @@ def cmd_demo(args) -> int:
             res = svc.result(job_id)
             ok = ok and res.state is JobState.DONE
             bundle = ", ".join(sorted(svc.fetch_artifacts(job_id)))
-            print(f"  {job_id}: {res.state.value} "
+            source = f" from {res.cached_from}" if res.cached_from else ""
+            print(f"  {job_id}: {res.state.value} on {res.backend}{source} "
                   f"makespan={res.makespan} findings={len(res.findings)} "
                   f"[{bundle}]")
         print("\nservice.* counters:")
         for name, value in sorted(svc.metrics.snapshot().items()):
             if name.startswith("service.") and not isinstance(value, dict):
                 print(f"  {name} = {value}")
+        hits = svc.metrics.value("service.cache.hits")
+        misses = svc.metrics.value("service.cache.misses")
+        exact = (misses, hits) == (distinct, len(batch) - distinct)
+        print(f"\nresult cache: {hits} hits / {misses} misses for "
+              f"{distinct} distinct requests in {len(batch)} jobs: "
+              f"{'exact' if exact else 'MISMATCH'}")
 
         # Determinism cross-check: the first job, re-run eagerly, must
         # reproduce the pool result bit-identically.
@@ -210,7 +243,7 @@ def cmd_demo(args) -> int:
         identical = (eager["makespan"] == pool_res.makespan
                      and eager["metric"] == pool_res.metric)
         print(f"\neager-vs-pool bit-identical: {identical}")
-    return 0 if ok and identical else 1
+    return 0 if ok and exact and identical else 1
 
 
 def main(argv: "list[str] | None" = None) -> int:

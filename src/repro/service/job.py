@@ -15,11 +15,16 @@ Serialization is *diff-based*: ``to_dict`` writes only fields that differ
 from their defaults, so ``request.json`` stays a human-sized document and
 round-trips through ``from_dict`` bit-identically (the dataclasses are
 frozen and validated, so a decoded request re-runs its own checks).
+The same encoding, minus the scheduling-only fields, is a request's
+identity: :meth:`JobRequest.content_key` is what the service's result
+cache compares.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
@@ -27,8 +32,8 @@ from typing import Optional
 from ..faults.plan import FaultEvent, FaultPlan
 from ..runtime.config import SCHEDULERS, RuntimeConfig
 
-__all__ = ["APPS", "MACHINES", "VERSIONS", "JobState", "JobRequest",
-           "JobResult"]
+__all__ = ["APPS", "MACHINES", "VERSIONS", "SCHEDULING_FIELDS", "JobState",
+           "JobRequest", "JobResult"]
 
 #: Apps a request may name (each has a ``repro.apps.<app>`` package).
 APPS = ("matmul", "stream", "perlin", "nbody", "cholesky", "jacobi",
@@ -39,6 +44,9 @@ MACHINES = ("multi_gpu", "cluster")
 #: task version (full runtime, metrics, trace, sanitizer); ``mpi_cuda``
 #: is the hand-written comparison baseline (timings only).
 VERSIONS = ("ompss", "mpi_cuda")
+#: Request fields that decide when and on whose account a job runs, never
+#: what it computes; :meth:`JobRequest.content_key` ignores exactly these.
+SCHEDULING_FIELDS = ("tenant", "priority", "cost")
 
 
 class JobState(str, Enum):
@@ -194,6 +202,27 @@ class JobRequest:
             config = config.with_(fault_plan=self.fault_plan)
         return config
 
+    def content_key(self) -> Optional[str]:
+        """Digest of what :func:`~repro.service.runner.execute_request`
+        reads: requests with equal keys run the same simulation.
+
+        The key is the sha256 of the canonical JSON of the request with
+        the ``scheduler`` / ``fault_plan`` overrides folded into the
+        config (so every spelling of one run shares a key) and without
+        :data:`SCHEDULING_FIELDS`.  ``None`` marks a request that must
+        always be executed: it holds a value (in ``run_kwargs``) that
+        JSON cannot encode, so it has no canonical form to compare.
+        """
+        doc = dataclasses.replace(self, config=self.resolved_config(),
+                                  scheduler=None, fault_plan=None).to_dict()
+        for name in SCHEDULING_FIELDS:
+            doc.pop(name, None)
+        try:
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        except (TypeError, ValueError):
+            return None
+        return hashlib.sha256(text.encode()).hexdigest()
+
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
         base = _defaults(JobRequest)
@@ -245,6 +274,9 @@ class JobResult:
     error: Optional[str] = None
     #: artifact name → file name, relative to the job's staging dir.
     artifacts: dict = field(default_factory=dict)
+    #: id of the job whose execution produced this result, when the
+    #: service's result cache served it (``backend == "cache"``).
+    cached_from: Optional[str] = None
 
     def to_dict(self, include_metrics: bool = False) -> dict:
         doc = {
@@ -260,6 +292,7 @@ class JobResult:
             "findings": self.findings,
             "error": self.error,
             "artifacts": self.artifacts,
+            "cached_from": self.cached_from,
         }
         if include_metrics:
             doc["metrics"] = self.metrics

@@ -6,7 +6,10 @@ config, tracer, sanitizer — from the declarative description.  Every
 backend funnels through this function, which is what makes eager and
 pool execution bit-identical: a simulation depends only on its request
 (the fork isolation in the pool is defensive, not semantic — the same
-guarantee the figure sweeps pin in ``tests/bench/test_sweep.py``).
+guarantee the figure sweeps pin in ``tests/bench/test_sweep.py``).  The
+service's result cache rests on the same property, in its full form —
+the whole payload repeats, the wall-clock ``engine.*`` gauges excepted
+(``tests/service/test_determinism.py``).
 
 The payload carries the artifact-bundle raw material::
 

@@ -105,7 +105,9 @@ def test_duplicate_and_unknown_job_ids_rejected(tmp_path):
 def test_mixed_tenant_batch_fair_share_on_pool(tmp_path):
     """The acceptance scenario: 9 jobs / 3 tenants / 3 apps on a
     2-worker pool; the WFQ dispatch order (alice weight 2) is exact and
-    observable in the ``service.*`` counters."""
+    observable in the ``service.*`` counters.  The three tenants ask for
+    the same three simulations, so the pool executes three jobs and the
+    result cache serves the other six."""
     apps = ("matmul", "cholesky", "jacobi")
     batch = [JobRequest(app=app, config=PERF, tenant=tenant)
              for tenant in ("alice", "bob", "carol") for app in apps]
@@ -120,7 +122,14 @@ def test_mixed_tenant_batch_fair_share_on_pool(tmp_path):
         dispatch = svc.dispatch_order()
         snap = svc.metrics.snapshot()
     assert all(r.state is JobState.DONE for r in results)
-    assert all(r.backend == "pool" for r in results)
+    executed = {r.job_id: r for r in results if r.backend == "pool"}
+    served = [r for r in results if r.backend == "cache"]
+    assert len(executed) == 3 and len(served) == 6
+    assert {r.app for r in executed.values()} == set(apps)
+    assert all(r.cached_from is None for r in executed.values())
+    for r in served:
+        assert executed[r.cached_from].app == r.app
+        assert executed[r.cached_from].makespan == r.makespan
     # Exact WFQ order: alice (weight 2) takes two turns per bob/carol one.
     tenants = [jid.split("-")[2] for jid in dispatch]
     assert tenants == ["alice", "bob", "carol", "alice", "alice",
@@ -132,7 +141,10 @@ def test_mixed_tenant_batch_fair_share_on_pool(tmp_path):
     assert snap["service.jobs_submitted"] == 9
     assert snap["service.jobs_dispatched"] == 9
     assert snap["service.jobs_completed"] == 9
-    assert snap["service.backend.pool.completed"] == 9
+    assert snap["service.backend.pool.completed"] == 3
+    assert snap["service.backend.cache.completed"] == 6
+    assert snap["service.cache.hits"] == 6
+    assert snap["service.cache.misses"] == 3
     assert snap["service.queue.depth"] == 0
     assert snap["service.active"] == 0
 
@@ -144,9 +156,12 @@ def test_worker_death_fails_job_and_queue_keeps_draining(tmp_path,
     surfaces as a failed job naming the wait status; the remaining jobs
     still complete."""
     real = backends_mod.execute_request
+    # Doomed by its content (its own size), not its tenant: jobs that
+    # differ in scheduling fields only are one simulation.
+    doomed_size = {"n": 128, "bs": 64}
 
     def fake(request):
-        if request.tenant == "doomed":
+        if request.size == doomed_size:
             os._exit(43)
         return real(request)
 
@@ -154,7 +169,7 @@ def test_worker_death_fails_job_and_queue_keeps_draining(tmp_path,
     with Service(backends={"pool": PoolBackend(workers=2)},
                  picker=Picker(fallback="pool"),
                  staging=tmp_path) as svc:
-        crash = svc.submit(perf_request(tenant="doomed"))
+        crash = svc.submit(perf_request(tenant="doomed", size=doomed_size))
         good = [svc.submit(perf_request()) for _ in range(3)]
         svc.run_until_idle(timeout=120)
         assert svc.state(crash) is JobState.FAILED
@@ -163,6 +178,46 @@ def test_worker_death_fails_job_and_queue_keeps_draining(tmp_path,
         snap = svc.metrics.snapshot()
         assert snap["service.jobs_failed"] == 1
         assert snap["service.jobs_completed"] == 3
+
+
+@needs_fork
+@pytest.mark.parametrize("how", ["dies", "raises"])
+def test_failed_leader_promotes_first_follower(tmp_path, monkeypatch, how):
+    """Four jobs, one content; the first execution fails.  The failure is
+    that job's alone: the first follower re-executes on the freed slot
+    and the other two are served from it."""
+    real = backends_mod.execute_request
+    marker = tmp_path / "first-execution-failed"
+
+    def fake(request):
+        if not marker.exists():
+            marker.touch()
+            if how == "dies":
+                os._exit(43)
+            raise RuntimeError("flaky host")
+        return real(request)
+
+    monkeypatch.setattr(backends_mod, "execute_request", fake)
+    with Service(backends={"pool": PoolBackend(workers=2)},
+                 picker=Picker(fallback="pool"),
+                 staging=tmp_path / "svc") as svc:
+        ids = [svc.submit(perf_request(tenant=t))
+               for t in ("alice", "bob", "carol", "dave")]
+        svc.run_until_idle(timeout=120)
+        results = [svc.result(job_id) for job_id in ids]
+        snap = svc.metrics.snapshot()
+    assert [r.state for r in results] == [JobState.FAILED] + \
+        [JobState.DONE] * 3
+    assert ("died" if how == "dies" else "flaky host") in results[0].error
+    assert [r.backend for r in results] == ["pool", "pool", "cache", "cache"]
+    assert [r.cached_from for r in results] == [None, None, ids[1], ids[1]]
+    assert results[2].makespan == results[1].makespan
+    assert snap["service.jobs_failed"] == 1
+    assert snap["service.jobs_completed"] == 3
+    assert snap["service.cache.misses"] == 2
+    assert snap["service.cache.hits"] == 2
+    assert snap["service.cache.hits"] + snap["service.cache.misses"] == \
+        snap["service.jobs_dispatched"] == 4
 
 
 def test_head_of_line_dispatch_respects_queue_order(tmp_path):

@@ -105,3 +105,39 @@ def test_missing_artifact_names_available_ones(tmp_path, capsys):
     with pytest.raises(SystemExit, match="no 'sanitizer'"):
         main(["artifacts", job_id, "--staging", str(staging),
               "--fetch", "sanitizer"])
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_worker_fails_malformed_requests_and_keeps_draining(tmp_path, capsys,
+                                                            strict):
+    """A staged ``request.json`` the worker cannot decode fails that job
+    (reason staged beside it) instead of killing the worker: the valid
+    job sorted after the bad ones still runs."""
+    staging = tmp_path / "svc"
+    bad = {"a-truncated": '{"app": "matm',
+           "b-unknown-app": json.dumps({"app": "linpack"}),
+           "c-newer-schema": json.dumps({"app": "matmul", "gpu_kind": "x"})}
+    for job_id, text in bad.items():
+        (staging / job_id).mkdir(parents=True)
+        (staging / job_id / "request.json").write_text(text)
+        (staging / job_id / "status.json").write_text(json.dumps(
+            {"job_id": job_id, "state": "queued", "tenant": "mallory"}))
+    submit(capsys, staging, "--job-id", "z-good")
+
+    argv = ["worker", "--staging", str(staging)] + ["--strict"] * strict
+    code, out = run(capsys, *argv)
+    assert code == (1 if strict else 0)
+    assert "z-good: done" in out
+    assert json.loads((staging / "z-good" / "result.json").read_text()
+                      )["state"] == "done"
+    for job_id, error in (("a-truncated", "JSONDecodeError"),
+                          ("b-unknown-app", "ValueError"),
+                          ("c-newer-schema", "TypeError")):
+        status = json.loads((staging / job_id / "status.json").read_text())
+        result = json.loads((staging / job_id / "result.json").read_text())
+        assert status["state"] == result["state"] == "failed"
+        assert status["tenant"] == "mallory"
+        assert status["error"] == result["error"]
+        assert error in status["error"]
+        assert len(status["error"].splitlines()) == 1
+        assert f"{job_id}: failed" in out
