@@ -2,11 +2,11 @@
 
 Runs the two communication-bound evaluation points the data-movement
 optimisation layer targets (see ``repro.bench.figures.DATAMOVE_POINTS``)
-in five configurations each — baseline, one per mechanism, and all four
+in five configurations each — baseline, one per mechanism, and all three
 together — and records the *simulated* makespans plus the mechanism
 counters that explain them.  The headline number is the geometric-mean
 makespan reduction of ``all`` over ``baseline`` across the points; the
-checked-in ``BENCH_comm.json`` pins it and the README quotes it.
+checked-in ``BENCH_comm.json`` pins it and docs/DATAMOVE.md quotes it.
 
 Unlike the wall-clock suites next door, everything here is virtual time:
 the numbers are machine-independent and exactly reproducible, so the gate
@@ -22,8 +22,9 @@ Usage::
 ``--quick`` shrinks the problem sizes so the suite runs in seconds: the
 mechanisms still fire (the points stay comm-bound by construction) but the
 gains differ from the full run, so quick results are never written over
-the checked-in full numbers.  ``--check`` re-runs at the recorded sizes
-and fails if the geomean improvement fell below the floor.
+the checked-in full numbers.  ``--check`` fails if the geomean improvement
+fell below the floor; in full mode it also holds every makespan to the
+checked-in ``BENCH_comm.json`` with ``==``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ GEOMEAN_FLOOR = 0.15
 MECHANISMS = {
     "baseline": {},
     "elision": dict(wb_elision=True),
-    "coalescing": dict(coalescing=True),
     "prestage": dict(presend_depth=4),
     "cost-evict": dict(cost_aware_eviction=True),
     "all": dict(DATAMOVE_FLAGS),
@@ -58,8 +58,6 @@ MECHANISMS = {
 _METRIC_KEYS = {
     "elided": "datamove.writebacks_elided",
     "elided_MB": "datamove.bytes_elided",
-    "fused": "datamove.fused_transfers",
-    "solo": "datamove.solo_transfers",
     "net_MB": "am.bytes_sent",
 }
 
@@ -140,7 +138,7 @@ def render(results: dict) -> str:
             lines.append(
                 f"  {mech:10s} makespan={row['makespan']:.5f}s "
                 f"({delta:+6.1%})  elided={row['elided']:>4} "
-                f"fused={row['fused']:>5} net={row['net_MB']:.1f}MB")
+                f"net={row['net_MB']:.1f}MB")
         lines.append(f"  improvement (all vs baseline): "
                      f"{entry['improvement']:+.1%}")
     lines.append(f"\ngeomean improvement: "
@@ -161,8 +159,16 @@ def main(argv=None) -> int:
                              "only)")
     parser.add_argument("--check", action="store_true",
                         help="gate: fail if geomean improvement is below "
-                             f"{GEOMEAN_FLOOR:.0%}")
+                             f"{GEOMEAN_FLOOR:.0%} or (full mode) any "
+                             "makespan differs from the checked-in "
+                             "BENCH_comm.json")
     args = parser.parse_args(argv)
+
+    pinned = None
+    if args.check and not args.quick:
+        # Read before this run can write over it.
+        with open(os.path.normpath(RESULT_PATH)) as fh:
+            pinned = json.load(fh)["points"]
 
     results = run_suite(args.quick, parallel=args.parallel)
     print(render(results))
@@ -176,11 +182,23 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"\nresults written: {out}")
 
-    if args.check and results["geomean_improvement"] < GEOMEAN_FLOOR:
-        print(f"FAIL: geomean improvement "
-              f"{results['geomean_improvement']:.1%} is below the "
-              f"{GEOMEAN_FLOOR:.0%} floor", file=sys.stderr)
-        return 1
+    if args.check:
+        failed = False
+        if results["geomean_improvement"] < GEOMEAN_FLOOR:
+            print(f"FAIL: geomean improvement "
+                  f"{results['geomean_improvement']:.1%} is below the "
+                  f"{GEOMEAN_FLOOR:.0%} floor", file=sys.stderr)
+            failed = True
+        for point, rows in (pinned or {}).items():
+            for mech in MECHANISMS:
+                want = rows[mech]["makespan"]
+                got = results["points"][point][mech]["makespan"]
+                if got != want:
+                    print(f"FAIL: {point}/{mech} makespan {got!r} differs "
+                          f"from the checked-in {want!r}", file=sys.stderr)
+                    failed = True
+        if failed:
+            return 1
     return 0
 
 

@@ -82,24 +82,6 @@ def test_ablation_presend_window(run_once):
     assert r[1] > r[0]
 
 
-def test_ablation_rr_chunking(run_once):
-    """No-affinity placement granularity: pure cyclic dealing beats chunked
-    dealing for the paper's workloads — chunking concentrates each tile row
-    of B on one node, creating migrating NIC hotspots during the wavefront,
-    while cyclic spreads every row's sources across the fabric."""
-
-    def sweep():
-        return {chunk: run_cluster(nodes=8, rr_chunk=chunk, presend=4,
-                                   overlap=True, prefetch=True)
-                for chunk in (1, 4, 16)}
-
-    r = run_once(sweep)
-    print()
-    for chunk, value in r.items():
-        print(f"  rr_chunk={chunk:2d}: {value:8.1f} GFLOP/s")
-    assert r[1] >= r[16], "cyclic dealing must not lose to coarse chunks"
-
-
 def test_ablation_slave_to_slave(run_once):
     def sweep():
         return {

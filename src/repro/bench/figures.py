@@ -318,15 +318,15 @@ def fig13_points(n_bodies: int = 20_000) -> "list[PointSpec]":
 # Data-movement optimisation layer (baseline vs datamove)
 # ---------------------------------------------------------------------------
 
-#: the four datamove mechanisms, all on (presend_depth only acts on
+#: the three datamove mechanisms, all on (presend_depth only acts on
 #: cluster runs; it is a documented no-op on a single node).
-DATAMOVE_FLAGS = dict(wb_elision=True, coalescing=True, presend_depth=4,
+DATAMOVE_FLAGS = dict(wb_elision=True, presend_depth=4,
                       cost_aware_eviction=True)
 
 #: the communication-bound evaluation points the layer targets:
 #: * ``matmul-cluster`` — 4 nodes, master-routed transfers (MtoS), no
 #:   presend credit: the master NIC is the bottleneck (Fig. 9's worst
-#:   corner), which is where coalescing + prestaging buy their keep;
+#:   corner), which is where prestaging buys its keep;
 #: * ``stream-mgpu`` — 4 GPUs with the software cache squeezed to 20% of
 #:   device memory: the eviction/write-back path dominates, which is what
 #:   elision + cost-aware eviction attack.

@@ -36,7 +36,6 @@ def summarize_run(snapshot: dict) -> dict:
         "evict": total("cache.", ".evictions"),
         "wback": total("cache.", ".writebacks"),
         "elided": snapshot.get("datamove.writebacks_elided", 0),
-        "fused": snapshot.get("datamove.fused_transfers", 0),
         "xfers": snapshot.get("coherence.transfers", 0),
         "moved MB": snapshot.get("coherence.bytes_transferred", 0) / 1e6,
         "net MB": snapshot.get("am.bytes_sent", 0) / 1e6,

@@ -44,7 +44,7 @@ class Stream:
         self._c_ops = (metrics.counter(f"cuda.stream.{self.name}.ops")
                        if metrics is not None else None)
         #: queue-depth gauge (high-water = pipelining depth actually
-        #: reached, e.g. by the datamove fused-DMA double buffering).
+        #: reached).
         self._g_depth = (metrics.gauge(f"cuda.stream.{self.name}.depth")
                          if metrics is not None else None)
         self._pending: deque = deque()

@@ -42,8 +42,7 @@ _CACHES = ("wb", "wt", "nocache")
 #: datamove flag sets: off = layer absent, on = every mechanism armed.
 _DATAMOVE = {
     "off": {},
-    "on": dict(wb_elision=True, coalescing=True, cost_aware_eviction=True,
-               presend_depth=1),
+    "on": dict(wb_elision=True, cost_aware_eviction=True, presend_depth=1),
 }
 
 

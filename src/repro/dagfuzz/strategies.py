@@ -40,7 +40,6 @@ def runtime_config_kwargs():
         "overlap": st.booleans(),
         "prefetch": st.booleans(),
         "wb_elision": st.booleans(),
-        "coalescing": st.booleans(),
         "cost_aware_eviction": st.booleans(),
     })
 

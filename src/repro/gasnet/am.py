@@ -83,15 +83,11 @@ class AMLayer:
         return self.endpoints[node_index]
 
     def request(self, src: int, dst: int, handler: str, *args: Any,
-                payload_bytes: int = 0, priority: int = 0,
-                fused: int = 1) -> Event:
+                payload_bytes: int = 0, priority: int = 0) -> Event:
         """Send an AM from node ``src`` to ``dst``; returns an event that
         fires when the remote handler has *completed* (request/reply style).
 
         ``payload_bytes`` > 0 makes it a long message carrying bulk data.
-        ``fused`` > 1 marks a coalesced message standing in for that many
-        logical transfers (datamove coalescing) — observability only, the
-        wire cost is whatever ``payload_bytes`` says.
         """
         nbytes = payload_bytes if payload_bytes > 0 else SHORT_SIZE
         if payload_bytes > 0:
@@ -109,9 +105,6 @@ class AMLayer:
             c_bytes.value += nbytes
             c_link_messages.value += 1
             c_link_bytes.value += nbytes
-            if fused > 1:
-                self.metrics.inc("am.fused_messages")
-                self.metrics.inc("am.fused_entries", fused)
 
         if self.faults is not None:
             token = next(self._tokens)

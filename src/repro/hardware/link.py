@@ -35,9 +35,6 @@ class Link:
         self._lanes = Resource(env, capacity=lanes, name=name)
         self.bytes_moved = 0
         self.transfer_count = 0
-        #: transfers that rode in a fused (coalesced) batch rather than
-        #: paying their own latency charge.
-        self.transfers_fused = 0
         #: cumulative seconds the link was held, latency term included.
         self.busy_seconds = 0.0
         #: hold-time multiplier, driven by fault-injection degradation
@@ -47,7 +44,6 @@ class Link:
         # bound ``hardware.link.<name>.*`` instruments (see attach_metrics)
         self._m_bytes = None
         self._m_transfers = None
-        self._m_fused = None
         self._m_busy = None
 
     def attach_metrics(self, registry) -> None:
@@ -57,7 +53,6 @@ class Link:
         prefix = f"hardware.link.{self.name}"
         self._m_bytes = registry.counter(f"{prefix}.bytes_moved")
         self._m_transfers = registry.counter(f"{prefix}.transfers")
-        self._m_fused = registry.counter(f"{prefix}.transfers_fused")
         self._m_busy = registry.gauge(f"{prefix}.busy_seconds")
 
     def occupancy(self, nbytes: int) -> float:
@@ -76,12 +71,6 @@ class Link:
             self._m_bytes.value += nbytes
             self._m_transfers.value += 1
             self._m_busy.set(self.busy_seconds)
-
-    def count_fused(self, n: int) -> None:
-        """``n`` transfers on this link were carried by a fused batch."""
-        self.transfers_fused += n
-        if self._m_fused is not None:
-            self._m_fused.value += n
 
     def transfer(self, nbytes: int, priority: int = 0):
         """Process generator: move ``nbytes`` across the link."""

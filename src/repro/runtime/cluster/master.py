@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ...faults.errors import RegionLostError
-from ...gasnet.am import SHORT_SIZE
 from ..task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,42 +122,21 @@ class CommThread:
     def run(self):
         """Round-robin polling loop (a simulated process)."""
         rt = self.rt
-        dm = rt.datamove
-        depth = 0 if dm is None else dm.presend_depth
-        batching = dm is not None and dm.coalescer is not None
+        depth = rt.config.presend_depth
         while rt.running:
             progressed = False
             for proxy in self.proxies:
-                batch: "list[Task] | None" = [] if batching else None
                 while proxy.outstanding < self.window:
                     task = self.image.scheduler.next_task(proxy)
                     if task is None:
                         break
                     proxy.admit(task)
-                    if batch is not None and self._staged(task, proxy):
-                        # Inputs already at the node: no staging leg, so
-                        # the control message can fuse with siblings from
-                        # this poll round into one batched AM.
-                        batch.append(task)
-                    else:
-                        self.env.process(self._dispatch(proxy, task))
+                    self.env.process(self._dispatch(proxy, task))
                     progressed = True
-                if batch:
-                    if len(batch) == 1:
-                        self.env.process(self._dispatch(proxy, batch[0]))
-                    else:
-                        self.env.process(self._dispatch_batch(proxy, batch))
                 if depth and self._prestage(proxy, depth):
                     progressed = True
             if not progressed:
                 yield self.image.wait_for_work("node")
-
-    def _staged(self, task: Task, proxy: NodeProxy) -> bool:
-        """True when every input region is already current somewhere on the
-        proxy's node (dispatch needs no staging fetches)."""
-        rt = self.rt
-        return all(proxy.node_index in rt.directory.nodes_with(acc.region)
-                   for acc in task.inputs)
 
     def _dispatch(self, proxy: NodeProxy, task: Task):
         """Stage data at the node, then start remote execution."""
@@ -182,30 +160,6 @@ class CommThread:
         yield rt.am.request(0, proxy.node_index, "nanos.run_task", task)
         if rt.tracer is not None:
             rt.tracer.record("message", f"run:{task.name}",
-                             f"ctl:0->{proxy.node_index}", start,
-                             self.env.now)
-
-    def _dispatch_batch(self, proxy: NodeProxy, tasks: list[Task]):
-        """Start several staged tasks with one fused control message:
-        one wire latency + handler overhead for the whole batch instead of
-        one per task — the dispatch-path face of transfer coalescing."""
-        rt = self.rt
-        for task in tasks:
-            task.state = TaskState.RUNNING
-            task.assigned_to = proxy
-        start = self.env.now
-        yield rt.am.request(0, proxy.node_index, "nanos.run_tasks",
-                            list(tasks),
-                            payload_bytes=SHORT_SIZE * len(tasks),
-                            fused=len(tasks))
-        rt.metrics.inc("cluster.ctl_batches")
-        rt.metrics.inc("cluster.ctl_batched_tasks", len(tasks))
-        nic_tx = rt.machine.nodes[0].nic_tx
-        if nic_tx is not None:
-            nic_tx.count_fused(len(tasks))
-        if rt.tracer is not None:
-            names = ",".join(t.name for t in tasks)
-            rt.tracer.record("message", f"run[{len(tasks)}]:{names}",
                              f"ctl:0->{proxy.node_index}", start,
                              self.env.now)
 

@@ -42,7 +42,7 @@ class CoherenceEngine:
         self.env = runtime.env
         self.directory = runtime.directory
         self.config = runtime.config
-        #: the datamove optimisation layer, or None (all flags off) — the
+        #: the datamove layer, or None (no flag that needs liveness) — the
         #: None case must execute the byte-identical historical paths.
         self.datamove = runtime.datamove
         #: (space id, region key, version) -> completion event of the fetch.
@@ -183,7 +183,7 @@ class CoherenceEngine:
             # own fresh version is never judged dead by its own write
             # entry.  A torn commit returns above without reaching this,
             # keeping the re-executed task's sequence entries intact.
-            self.datamove.note_commit(task)
+            self.datamove.liveness.task_committed(task)
         if cache is None or lost:
             return
         policy = self.config.cache_policy
@@ -440,42 +440,16 @@ class CoherenceEngine:
     # ------------------------------------------------------------------
     def _net_copy(self, region: Region, src: AddressSpace,
                   dst: AddressSpace):
-        dm = self.datamove
-        if dm is not None and dm.coalescer is not None:
-            key = ("net", src.node_index, dst.node_index)
-            yield from dm.coalescer.submit(
-                key, region,
-                lambda regions: self._issue_net(regions, src, dst))
-            return
-        yield from self._issue_net([region], src, dst)
-
-    def _issue_net(self, regions: list[Region], src: AddressSpace,
-                   dst: AddressSpace):
-        """One wire transfer carrying ``regions`` (one region = the
-        historical solo message; several = a fused AM payload paying one
-        latency + handler overhead for the summed bytes)."""
         am = self.rt.am
         assert am is not None, "network leg without a cluster fabric"
         start = self.env.now
-        total = sum(r.nbytes for r in regions)
-        if len(regions) == 1:
-            yield am.request(src.node_index, dst.node_index,
-                             "nanos.region_data", regions[0], src, dst,
-                             payload_bytes=total)
-        else:
-            yield am.request(src.node_index, dst.node_index,
-                             "nanos.region_data_multi", list(regions), src,
-                             dst, payload_bytes=total, fused=len(regions))
-            nic_tx = self.rt.machine.nodes[src.node_index].nic_tx
-            if nic_tx is not None:
-                nic_tx.count_fused(len(regions))
+        yield am.request(src.node_index, dst.node_index, "nanos.region_data",
+                         region, src, dst, payload_bytes=region.nbytes)
         link = f"net:{src.node_index}->{dst.node_index}"
-        for region in regions:
-            self._count_leg(link, region.nbytes)
-            if self.rt.tracer is not None:
-                self.rt.tracer.record("transfer", region.obj.name, link,
-                                      start, self.env.now,
-                                      nbytes=region.nbytes)
+        self._count_leg(link, region.nbytes)
+        if self.rt.tracer is not None:
+            self.rt.tracer.record("transfer", region.obj.name, link,
+                                  start, self.env.now, nbytes=region.nbytes)
 
     def _move_leg(self, region: Region, src: AddressSpace,
                   dst: AddressSpace, place):
@@ -490,15 +464,7 @@ class CoherenceEngine:
             gpu_space = dst if dst.kind == "gpu" else src
             direction = "h2d" if dst.kind == "gpu" else "d2h"
             manager = self.rt.gpu_manager_of(gpu_space)
-            dm = self.datamove
-            if dm is not None and dm.coalescer is not None:
-                key = ("dma", id(manager), direction)
-                yield from dm.coalescer.submit(
-                    key, region,
-                    lambda regions: manager.dma_fused(
-                        [r.nbytes for r in regions], direction))
-            else:
-                yield from manager.dma(region.nbytes, direction)
+            yield from manager.dma(region.nbytes, direction)
         if self.config.functional:
             dst.write(region, src.read(region))
         link = f"link:{src.name}->{dst.name}"

@@ -55,12 +55,6 @@ class RuntimeConfig:
     #: path (graph insertion, clause evaluation, cache lookups — calibrated
     #: for the 2012-era Nanos++ implementation).
     task_overhead: float = 150e-6
-    #: chunk size for round-robin placement of no-affinity tasks across
-    #: cluster node domains (affinity scheduler).  1 = pure cyclic deal;
-    #: larger values keep blocked loops contiguous per node (ablation knob —
-    #: cyclic wins for the paper's workloads because it spreads the tile
-    #: sources evenly over the fabric).
-    rr_chunk: int = 1
     #: optional :class:`repro.faults.FaultPlan`.  ``None`` (or an empty
     #: plan) leaves every fault hook dormant — the simulation schedules not
     #: a single extra event, so timed results stay bit-identical.  Typed
@@ -68,20 +62,12 @@ class RuntimeConfig:
     #: pieces lazily, not the other way around).
     fault_plan: object = None
     # -- data-movement optimisation layer (repro.runtime.datamove) --------
-    # All four mechanisms default off: with every flag at its default the
+    # All three mechanisms default off: with every flag at its default the
     # runtime constructs no DataMover and executes the identical event
     # stream, keeping the golden makespans bit-identical.
     #: skip the host write-back of a dirty region whose version is dead —
     #: no live task still reads it and a live task will overwrite it.
     wb_elision: bool = False
-    #: fuse region transfers queued on the same channel (NIC direction or
-    #: GPU DMA direction) within ``coalesce_window`` into one payload:
-    #: one latency charge, summed bandwidth.
-    coalescing: bool = False
-    #: how long (simulated seconds) a congested channel collects transfers
-    #: before issuing the fused batch.  Only consulted when ``coalescing``
-    #: is on; an idle channel always sends immediately (no window tax).
-    coalesce_window: float = 2e-6
     #: tasks the cluster master prestages *beyond* the presend credit
     #: window, via scheduler lookahead: slaves compute task k while the
     #: inputs of tasks k+1..k+depth are already in flight.
@@ -114,10 +100,6 @@ class RuntimeConfig:
             raise ValueError("kernel_jitter must be in [0, 1)")
         if self.task_overhead < 0:
             raise ValueError("task_overhead cannot be negative")
-        if self.rr_chunk < 1:
-            raise ValueError("rr_chunk must be at least 1")
-        if self.coalesce_window <= 0:
-            raise ValueError("coalesce_window must be positive")
         if self.presend_depth < 0:
             raise ValueError("presend_depth cannot be negative")
         if self.fault_plan is not None and not hasattr(
@@ -132,13 +114,6 @@ class RuntimeConfig:
         """A copy with the given fields replaced (sweep helper)."""
         return replace(self, **changes)
 
-    @property
-    def datamove_enabled(self) -> bool:
-        """True when any data-movement optimisation flag is active."""
-        return bool(self.wb_elision or self.coalescing
-                    or self.presend_depth or self.cost_aware_eviction
-                    or self.adaptive_datamove)
-
     def describe(self) -> str:
         """Short label used by the benchmark tables, e.g. ``wb-affinity``."""
         parts = [self.cache_policy.value, self.scheduler]
@@ -151,8 +126,6 @@ class RuntimeConfig:
         parts.append("stos" if self.slave_to_slave else "mtos")
         if self.wb_elision:
             parts.append("elide")
-        if self.coalescing:
-            parts.append("coal")
         if self.presend_depth:
             parts.append(f"pd{self.presend_depth}")
         if self.cost_aware_eviction:

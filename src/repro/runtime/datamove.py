@@ -1,8 +1,8 @@
 """The data-movement optimisation layer (``RuntimeConfig`` datamove flags).
 
 The paper's headline results come from *hiding* data movement: the software
-cache, master-to-slave presend, and transfer/compute overlap.  This module
-adds four mechanisms on top of the baseline protocol, each gated by its own
+cache, master-to-slave presend, and transfer/compute overlap.  Three
+mechanisms sit on top of the baseline protocol, each gated by its own
 ``RuntimeConfig`` flag and each a no-op when disabled (with every flag off
 the runtime constructs no :class:`DataMover` at all, so the event stream —
 and therefore every golden makespan — is bit-identical):
@@ -15,28 +15,20 @@ and therefore every golden makespan — is bit-identical):
   directory records the deliberate hole (:meth:`Directory.record_discard`)
   so invariant checks and fault recovery can tell it from data loss.
 
-* **transfer coalescing** (``coalescing``) — :class:`TransferCoalescer`
-  groups region transfers headed for the same channel (one NIC direction,
-  one GPU DMA direction, or the master dispatch control path).  An idle
-  channel sends immediately — no added latency — but while the channel is
-  busy, arrivals collect for ``coalesce_window`` simulated seconds and then
-  issue as one fused payload: one latency + per-message overhead charge,
-  summed bandwidth.  Fused vs solo transfers are distinguished in metrics.
-
 * **presend pipelining** (``presend_depth``) — the cluster master's
   communication thread peeks ``presend_depth`` tasks ahead in the affinity
   queues (beyond the dispatch credit window) and prestages their inputs at
   the target node, so slaves compute task *k* while the data of tasks
-  *k+1..k+depth* is in flight.
+  *k+1..k+depth* is in flight.  It needs no liveness, so it lives entirely
+  in :class:`~repro.runtime.cluster.CommThread` and builds no
+  :class:`DataMover`.
 
 * **cost-aware eviction** (``cost_aware_eviction``) — :meth:`make_cost_fn`
   gives each software cache a re-fetch cost estimator (bytes over the
   source link bandwidth, plus the write-back a dirty victim would cost);
   the cache evicts cheapest-to-refetch first within a widened LRU window.
 
-Everything here is bookkeeping: no method schedules simulated events except
-the coalescer's window timer, which only exists while a fused batch is
-forming.
+Everything here is bookkeeping: no method schedules a simulated event.
 """
 
 from __future__ import annotations
@@ -45,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..memory.cache import CachePolicy
 from ..memory.region import Region, RegionKey
-from ..sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..memory.cache import CacheEntry, SoftwareCache
@@ -53,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
     from .task import Task
 
-__all__ = ["DataMover", "LivenessTracker", "TransferCoalescer"]
+__all__ = ["DataMover", "LivenessTracker"]
 
 
 class LivenessTracker:
@@ -78,8 +69,16 @@ class LivenessTracker:
     * no unfinished reader consumes the installed version — i.e. no live
       task holds a read sequence in ``[s, w1)``.
 
-    Submission order is program order (OmpSs tasks are created by one
-    sequential main), which is what makes the sequence attribution exact.
+    Submission order is program order for the tasks the main program
+    creates (one sequential main), which is what makes the sequence
+    attribution exact — and only for those: a decomposing parent's children
+    are submitted when the parent runs, after siblings that follow it in
+    program order.  Children are therefore never registered.  They run
+    inside their parent's claim instead: a task with ``subtasks`` keeps the
+    entries of its whole footprint from its submission until it *finishes*
+    (not until its own commit, which precedes the children), and none of
+    its writes counts as a pure overwrite — so nothing is elided inside a
+    nested scope and everything outside it is judged exactly.
     """
 
     __slots__ = ("_wseq", "_installed", "_live")
@@ -111,30 +110,38 @@ class LivenessTracker:
                 info[acc.region.key][2] = True
         entries = []
         tid = task.tid
+        # A decomposing parent never overwrites blindly: its children may
+        # read what its own commit (or an earlier child) published.
+        leaf = task.subtasks is None
         for key, (reads, writes, publishes) in info.items():
             r = self._wseq.get(key, 0) if reads else None
             w = None
             if writes:
                 w = self._wseq.get(key, 0) + 1
                 self._wseq[key] = w
-            pure = publishes and writes and not reads
+            pure = publishes and writes and not reads and leaf
             entries.append((key, r, w, pure))
             self._live.setdefault(key, {})[tid] = (r, w, pure)
         task._liveness_entries = entries
 
     def task_committed(self, task: "Task") -> None:
-        """The task's writes are being published: advance the installed
-        pointers and drop it from the live tables (its reads are done)."""
-        self._retire(task, installs=True)
+        """The task's commit has *published* its outputs (directory
+        updated): its writes install, it stops reading, and its own fresh
+        version must no longer look overwritable by its own write entry.
+        Called only after the publish point — a torn commit never installs,
+        so the re-executed task keeps its original sequence numbers.  A
+        decomposing parent stays live: its children run after this commit."""
+        if task.subtasks is None:
+            self._retire(task)
 
     def task_finished(self, task: "Task") -> None:
         # A task that committed was already retired there; a copy-less
-        # task (or one whose device died after publishing) retires here.
-        # Its writes — if any — happened (SMP tasks mutate host data
-        # directly), so they install too.
-        self._retire(task, installs=True)
+        # task, a decomposing parent (or a task whose device died after
+        # publishing) retires here.  Its writes — if any — happened (SMP
+        # tasks mutate host data directly), so they install too.
+        self._retire(task)
 
-    def _retire(self, task: "Task", installs: bool) -> None:
+    def _retire(self, task: "Task") -> None:
         entries = getattr(task, "_liveness_entries", None)
         if entries is None:
             return
@@ -146,8 +153,7 @@ class LivenessTracker:
                 live.pop(tid, None)
                 if not live:
                     del self._live[key]
-            if installs and w is not None \
-                    and w > self._installed.get(key, 0):
+            if w is not None and w > self._installed.get(key, 0):
                 self._installed[key] = w
 
     def version_is_dead(self, region: Region) -> bool:
@@ -171,83 +177,18 @@ class LivenessTracker:
         return True
 
 
-class TransferCoalescer:
-    """Window-based batching of transfers per channel.
-
-    A *channel* is one serialization point: ``("net", src_node, dst_node)``
-    for a NIC direction, ``("dma", manager_id, direction)`` for one GPU's
-    DMA direction, or ``("ctl", node)`` for the master's dispatch control
-    stream.  The policy is congestion-triggered: the first transfer on an
-    idle channel issues immediately and alone (batching it would only add
-    the window's delay); transfers arriving while the channel has an issue
-    in flight open a window and fuse.
-    """
-
-    def __init__(self, rt: "Runtime", window: float):
-        self.rt = rt
-        self.env = rt.env
-        self.window = window
-        #: channel -> list of (entry, completion event) collecting a batch.
-        self._open: dict[tuple, list] = {}
-        #: channel -> number of issues currently in flight.
-        self._active: dict[tuple, int] = {}
-        metrics = rt.metrics
-        self._c_solo = metrics.counter("datamove.solo_transfers")
-        self._c_fused = metrics.counter("datamove.fused_transfers")
-        self._c_batches = metrics.counter("datamove.fused_batches")
-
-    def submit(self, key: tuple, entry,
-               issue: Callable[[list], "object"]):
-        """Process generator: route ``entry`` through channel ``key``.
-
-        ``issue(entries)`` is a process generator moving a whole batch in
-        one shot; the solo path runs it inline (identical event stream to
-        an uncoalesced transfer), the fused path parks the caller on the
-        batch's completion event.
-        """
-        batch = self._open.get(key)
-        if batch is None and not self._active.get(key):
-            # Idle channel: nothing to fuse with, send now — zero window tax.
-            self._active[key] = self._active.get(key, 0) + 1
-            try:
-                yield from issue([entry])
-            finally:
-                self._active[key] -= 1
-            self._c_solo.value += 1
-            return
-        if batch is None:
-            batch = self._open[key] = []
-            self.env.process(self._flush_after_window(key, issue))
-        done = Event(self.env)
-        batch.append((entry, done))
-        yield done
-
-    def _flush_after_window(self, key: tuple, issue):
-        yield self.env.timeout(self.window)
-        batch = self._open.pop(key)
-        self._active[key] = self._active.get(key, 0) + 1
-        try:
-            yield from issue([entry for entry, _ in batch])
-        except BaseException as exc:  # noqa: BLE001 - fan the failure out
-            self._active[key] -= 1
-            for _, done in batch:
-                done.fail(exc)
-            return
-        self._active[key] -= 1
-        self._c_batches.value += 1
-        self._c_fused.value += len(batch)
-        for _, done in batch:
-            done.succeed()
-
-
 class DataMover:
-    """Facade the runtime consults; holds whichever mechanisms are on."""
+    """What the runtime consults when liveness is tracked (``wb_elision``,
+    ``cost_aware_eviction`` or ``adaptive_datamove``): the tracker, the
+    elision decision over it, the write-mode override and the eviction
+    cost function.  The runtime feeds :attr:`liveness` directly at submit,
+    commit and finish."""
 
     def __init__(self, rt: "Runtime"):
-        cfg = rt.config
         self.rt = rt
-        self.elision = cfg.wb_elision
-        self.presend_depth = cfg.presend_depth
+        #: elide write-backs of dead versions; the adaptive controller
+        #: flips this mid-run under ``adaptive_datamove``.
+        self.elision = rt.config.wb_elision
         #: runtime override of the configured cache write policy.  ``None``
         #: means "as configured"; the adaptive meta-scheduler sets it (e.g.
         #: write-through -> write-back when eager commit write-backs are
@@ -255,45 +196,23 @@ class DataMover:
         #: :meth:`CoherenceEngine.commit_outputs` at every publish point,
         #: so a switch takes effect for all subsequent commits.
         self.write_mode: Optional[CachePolicy] = None
-        self.liveness: Optional[LivenessTracker] = (
-            LivenessTracker()
-            if (cfg.wb_elision or cfg.cost_aware_eviction
-                or cfg.adaptive_datamove) else None)
-        self.coalescer: Optional[TransferCoalescer] = (
-            TransferCoalescer(rt, cfg.coalesce_window)
-            if cfg.coalescing else None)
+        self.liveness = LivenessTracker()
         self._c_elisions = rt.metrics.counter("datamove.writebacks_elided")
         self._c_elided_bytes = rt.metrics.counter("datamove.bytes_elided")
 
-    # -- liveness hooks (called by the runtime on task lifecycle) --------
-    def note_submit(self, task: "Task") -> None:
-        if self.liveness is not None:
-            self.liveness.task_submitted(task)
-
-    def note_commit(self, task: "Task") -> None:
-        """The task's commit has *published* its outputs (directory
-        updated): its writes install, it stops reading, and its own fresh
-        version must no longer look overwritable by its own write entry.
-        Called only after the publish point — a torn commit never installs,
-        so the re-executed task keeps its original sequence numbers."""
-        if self.liveness is not None:
-            self.liveness.task_committed(task)
-
-    def note_finish(self, task: "Task") -> None:
-        # Idempotent with note_commit; retires copy-less (SMP) tasks whose
-        # host-side writes happen without a commit.
-        if self.liveness is not None:
-            self.liveness.task_finished(task)
-
     def note_resubmit(self, task: "Task") -> None:
         """Fault recovery is re-executing ``task``.  Requeue only happens
-        before a successful commit, so the task was never retired: its
-        sequence entries are intact and re-execution reuses them.  Kept as
-        an explicit hook (and assertion point) rather than silent reliance
-        on that invariant."""
-        if self.liveness is not None:
-            assert getattr(task, "_liveness_entries", None) is not None, \
-                "requeued task was already retired from liveness"
+        before a successful commit, so the claim it runs under was never
+        retired — its own, or for a nested child (never registered, see
+        :class:`LivenessTracker`) that of the top-level ancestor, which
+        stays live until its children finish: the sequence entries are
+        intact and re-execution reuses them.  Kept as an explicit hook
+        (and assertion point) rather than silent reliance on that
+        invariant."""
+        while task.parent is not None:
+            task = task.parent
+        assert getattr(task, "_liveness_entries", None) is not None, \
+            "requeued task was already retired from liveness"
 
     # -- runtime write-mode switching -------------------------------------
     def set_write_mode(self, policy: "CachePolicy | str") -> None:
@@ -336,13 +255,11 @@ class DataMover:
         nic_bw = (rt.machine.network.nic.bandwidth
                   if rt.is_cluster else None)
         directory = rt.directory
-        liveness = self.liveness
 
         def cost(ent: "CacheEntry") -> float:
             region = ent.region
             nbytes = region.nbytes
-            if ent.dirty and liveness is not None \
-                    and self.elision and liveness.version_is_dead(region):
+            if ent.dirty and self.may_elide_writeback(region):
                 return 0.0
             seconds = nbytes / pcie_bw          # the refetch PCIe leg
             if ent.dirty:

@@ -67,7 +67,6 @@ class GPUManager:
                 metrics.counter(f"{prefix}.dma.{d}.bytes"))
             for d in ("h2d", "d2h")
         }
-        self._c_dma_fused = metrics.counter(f"{prefix}.dma.fused")
         self._c_kernels = metrics.counter(f"{prefix}.kernels")
         self._c_tasks = metrics.counter(f"{prefix}.tasks")
         self._c_prefetch_hits = metrics.counter(f"{prefix}.prefetch.hits")
@@ -100,51 +99,6 @@ class GPUManager:
                 yield self.ctx.memcpy(nbytes, direction, pinned=True,
                                       stream=self.copy_stream)
                 yield self.ctx.staging_copy(nbytes)
-        finally:
-            lease.release()
-
-    def dma_fused(self, sizes: list, direction: str):
-        """Process generator: a coalesced DMA batch (datamove coalescing).
-
-        One entry delegates to :meth:`dma` — the solo path must stay
-        bit-identical to an uncoalesced transfer.  A real batch moves its
-        chunks back-to-back: without overlap, one pageable copy of the
-        summed bytes (one stream op instead of one per chunk); with
-        overlap, a double-buffered pinned pipeline that stages chunk *k+1*
-        while chunk *k* crosses PCIe.
-        """
-        if len(sizes) == 1:
-            yield from self.dma(sizes[0], direction)
-            return
-        c_copies, c_bytes = self._c_dma[direction]
-        c_copies.value += len(sizes)
-        c_bytes.value += sum(sizes)
-        self._c_dma_fused.value += len(sizes)
-        link = self.gpu.h2d if direction == "h2d" else self.gpu.d2h
-        link.count_fused(len(sizes))
-        if not self.rt.config.overlap:
-            yield self.ctx.memcpy(sum(sizes), direction, pinned=False)
-            return
-        # Two staging slots of the largest chunk: one being filled or
-        # drained by the host while the other is in flight on PCIe.
-        lease = yield self.ctx.malloc_host(2 * max(sizes))
-        try:
-            if direction == "h2d":
-                last = None
-                for nbytes in sizes:
-                    yield self.ctx.staging_copy(nbytes)
-                    last = self.ctx.memcpy(nbytes, direction, pinned=True,
-                                           stream=self.copy_stream)
-                # The copy stream is in-order: the last memcpy completing
-                # means every earlier chunk has already landed.
-                yield last
-            else:
-                stagings = []
-                for nbytes in sizes:
-                    yield self.ctx.memcpy(nbytes, direction, pinned=True,
-                                          stream=self.copy_stream)
-                    stagings.append(self.ctx.staging_copy(nbytes))
-                yield self.env.all_of(stagings)
         finally:
             lease.release()
 

@@ -62,8 +62,7 @@ class Image:
                              for kind in ("smp", "cuda", "node")}
         self.scheduler = make_scheduler(
             rt.config.scheduler, self.notify_work, rt.directory,
-            steal=rt.config.steal, rr_chunk=rt.config.rr_chunk,
-            metrics=rt.metrics,
+            steal=rt.config.steal, metrics=rt.metrics,
             adaptive_datamove=rt.config.adaptive_datamove,
         )
         if hasattr(self.scheduler, "attach_runtime"):
@@ -151,14 +150,11 @@ class Image:
         parent._child_graph = graph
         parent._children_left = len(children)
         parent._children_done = done
-        datamove = self.rt.datamove
         for child in children:
             child.parent = parent
             child.done = self.rt.env.event()
             if sanitizer is not None:
                 sanitizer.note_submit(child, parent=parent)
-            if datamove is not None:
-                datamove.note_submit(child)
             if graph.add_task(child):
                 self.submit_local(child)
         return done
@@ -177,8 +173,6 @@ class Image:
 
     def _account_child(self, task: Task, place) -> None:
         """Child-task bookkeeping: local graph + parent completion count."""
-        if self.rt.datamove is not None:
-            self.rt.datamove.note_finish(task)
         parent = task.parent
         newly_ready = parent._child_graph.task_finished(task)
         for t in newly_ready:
@@ -205,7 +199,7 @@ class Image:
             rt.metrics.inc("runtime.duplicate_completions")
             return
         if rt.datamove is not None:
-            rt.datamove.note_finish(task)
+            rt.datamove.liveness.task_finished(task)
         newly_ready = rt.graph.task_finished(task)
         self.scheduler.task_finished(task, place, newly_ready)
         rt.tasks_finished += 1
@@ -266,15 +260,18 @@ class Runtime:
                                    metrics=self.metrics)
 
         # -- datamove optimisation layer ------------------------------------
-        #: the :class:`~repro.runtime.datamove.DataMover`, or None when every
-        #: datamove flag is off — the None case constructs nothing, so the
-        #: baseline event stream (and the golden makespans) stays
-        #: bit-identical.  Must exist before the coherence engine, which
-        #: binds it in its own __init__.
+        #: the :class:`~repro.runtime.datamove.DataMover`, or None when no
+        #: flag needs version liveness (``presend_depth`` alone does not:
+        #: the communication thread reads it from the config) — the None
+        #: case constructs nothing, so the baseline event stream (and the
+        #: golden makespans) stays bit-identical.  Must exist before the
+        #: coherence engine, which binds it in its own __init__.
+        cfg = self.config
         self.datamove: Optional[DataMover] = (
-            DataMover(self) if self.config.datamove_enabled else None)
-        if (self.datamove is not None
-                and self.config.cost_aware_eviction):
+            DataMover(self)
+            if (cfg.wb_elision or cfg.cost_aware_eviction
+                or cfg.adaptive_datamove) else None)
+        if cfg.cost_aware_eviction:
             for cache in self._caches.values():
                 cache.victim_cost_fn = self.datamove.make_cost_fn(cache)
         # hardware.link.* mirrors (satellite observability): registering is
@@ -457,7 +454,7 @@ class Runtime:
         if self.sanitizer is not None:
             self.sanitizer.note_submit(task)
         if self.datamove is not None:
-            self.datamove.note_submit(task)
+            self.datamove.liveness.task_submitted(task)
         ready = self.graph.add_task(task)
         self._g_live.set(self.graph.live_count)
         if ready:
@@ -531,10 +528,7 @@ class Runtime:
         assert self.am is not None
         for endpoint in self.am.endpoints:
             endpoint.register("nanos.region_data", self._h_region_data)
-            endpoint.register("nanos.region_data_multi",
-                              self._h_region_data_multi)
             endpoint.register("nanos.run_task", self._h_run_task)
-            endpoint.register("nanos.run_tasks", self._h_run_tasks)
             if endpoint.node_index == 0:
                 endpoint.register("nanos.task_done", self._h_task_done)
 
@@ -545,25 +539,8 @@ class Runtime:
         if self.config.functional:
             dst_space.write(region, src_space.read(region))
 
-    def _h_region_data_multi(self, src: int, regions: "list[Region]",
-                             src_space: AddressSpace,
-                             dst_space: AddressSpace) -> None:
-        """A coalesced bulk payload: several regions in one long AM."""
-        if self.config.functional:
-            for region in regions:
-                dst_space.write(region, src_space.read(region))
-
-    def _h_run_task(self, src: int, task: Task):
-        """Control message: execute ``task`` on this image."""
-        self._accept_dispatch(self.images[task.node_index], task)
-
-    def _h_run_tasks(self, src: int, tasks: "list[Task]") -> None:
-        """A coalesced control message: start several staged tasks."""
-        for task in tasks:
-            self._accept_dispatch(self.images[task.node_index], task)
-
-    def _accept_dispatch(self, image: Image, task: Task) -> None:
-        """Enter a dispatched task into the target image's scheduler.
+    def _h_run_task(self, src: int, task: Task) -> None:
+        """Control message: execute ``task`` on this image.
 
         A dispatch can race a device loss: the master sent the task while
         every worker on the target node that could run it was dying.  The
@@ -571,6 +548,7 @@ class Runtime:
         still on the wire, so an arrival nobody accepts must bounce back
         to the master or it would sit in the dead node's queue forever.
         """
+        image = self.images[task.node_index]
         if (self.faults is not None and not image.is_master
                 and not any(w.accepts(task)
                             for w in image.scheduler.workers)):

@@ -24,16 +24,15 @@ __all__ = [
 
 
 def make_scheduler(name: str, notify: Callable[..., None],
-                   directory: Directory, steal: bool = True,
-                   rr_chunk: int = 1, metrics=None,
+                   directory: Directory, steal: bool = True, metrics=None,
                    adaptive_datamove: bool = False) -> Scheduler:
     """Instantiate a scheduling policy by its evaluation-chart name.
     ``adaptive_datamove`` only concerns the ``adaptive`` controller."""
     if name == "adaptive":
         return AdaptiveScheduler(notify, directory, steal=steal,
-                                 rr_chunk=rr_chunk, metrics=metrics,
+                                 metrics=metrics,
                                  adaptive_datamove=adaptive_datamove)
     if name not in POLICIES:
         raise ValueError(f"unknown scheduler {name!r}")
     return Scheduler(notify, directory, POLICIES[name], steal=steal,
-                     rr_chunk=rr_chunk, metrics=metrics)
+                     metrics=metrics)

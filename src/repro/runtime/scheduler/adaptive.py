@@ -75,10 +75,9 @@ class AdaptiveScheduler(Scheduler):
     info_prefix = "adaptive:"
 
     def __init__(self, notify, directory: Directory, steal: bool = True,
-                 rr_chunk: int = 1, metrics=None,
-                 adaptive_datamove: bool = False):
+                 metrics=None, adaptive_datamove: bool = False):
         super().__init__(notify, directory, POLICIES["affinity"],
-                         steal=steal, rr_chunk=rr_chunk, metrics=metrics)
+                         steal=steal, metrics=metrics)
         self.adaptive_datamove = adaptive_datamove
         self.switches = 0
         self._rt = None

@@ -240,17 +240,13 @@ class Scheduler:
 
     def __init__(self, notify: Callable[..., None],
                  directory: Optional[Directory], policy: "Policy",
-                 steal: bool = True, rr_chunk: int = 1, metrics=None):
+                 steal: bool = True, metrics=None):
         #: callback waking idle workers when work arrives; called with the
         #: ready task's device kind so only places that could run it wake.
         self._notify = notify
         self.directory = directory
         #: ``False`` empties every thief's victim list (:meth:`victims`).
         self.steal = steal
-        #: consecutive no-affinity tasks dealt to the same slot — blocked
-        #: loops then land as contiguous chunks, which preserves row/column
-        #: reuse for the tasks that consume them.
-        self.rr_chunk = max(1, rr_chunk)
         self.workers: list[WorkerProtocol] = []
         #: tasks currently queued anywhere in this scheduler.  Maintained
         #: at every push / pop / drain so the ``scheduler.pending`` gauge

@@ -107,10 +107,9 @@ def _place_by_locality(sched: Scheduler, task: Task, deal) -> None:
     score (paper, after Martinell et al.: "this score is based on where
     each data specified by the task is located and also takes into account
     the size of that data").  With no pull anywhere, ``deal(sched, task)``
-    lists the slots such tasks are dealt over round-robin, ``rr_chunk``
-    consecutive tasks per slot (``None`` stands for the shared queue); an
-    empty list sends the task to the shared queue without moving the deal
-    cursor."""
+    lists the slots such tasks are dealt over round-robin, one task per
+    slot (``None`` stands for the shared queue); an empty list sends the
+    task to the shared queue without moving the deal cursor."""
     pulls = locality_pulls(sched.directory, task)
     best: Optional[WorkerProtocol] = None
     best_score = 0
@@ -124,7 +123,7 @@ def _place_by_locality(sched: Scheduler, task: Task, deal) -> None:
     if best is None:
         slots = deal(sched, task)
         if slots:
-            best = slots[(sched._rr // sched.rr_chunk) % len(slots)]
+            best = slots[sched._rr % len(slots)]
             sched._rr += 1
     queue = sched.shared if best is None else sched._local[id(best)]
     queue.push(task)

@@ -29,6 +29,9 @@ _ST = stream.StreamSize(n=4096, bsize=256, ntimes=3)
 _PL = perlin.PerlinSize(height=128, width=128, rows_per_task=8, steps=3)
 _NB = nbody.NBodySize(n=1024, blocks=8, iters=3)
 _CH = cholesky.CholeskySize(n=8192, bs=512)    # 16x16 tiles -> 816 tasks
+# comm_bench --quick's STREAM: 3 x 16 blocks of 8 MB against a cache squeezed
+# to 2.5% of device memory, so every iteration evicts (48 per GPU).
+_ST_THRASH = stream.StreamSize(n=2 ** 24, bsize=2 ** 20, ntimes=4)
 
 
 def _mgpu(policy: str, sched: str) -> RuntimeConfig:
@@ -139,6 +142,20 @@ SCENARIOS = {
                         presend_depth=2)).makespan,
     # ``default`` releasing mixed smp/cuda work on a cluster (wake order)
     "nested-4node-default": lambda: _nested_cluster("default"),
+    # -- the static datamove flags (docs/DATAMOVE.md) -----------------------
+    # 96 elided write-backs + cost-ordered victims on a thrashing cache
+    "stream-4gpu-thrash-elide-cae": lambda: stream.run_ompss(
+        fresh_multi_gpu(4), _ST_THRASH,
+        config=RuntimeConfig(functional=False, cache_policy="wb",
+                             scheduler="affinity", overlap=True,
+                             prefetch=True, gpu_cache_fraction=0.025,
+                             wb_elision=True,
+                             cost_aware_eviction=True)).makespan,
+    # matmul-4node-mtos-ps0 with the prestage lookahead as its only change
+    "matmul-4node-mtos-ps0-pd4": lambda: matmul.run_ompss(
+        fresh_cluster(4), _MM,
+        config=_cluster(slave_to_slave=False, presend=0, presend_depth=4),
+        init="seq").makespan,
 }
 
 

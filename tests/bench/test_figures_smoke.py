@@ -49,9 +49,9 @@ def test_fig_datamove_points_structure():
         if p.series == "datamove":
             for flag, value in DATAMOVE_FLAGS.items():
                 assert getattr(p.config, flag) == value
-            assert p.config.datamove_enabled
         else:
-            assert not p.config.datamove_enabled
+            assert not any(getattr(p.config, flag)
+                           for flag in DATAMOVE_FLAGS)
 
 
 def test_fig_datamove_registered_in_cli():

@@ -36,6 +36,10 @@ GOLDEN_MAKESPANS = {
     'cholesky-4gpu-wt-adaptive-adm': 0.14442592173783708,
     'cholesky-4node-adaptive-ps2-pd2': 0.3921041331244046,
     'nested-4node-default': 0.020316992978374006,
+    # static datamove flags: recorded before the datamove tier was cut to
+    # three mechanisms and DataMover folded onto its liveness tracker.
+    'stream-4gpu-thrash-elide-cae': 0.07317733565621484,
+    'matmul-4node-mtos-ps0-pd4': 0.024063540278838363,
 }
 
 

@@ -64,8 +64,8 @@ def test_profiles_match_oracle_across_machines(machine, profile):
 
 def test_datamove_layer_matches_oracle():
     cfg = RuntimeConfig(**_FUNC, scheduler="affinity", cache_policy="wb",
-                        wb_elision=True, coalescing=True,
-                        cost_aware_eviction=True, presend_depth=1)
+                        wb_elision=True, cost_aware_eviction=True,
+                        presend_depth=1)
     for seed in range(4):
         spec = generate(seed, "default")
         res = check_workload(spec, machine="cluster2", config=cfg)

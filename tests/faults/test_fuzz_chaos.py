@@ -57,13 +57,13 @@ def test_am_drop_recovery_matches_oracle(scheduler, profile, seed):
 
 def test_combined_faults_on_datamove_stack():
     """One compound scenario: GPU loss + AM drop with the armed datamove
-    layer (elision, coalescing, presend) on a cluster."""
+    layer (elision, cost-aware eviction, presend) on a cluster."""
     spec = generate(5, "default")
     plan = FaultPlan(events=(
         FaultEvent(kind="gpu_loss", node=1, gpu=0, at=3e-5),
         FaultEvent(kind="am_drop", nth=3),
     ))
     cfg = RuntimeConfig(**_BASE, scheduler="affinity", fault_plan=plan,
-                        wb_elision=True, coalescing=True,
-                        cost_aware_eviction=True, presend_depth=1)
+                        wb_elision=True, cost_aware_eviction=True,
+                        presend_depth=1)
     _assert_oracle(spec, cfg, "cluster2")

@@ -80,13 +80,10 @@ def test_link_metrics_mirror_counters():
     link.attach_metrics(registry)
     env.process(link.transfer(2_000_000))
     env.run()
-    link.count_fused(3)
     assert registry.value("hardware.link.nic0.tx.bytes_moved") == 2_000_000
     assert registry.value("hardware.link.nic0.tx.transfers") == 1
-    assert registry.value("hardware.link.nic0.tx.transfers_fused") == 3
     assert registry.value("hardware.link.nic0.tx.busy_seconds") \
         == pytest.approx(2.0)
-    assert link.transfers_fused == 3
 
 
 def test_multilane_link_allows_concurrency():

@@ -1,5 +1,5 @@
-"""The data-movement optimisation layer: flags, liveness, coalescing,
-elision, cost-aware eviction (src/repro/runtime/datamove.py).
+"""The data-movement optimisation layer: flags, liveness, elision,
+prestage lookahead, cost-aware eviction (src/repro/runtime/datamove.py).
 
 The layer's cardinal rule — all flags off means the runtime constructs no
 DataMover and the event stream is bit-identical — is pinned by the golden
@@ -11,10 +11,8 @@ import pytest
 
 from repro.cuda import KernelSpec
 from repro.hardware import build_gpu_cluster, build_multi_gpu_node
-from repro.metrics import CounterRegistry
 from repro.runtime import Access, Direction, Runtime, RuntimeConfig, Task
-from repro.runtime.datamove import DataMover, LivenessTracker, \
-    TransferCoalescer
+from repro.runtime.datamove import DataMover, LivenessTracker
 from repro.sim import Environment
 
 
@@ -55,37 +53,36 @@ def gpu_task(rt, name, *accesses, cost=1e-6):
 def test_all_flags_default_off():
     cfg = RuntimeConfig()
     assert not cfg.wb_elision
-    assert not cfg.coalescing
     assert cfg.presend_depth == 0
     assert not cfg.cost_aware_eviction
-    assert not cfg.datamove_enabled
+    assert not cfg.adaptive_datamove
 
 
 @pytest.mark.parametrize("flag", [
-    dict(wb_elision=True), dict(coalescing=True),
-    dict(presend_depth=2), dict(cost_aware_eviction=True),
+    dict(wb_elision=True), dict(presend_depth=2),
+    dict(cost_aware_eviction=True), dict(adaptive_datamove=True),
 ])
 def test_any_flag_enables_datamove(flag):
-    assert RuntimeConfig(**flag).datamove_enabled
+    """A ``DataMover`` exists exactly when a flag needs version liveness.
+    ``presend_depth`` does not: the communication thread reads it from the
+    config, so the coherence paths stay on their flags-off branches."""
+    rt = make_rt("cluster2", **flag)
+    assert (rt.datamove is not None) == ("presend_depth" not in flag)
+    assert rt.coherence.datamove is rt.datamove
 
 
 def test_describe_mentions_active_mechanisms():
-    label = RuntimeConfig(wb_elision=True, coalescing=True,
-                          presend_depth=3,
+    label = RuntimeConfig(wb_elision=True, presend_depth=3,
                           cost_aware_eviction=True).describe()
-    for token in ("elide", "coal", "pd3", "cae"):
+    for token in ("elide", "pd3", "cae"):
         assert token in label
-    for token in ("elide", "coal", "pd", "cae"):
+    for token in ("elide", "pd", "cae"):
         assert token not in RuntimeConfig().describe()
 
 
 def test_flag_validation():
     with pytest.raises(ValueError):
         RuntimeConfig(presend_depth=-1)
-    with pytest.raises(ValueError):
-        RuntimeConfig(coalesce_window=0.0)
-    with pytest.raises(ValueError):
-        RuntimeConfig(coalesce_window=-1e-6)
 
 
 def test_runtime_builds_no_datamover_by_default():
@@ -97,8 +94,7 @@ def test_runtime_builds_no_datamover_by_default():
 def test_runtime_wires_datamover_and_cost_fn():
     rt = make_rt("gpu1", wb_elision=True, cost_aware_eviction=True)
     assert isinstance(rt.datamove, DataMover)
-    assert rt.datamove.liveness is not None
-    assert rt.datamove.coalescer is None          # coalescing off
+    assert isinstance(rt.datamove.liveness, LivenessTracker)
     for cache in rt.all_caches():
         assert cache.victim_cost_fn is not None
 
@@ -111,10 +107,10 @@ def _region(rt, name="x", nbytes=4096):
     return rt.register_array(name, nbytes // 4).whole
 
 
-def _task(name, *accesses, copy_deps=True, copies=()):
+def _task(name, *accesses, copy_deps=True, copies=(), subtasks=None):
     return Task(name=name, device="cuda", kernel=quick_kernel(name),
                 accesses=tuple(accesses), copy_deps=copy_deps,
-                copies=tuple(copies))
+                copies=tuple(copies), subtasks=subtasks)
 
 
 def test_version_dead_only_after_its_readers_finish():
@@ -207,6 +203,42 @@ def test_commit_then_finish_is_idempotent():
     assert lt.version_is_dead(r)    # over's entry survives the double call
 
 
+def test_decomposing_parent_stays_live_until_it_finishes():
+    """A parent commits *before* its children are submitted; between that
+    commit and their reads the only later task the tracker knows is the
+    sibling overwriter.  The parent's claim must cover the gap (the
+    wb_elision + nocache + nested RegionLostError, ROADMAP item 1)."""
+    rt = make_rt("gpu1")
+    r = _region(rt)
+    lt = LivenessTracker()
+    init = _task("init", Access(r, Direction.OUT))
+    parent = _task("parent", Access(r, Direction.INOUT),
+                   subtasks=lambda: [])
+    over = _task("over", Access(r, Direction.OUT))
+    for t in (init, parent, over):
+        lt.task_submitted(t)
+    lt.task_committed(init)
+    lt.task_committed(parent)       # children (unregistered) run now
+    assert not lt.version_is_dead(r)
+    lt.task_finished(parent)        # children done: the claim ends
+    assert lt.version_is_dead(r)
+
+
+def test_output_only_parent_is_not_a_pure_overwriter():
+    """Children read what the parent's own commit (or an earlier child)
+    published, so a decomposing parent never overwrites blindly — even
+    declared OUT, its still-live write entry must not make the version it
+    just published look dead."""
+    rt = make_rt("gpu1")
+    r = _region(rt)
+    lt = LivenessTracker()
+    parent = _task("parent", Access(r, Direction.OUT), subtasks=lambda: [])
+    lt.task_submitted(parent)
+    assert not lt.version_is_dead(r)
+    lt.task_committed(parent)
+    assert not lt.version_is_dead(r)
+
+
 # ---------------------------------------------------------------------------
 # Write-back elision end to end
 # ---------------------------------------------------------------------------
@@ -262,106 +294,42 @@ def test_nocache_discard_is_recorded_in_directory():
     assert rt.master_host in rt.directory.holders(r)
 
 
+def test_output_only_parent_keeps_its_version_for_its_children():
+    """End to end: the parent publishes, the no-cache commit must write
+    the version back (not discard it) because the child reads it."""
+    import numpy as np
+    rt = Runtime(build_multi_gpu_node(Environment(), num_gpus=1),
+                 RuntimeConfig(cache_policy="nocache", wb_elision=True))
+    r = _region(rt)
+
+    def fill(buf):
+        buf[:] = 7.0
+
+    def bump(buf):
+        buf += 1.0
+
+    parent = Task(
+        name="parent", device="cuda", args=(r,),
+        kernel=KernelSpec(name="fill", cost=lambda spec: 1e-6, func=fill),
+        accesses=(Access(r, Direction.OUT),),
+        subtasks=lambda: [Task(name="child", device="smp", smp_cost=1e-6,
+                               func=bump, args=(r,),
+                               accesses=(Access(r, Direction.INOUT),))])
+
+    def main():
+        rt.submit(parent)
+        yield from rt.taskwait()
+
+    rt.run_main(main())
+    assert np.all(rt.read_array(r.obj) == 8.0)
+
+
 def test_flags_off_runs_have_no_datamove_counters():
     rt = make_rt("gpu1", cache_policy="wt")
     r = _region(rt)
     run_tasks(rt, [gpu_task(rt, "t1", Access(r, Direction.OUT)),
                    gpu_task(rt, "t2", Access(r, Direction.OUT))])
     assert rt.metrics.value("datamove.writebacks_elided", 0) == 0
-
-
-# ---------------------------------------------------------------------------
-# Transfer coalescer
-# ---------------------------------------------------------------------------
-
-class _FakeRT:
-    def __init__(self):
-        self.env = Environment()
-        self.metrics = CounterRegistry()
-
-
-def test_coalescer_idle_channel_sends_solo_immediately():
-    rt = _FakeRT()
-    co = TransferCoalescer(rt, window=1e-3)
-    calls = []
-
-    def issue(entries):
-        calls.append((rt.env.now, list(entries)))
-        yield rt.env.timeout(1.0)
-
-    rt.env.process(co.submit(("ch",), "a", issue))
-    rt.env.run()
-    assert calls == [(0.0, ["a"])]
-    assert rt.metrics.value("datamove.solo_transfers") == 1
-    assert rt.metrics.value("datamove.fused_transfers", 0) == 0
-
-
-def test_coalescer_fuses_under_congestion():
-    rt = _FakeRT()
-    co = TransferCoalescer(rt, window=0.5)
-    calls = []
-
-    def issue(entries):
-        calls.append((rt.env.now, list(entries)))
-        yield rt.env.timeout(2.0)
-
-    def late(entry, delay):
-        yield rt.env.timeout(delay)
-        yield from co.submit(("ch",), entry, issue)
-
-    rt.env.process(co.submit(("ch",), "a", issue))
-    rt.env.process(late("b", 1.0))
-    rt.env.process(late("c", 1.2))
-    rt.env.run()
-    # "a" went solo at t=0; "b" found the channel busy, opened a window at
-    # t=1.0, "c" joined it, and the batch flushed at t=1.5.
-    assert calls == [(0.0, ["a"]), (1.5, ["b", "c"])]
-    assert rt.metrics.value("datamove.solo_transfers") == 1
-    assert rt.metrics.value("datamove.fused_transfers") == 2
-    assert rt.metrics.value("datamove.fused_batches") == 1
-
-
-def test_coalescer_failure_fans_out_to_batch_members():
-    rt = _FakeRT()
-    co = TransferCoalescer(rt, window=0.5)
-
-    class Boom(RuntimeError):
-        pass
-
-    def issue(entries):
-        yield rt.env.timeout(2.0)
-        if len(entries) > 1:
-            raise Boom
-
-    failures = []
-
-    def late(entry, delay):
-        yield rt.env.timeout(delay)
-        try:
-            yield from co.submit(("ch",), entry, issue)
-        except Boom:
-            failures.append(entry)
-
-    rt.env.process(co.submit(("ch",), "a", issue))
-    rt.env.process(late("b", 1.0))
-    rt.env.process(late("c", 1.2))
-    rt.env.run()
-    assert failures == ["b", "c"]
-
-
-def test_cluster_run_with_coalescing_fuses_messages():
-    """End to end on a congested master NIC (MtoS routing): fused AMs
-    appear in both the datamove and the gasnet counters."""
-    from repro.apps import matmul
-    from repro.bench.harness import fresh_cluster
-    size = matmul.MatmulSize(n=256, bs=64)
-    cfg = RuntimeConfig(functional=False, cache_policy="wb",
-                        scheduler="affinity", slave_to_slave=False,
-                        coalescing=True)
-    res = matmul.run_ompss(fresh_cluster(4), size, config=cfg, init="seq")
-    m = res.metrics
-    assert m.get("datamove.fused_transfers", 0) > 0
-    assert m.get("am.fused_messages", 0) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -456,20 +424,19 @@ def test_determinism_with_all_flags_on():
     size = stream.StreamSize(n=4096, bsize=256, ntimes=3)
     cfg = RuntimeConfig(functional=False, cache_policy="wb",
                         scheduler="affinity", wb_elision=True,
-                        coalescing=True, cost_aware_eviction=True)
+                        cost_aware_eviction=True)
 
     def once():
         res = stream.run_ompss(fresh_multi_gpu(2), size, config=cfg)
         return (res.makespan,
-                res.metrics.get("datamove.writebacks_elided", 0),
-                res.metrics.get("datamove.fused_transfers", 0))
+                res.metrics.get("datamove.writebacks_elided", 0))
 
     assert once() == once()
 
 
 def test_functional_outputs_identical_with_flags_on():
-    """Elision/coalescing change *when* bytes move, never *which* bytes:
-    functional results must match the flags-off run exactly."""
+    """Elision changes *whether* dead bytes move, never *which* bytes a
+    task sees: functional results must match the flags-off run exactly."""
     import numpy as np
     from repro.apps import stream
     from repro.bench.harness import fresh_multi_gpu
@@ -479,7 +446,7 @@ def test_functional_outputs_identical_with_flags_on():
                            config=RuntimeConfig(**base), verify=True)
     on = stream.run_ompss(
         fresh_multi_gpu(2), size,
-        config=RuntimeConfig(**base, wb_elision=True, coalescing=True,
+        config=RuntimeConfig(**base, wb_elision=True,
                              cost_aware_eviction=True), verify=True)
     assert set(off.output) == set(on.output)
     for key in off.output:

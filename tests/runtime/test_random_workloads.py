@@ -21,15 +21,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dagfuzz import expected_arrays, generate, run_workload
+from repro.dagfuzz import (
+    check_workload,
+    expected_arrays,
+    generate,
+    run_workload,
+)
 from repro.dagfuzz.cli import replay_command
 from repro.dagfuzz.strategies import (
     machine_names,
     runtime_config_kwargs,
     workload_specs,
 )
-from repro.faults import RegionLostError
 from repro.runtime import RuntimeConfig
+from repro.runtime.config import SCHEDULERS
 from repro.sim import Environment  # noqa: F401  (re-exported for helpers)
 
 
@@ -53,23 +58,22 @@ def test_runtime_matches_sequential_reference(spec, cfg, machine):
             f"{cfg} on {machine}; shrink it with: {replay}")
 
 
-@pytest.mark.xfail(strict=True, raises=RegionLostError,
-                   reason="ROADMAP item 1: wb_elision + nocache + nested "
-                          "tasks loses the only holder of a region")
-def test_known_wb_elision_nocache_nested_crash():
-    """The case the undirected search used to stumble on: python -m
-    repro.dagfuzz --replay 126 --profile nested --schedulers bf
-    --cache-policies nocache --machines gpu1 --datamove on.  Strict, so
-    the item-1 fix flips this to XPASS (a failure) and gets unpinned."""
-    spec = generate(126, "nested")
-    config = RuntimeConfig(functional=True, scheduler="bf",
+@pytest.mark.parametrize("machine", ["gpu1", "gpu2", "gpu4", "cluster2"])
+@pytest.mark.parametrize("seed", [116, 119, 126, 158, 176, 206, 212, 269])
+def test_known_wb_elision_nocache_nested_crash(seed, machine):
+    """ROADMAP item 1, fixed: ``wb_elision`` + ``nocache`` + nested tasks
+    raised RegionLostError on these seeds under every scheduler (python -m
+    repro.dagfuzz --replay 269 --profile nested --schedulers cp
+    --cache-policies nocache --machines gpu2 --datamove on).  The liveness
+    tracker retired a decomposing parent at its own commit, before its
+    children read; the parent now holds its claim until it finishes."""
+    config = RuntimeConfig(functional=True,
+                           scheduler=SCHEDULERS[seed % len(SCHEDULERS)],
                            cache_policy="nocache", wb_elision=True,
-                           coalescing=True, cost_aware_eviction=True,
-                           presend_depth=1)
-    outputs = run_workload(spec, machine="gpu1", config=config)[0]
-    expected = expected_arrays(spec)
-    for info in spec.regions():
-        assert np.array_equal(outputs[info.rid], expected[info.rid])
+                           cost_aware_eviction=True, presend_depth=1)
+    res = check_workload(generate(seed, "nested"), machine=machine,
+                         config=config)
+    assert res.ok, res.describe()
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_affinity_no_steal_across_nodes():
 
 def test_affinity_round_robin_over_node_domains():
     host, d, gpus, smp, proxies = make_world(num_nodes=3)
-    sched = make_scheduler("affinity", lambda *a: None, d, steal=True, rr_chunk=1)
+    sched = make_scheduler("affinity", lambda *a: None, d, steal=True)
     for w in gpus + [smp] + proxies:
         sched.register_worker(w)
     o = DataObject(name="x", num_elements=300)
@@ -266,24 +266,6 @@ def test_affinity_round_robin_over_node_domains():
     assert sched.next_task(proxies[0]) is tasks[1]
     assert sched.next_task(proxies[1]) is tasks[2]
     assert sched.next_task(smp) is tasks[3]
-
-
-def test_affinity_rr_chunking():
-    host, d, gpus, smp, proxies = make_world(num_nodes=2)
-    sched = make_scheduler("affinity", lambda *a: None, d, rr_chunk=2)
-    for w in gpus + [smp] + proxies:
-        sched.register_worker(w)
-    o = DataObject(name="x", num_elements=400)
-    tasks = [smp_task(f"t{i}", Access(Region(o, i * 10, 10), Direction.OUT))
-             for i in range(4)]
-    for t in tasks:
-        sched.submit(t)
-    # chunk=2 over 2 domains: t0,t1 -> master; t2,t3 -> node1.
-    assert sched.next_task(smp) is tasks[0]
-    assert sched.next_task(smp) is tasks[1]
-    assert sched.next_task(smp) is None
-    assert sched.next_task(proxies[0]) is tasks[2]
-    assert sched.next_task(proxies[0]) is tasks[3]
 
 
 def test_pending_counts():
