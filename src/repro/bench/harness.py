@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -10,8 +11,8 @@ from ..runtime.config import RuntimeConfig
 from ..sim import Environment
 from .report import render_series, render_table
 
-__all__ = ["FigureResult", "fresh_multi_gpu", "fresh_cluster", "PERF",
-           "CLUSTER_BEST", "summarize_run"]
+__all__ = ["FigureResult", "fresh_multi_gpu", "fresh_cluster", "run_app",
+           "PERF", "CLUSTER_BEST", "summarize_run"]
 
 
 def summarize_run(snapshot: dict) -> dict:
@@ -101,8 +102,26 @@ def fresh_multi_gpu(num_gpus: int) -> Machine:
 
 
 def fresh_cluster(num_nodes: int) -> Machine:
-    if num_nodes == 1:
-        # A 1-node "cluster" run uses the cluster node hardware without the
-        # fabric (matching the paper's single-node cluster data points).
-        return build_gpu_cluster(Environment(), num_nodes=1)
+    """``num_nodes=1`` is the cluster node hardware with no peer to talk
+    to (the paper's single-node cluster data points)."""
     return build_gpu_cluster(Environment(), num_nodes=num_nodes)
+
+
+def run_app(app: str, version: str, machine: str, count: int, size,
+            config: "RuntimeConfig | None", run_kwargs: dict):
+    """``repro.apps.<app>.run_<version>`` on a fresh ``machine`` of ``count``
+    GPUs / nodes: the one place a declarative run (a figure's ``PointSpec``,
+    a service ``JobRequest``) becomes a call.  The app package is imported
+    here, so a process pays only for the apps it runs; ``config`` reaches
+    OmpSs versions only — the baselines run in performance mode.
+    """
+    built = (fresh_multi_gpu if machine == "multi_gpu"
+             else fresh_cluster)(count)
+    run = getattr(importlib.import_module(f"repro.apps.{app}"),
+                  f"run_{version}")
+    kwargs = dict(run_kwargs)
+    if version == "ompss":
+        kwargs["config"] = config
+    else:
+        kwargs["functional"] = False
+    return run(built, size, **kwargs)

@@ -4,30 +4,31 @@ A figure (see :mod:`repro.bench.figures`) is a grid of *points* — one
 (app, version, machine, configuration) simulation each, sharing nothing
 with its neighbours.  The sweep runner exploits that: each point is a
 picklable :class:`PointSpec`, executed by the module-level :func:`run_point`
-either in-process (serial, the default) or on a process pool.
+either in-process (serial, the default) or in a forked process of its own.
 
 Isolation and determinism
 -------------------------
-The pool uses the ``fork`` start method, and each worker forks one more
-time per point (via :func:`repro.service.isolation.call_isolated` — the
-same fork/pipe/waitpid implementation behind the service's
-:class:`~repro.service.backends.PoolBackend`): the point simulation runs
-in a **fresh copy-on-write child forked before any point has executed**,
-so module-level counters (stream ids, cache use clocks) are identical for
-every point and one point can never observe another's state.  A
+With ``parallel=N`` every point runs in its own process, **forked from
+the pre-sweep process** (the parent runs no point itself) and supervised
+directly by :func:`run_points` through
+:class:`repro.service.isolation.IsolatedCall` — the supervisor behind
+the service's :class:`~repro.service.backends.PoolBackend`, with no
+worker pool and no thread in between; at most N are alive at a time.
+So module-level counters (stream ids, cache use clocks) are identical
+for every point and one point can never observe another's state.  A
 simulation is itself deterministic given its spec, so a sweep's output is
 bit-identical whatever ``parallel`` is — ``tests/bench/test_sweep.py``
-pins serial vs parallel equality.  (Fork also means workers never
-re-import ``__main__``, unlike spawn/forkserver, so the runner is safe to
-call from scripts, pytest, and the REPL alike.)
+pins serial vs parallel equality.  (Forked children never re-import
+``__main__``, unlike spawned ones, so the runner is safe to call from
+scripts, pytest, and the REPL alike.)
 
 Crash surfacing
 ---------------
-A point that raises propagates its exception, wrapped in
-:class:`SweepPointError` naming the failing point.  A point process that
-*dies* (segfault, ``os._exit``, OOM-kill) is detected by its worker via
-pipe EOF + exit status and surfaces as the same :class:`SweepPointError`,
-instead of hanging the sweep.
+A point that raises, or a point process that *dies* (segfault,
+``os._exit``, OOM-kill — pipe EOF plus its wait status), surfaces as
+:class:`SweepPointError` naming the point instead of hanging the sweep:
+the first failing point in spec order is raised, after every point still
+running has been killed and reaped.
 
 Usage::
 
@@ -37,14 +38,14 @@ Usage::
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
+import select
 import traceback
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..runtime.config import RuntimeConfig
-from ..service.isolation import ChildCrash, ChildError, call_isolated
+from ..service.isolation import IsolatedCall
+from .harness import run_app
 
 __all__ = ["PointSpec", "SweepPointError", "run_point", "run_points"]
 
@@ -87,22 +88,6 @@ class SweepPointError(RuntimeError):
         self.spec = spec
         self.detail = detail
 
-    def __reduce__(self):
-        # Two-argument constructor: the default exception reduce would
-        # replay only ``self.args`` and break crossing a process boundary.
-        return (SweepPointError, (self.spec, self.detail))
-
-
-def _runner(app: str, version: str):
-    # Imports live here (not module level) so a point process pays the
-    # app-package import only for the app it actually runs.
-    from ..apps import (cholesky, jacobi, matmul, nbody, perlin, spreduce,
-                        stream)
-    mod = {"matmul": matmul, "stream": stream,
-           "perlin": perlin, "nbody": nbody, "cholesky": cholesky,
-           "jacobi": jacobi, "spreduce": spreduce}[app]
-    return getattr(mod, f"run_{version}")
-
 
 def run_point(spec: PointSpec) -> dict:
     """Execute one figure point; returns a small, picklable result dict.
@@ -110,19 +95,11 @@ def run_point(spec: PointSpec) -> dict:
     Depends only on the spec (machines and programs are built fresh), so a
     forked child computes the same answer as an in-process call.
     """
-    from .harness import fresh_cluster, fresh_multi_gpu
-    machine = (fresh_multi_gpu(spec.count) if spec.machine == "multi_gpu"
-               else fresh_cluster(spec.count))
-    kwargs = dict(spec.run_kwargs)
-    if spec.version == "ompss":
-        config = spec.config
-        if spec.scheduler is not None:
-            config = (config or RuntimeConfig()).with_(
-                scheduler=spec.scheduler)
-        kwargs["config"] = config
-    else:
-        kwargs["functional"] = False
-    res = _runner(spec.app, spec.version)(machine, spec.size, **kwargs)
+    config = spec.config
+    if spec.scheduler is not None:
+        config = (config or RuntimeConfig()).with_(scheduler=spec.scheduler)
+    res = run_app(spec.app, spec.version, spec.machine, spec.count,
+                  spec.size, config, spec.run_kwargs)
     return {
         "metric": res.metric,
         "makespan": res.makespan,
@@ -130,60 +107,42 @@ def run_point(spec: PointSpec) -> dict:
     }
 
 
-def _run_isolated(spec: PointSpec) -> dict:
-    """Run one point in a freshly forked child; worker-side entry point.
-
-    The child inherits the worker's pristine (pre-sweep) state, computes
-    the point, pickles the outcome down a pipe and ``_exit``\\ s without
-    touching the worker (the shared fork-isolation implementation in
-    :mod:`repro.service.isolation`).  A child that raises or dies mid-run
-    surfaces as :class:`SweepPointError` naming the point.  ``run_point``
-    is resolved through the module at call time, so tests can monkeypatch
-    it before the pool forks.
-    """
-    try:
-        return call_isolated(run_point, spec)
-    except ChildCrash as exc:
-        raise SweepPointError(
-            spec,
-            f"point process died (wait status {exc.wait_status:#x})"
-        ) from None
-    except ChildError as exc:
-        raise SweepPointError(spec, f"\n{exc.traceback}") from None
-
-
-def run_points(specs: "list[PointSpec]", parallel: int = 0,
-               _run_one=run_point) -> "list[dict]":
+def run_points(specs: "list[PointSpec]", parallel: int = 0) -> "list[dict]":
     """Run every spec; results come back in spec order.
 
-    ``parallel <= 1`` runs in-process.  Otherwise a fork-context pool of
-    ``parallel`` workers executes points concurrently, one fresh forked
-    process per point (see the module docstring for why).
+    ``parallel <= 1`` runs in-process.  Otherwise every point gets its own
+    forked process, at most ``parallel`` alive at a time (module docstring);
+    ``run_point`` is resolved at each fork, so tests can monkeypatch it.
     """
     if parallel <= 1:
         out = []
         for spec in specs:
             try:
-                out.append(_run_one(spec))
-            except SweepPointError:
-                raise
+                out.append(run_point(spec))
             except Exception:
                 raise SweepPointError(spec, f"\n{traceback.format_exc()}")
         return out
 
-    ctx = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=parallel, mp_context=ctx) as pool:
-        futures = [(spec, pool.submit(_run_isolated, spec))
-                   for spec in specs]
-        out = []
-        for spec, fut in futures:
-            try:
-                out.append(fut.result())
-            except SweepPointError:
-                raise
-            except Exception as exc:
-                # A worker (not point) process died, or the result failed
-                # to unpickle: still name the point being computed.
-                raise SweepPointError(spec, repr(exc)) from exc
+    handles: "list[IsolatedCall]" = []        # handles[i] runs specs[i]
+    out = []
+    try:
+        for i, spec in enumerate(specs):
+            # Until point i is in: drain whoever has written, start points
+            # (in spec order) up to the limit, sleep on the running pipes.
+            while True:
+                running = [h for h in handles if not h.poll()]
+                while len(handles) < len(specs) and len(running) < parallel:
+                    handles.append(
+                        IsolatedCall(run_point, specs[len(handles)]))
+                    running.append(handles[-1])
+                if handles[i] not in running:
+                    break
+                select.select(running, [], [])
+            kind, value = handles[i].outcome()
+            if kind == "err":
+                raise SweepPointError(spec, f"\n{value}")
+            out.append(value)
         return out
+    finally:
+        for handle in handles:
+            handle.kill()                     # a no-op for a finished point

@@ -7,8 +7,8 @@ configuration, optional fault plan and sanitizer), submits it to a
 :class:`Service` and gets a job id back immediately.  The service queues
 requests with priorities and per-tenant weighted fair scheduling
 (:class:`JobQueue`), routes each to an execution backend by resource
-shape (:class:`Picker`), runs it on an in-process or fork-isolated
-multiprocess backend (:mod:`repro.service.backends`), and stages the
+shape (:class:`Picker`), runs it in-process or in a process forked for
+that job alone (:mod:`repro.service.backends`), and stages the
 outcome as an artifact bundle — metrics snapshot, Chrome trace,
 sanitizer findings, captured stdout — in a per-job directory
 (:class:`StagingDir`).
@@ -18,12 +18,12 @@ Layers (docs/SERVICE.md is the guide):
 * :mod:`repro.service.job`       — ``JobRequest`` / ``JobResult`` / ``JobState``;
 * :mod:`repro.service.staging`   — the per-job artifact bundle on disk;
 * :mod:`repro.service.runner`    — the "run request → result payload" seam;
-* :mod:`repro.service.isolation` — the one fork/pipe/waitpid implementation
-  (shared with the figure-sweep runner in :mod:`repro.bench.sweep`);
+* :mod:`repro.service.isolation` — the process supervisor: one fork per
+  job, and per point of a figure sweep (:mod:`repro.bench.sweep`);
 * :mod:`repro.service.queue`     — priorities + weighted fair queueing;
 * :mod:`repro.service.picker`    — request → backend-pool routing;
 * :mod:`repro.service.backends`  — ``AbstractBackend`` and the eager /
-  process-pool implementations;
+  one-fork-per-job pool implementations;
 * :mod:`repro.service.api`       — the :class:`Service` submit/poll/
   stream/fetch façade;
 * ``python -m repro.service``    — submit / status / artifacts / worker /

@@ -21,30 +21,26 @@ methods against a remote queue):
   ``start`` time.  One slot.  The reference implementation: useful for
   tests, debugging, and as the determinism oracle for every other
   backend.
-* :class:`PoolBackend` — a fork-context process pool; each job runs via
-  :func:`repro.service.isolation.call_isolated` in a **fresh child
-  forked from the pristine worker**, the same machinery (and the same
-  isolation guarantee) as the figure-sweep runner.  Worker death
-  surfaces as a failed job naming the wait status, not a hang.
+* :class:`PoolBackend` — up to ``workers`` jobs at a time, each in its
+  own process **forked from the service process at dispatch**
+  (:class:`repro.service.isolation.IsolatedCall`, the supervisor the
+  figure-sweep runner uses too): no worker pool, no thread.  A job
+  process that dies is that job's failure, naming the wait status, and
+  nothing else's — not a hang, not a broken backend.
 """
 
 from __future__ import annotations
 
 import abc
-import concurrent.futures
-import multiprocessing
 import os
 import traceback
 from typing import Optional
 
-from .isolation import ChildCrash, ChildError, call_isolated
+from .isolation import IsolatedCall
 from .job import JobRequest
 from .runner import execute_request
 
-__all__ = ["Outcome", "AbstractBackend", "EagerBackend", "PoolBackend"]
-
-#: ("ok", payload dict) | ("err", formatted traceback / crash detail)
-Outcome = "tuple[str, object]"
+__all__ = ["AbstractBackend", "EagerBackend", "PoolBackend"]
 
 
 class AbstractBackend(abc.ABC):
@@ -106,23 +102,15 @@ class EagerBackend(AbstractBackend):
         return tuple(self._done)
 
 
-def _pool_run(request: JobRequest) -> dict:
-    """Worker-side entry point: one fresh forked child per job.
-
-    Module-level (picklable) on purpose; ``execute_request`` is resolved
-    through the module at call time, so tests can monkeypatch it before
-    the pool forks."""
-    return call_isolated(execute_request, request)
-
-
 class PoolBackend(AbstractBackend):
-    """Fork-isolated multiprocess pool; ``workers`` concurrent jobs.
+    """One forked process per job; ``workers`` jobs at a time.
 
-    Shares :mod:`repro.service.isolation` with ``repro.bench.sweep`` —
-    the pool worker forks one more child per job, so every job runs from
-    the pristine pre-service module state and a dying job (segfault,
-    ``os._exit``, OOM-kill) is detected via pipe EOF instead of
-    corrupting the worker.
+    ``start`` forks the job from the service process as it is at that
+    dispatch (``execute_request`` is resolved through this module then,
+    so tests can monkeypatch it); a result depends only on its request,
+    not on what the service ran before (``test_determinism.py``).
+    ``poll`` drains the job's pipe: a job only finishes by being polled.
+    ``close`` kills and reaps whatever is still running.
     """
 
     name = "pool"
@@ -131,37 +119,23 @@ class PoolBackend(AbstractBackend):
         super().__init__(slots=workers)
         if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX guard
             raise RuntimeError("PoolBackend requires POSIX fork")
-        ctx = multiprocessing.get_context("fork")
-        self._pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx)
-        self._futures: "dict[str, concurrent.futures.Future]" = {}
+        self._running: "dict[str, IsolatedCall]" = {}
 
     def start(self, job_id: str, request: JobRequest) -> None:
-        self._futures[job_id] = self._pool.submit(_pool_run, request)
+        self._running[job_id] = IsolatedCall(execute_request, request)
 
     def poll(self, job_id: str) -> "Optional[tuple[str, object]]":
-        fut = self._futures[job_id]
-        if not fut.done():
+        if not self._running[job_id].poll():
             return None
-        del self._futures[job_id]
-        try:
-            return ("ok", fut.result())
-        except ChildError as exc:
-            return ("err", exc.traceback)
-        except ChildCrash as exc:
-            return ("err", f"job process died (wait status "
-                           f"{exc.wait_status:#x})")
-        except Exception as exc:
-            # The pool worker itself died or the payload failed to
-            # unpickle: still an outcome, never an exception.
-            return ("err", f"backend failure: {exc!r}")
+        return self._running.pop(job_id).outcome()
 
     def active(self) -> "tuple[str, ...]":
-        return tuple(self._futures)
+        return tuple(self._running)
 
     def describe(self) -> dict:
         return {"name": self.name, "slots": self.slots,
                 "isolation": "fork-per-job"}
 
     def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        while self._running:
+            self._running.popitem()[1].kill()

@@ -110,32 +110,57 @@ def cmd_submit(args) -> int:
     return 0
 
 
+def _fail_staged(staging: StagingDir, job_id: str, what: str,
+                 exc: Exception, tenant: str = "") -> None:
+    """Fail a job the worker cannot even read, reason staged beside it."""
+    reason = f"bad {what}: {type(exc).__name__}: {exc}"
+    staging.write_result(job_id, JobResult(
+        job_id=job_id, state=JobState.FAILED, app="", version="",
+        tenant=tenant, backend="", error=reason))
+    staging.write_status(job_id, JobState.FAILED, error=reason,
+                         tenant=tenant)
+    print(f"{job_id}: failed ({reason})")
+
+
+def _staged_status(staging: StagingDir, job_id: str) -> dict:
+    """A staged ``status.json`` — outside input.
+
+    Unreadable or not a JSON object: *that job* fails, and reads as
+    ``failed``.  Missing: a submission in flight (``submit`` writes
+    ``request.json`` first), so no state on this pass.
+    """
+    try:
+        status = staging.read_status(job_id)
+        if not isinstance(status, dict):
+            raise TypeError(f"{type(status).__name__}, not an object")
+        return status
+    except FileNotFoundError:
+        return {}
+    except (ValueError, TypeError) as exc:       # JSONDecodeError included
+        _fail_staged(staging, job_id, "status.json", exc)
+        return {"state": JobState.FAILED.value}
+
+
 def _drain_pass(svc: Service, staging: StagingDir) -> int:
     """Adopt every still-queued staged job; returns how many were new.
 
-    The staging directory is outside input: a ``request.json`` that does
-    not decode into a valid :class:`JobRequest` (truncated JSON, unknown
-    app, a field of a newer schema) fails *that job*, with the reason in
-    its ``status.json`` / ``result.json``, and the pass goes on.
+    A ``request.json`` that does not decode into a valid
+    :class:`JobRequest` (truncated JSON, unknown app, a field of a newer
+    schema) fails its job like a damaged ``status.json`` does, and the
+    pass goes on.
     """
     adopted = 0
     for job_id in staging.jobs():
         if job_id in svc:
             continue
-        status = staging.read_status(job_id)
+        status = _staged_status(staging, job_id)
         if status.get("state") != JobState.QUEUED.value:
             continue
         try:
             request = staging.read_request(job_id)
         except (ValueError, TypeError) as exc:   # JSONDecodeError included
-            reason = f"bad request.json: {type(exc).__name__}: {exc}"
-            tenant = str(status.get("tenant", ""))
-            staging.write_result(job_id, JobResult(
-                job_id=job_id, state=JobState.FAILED, app="", version="",
-                tenant=tenant, backend="", error=reason))
-            staging.write_status(job_id, JobState.FAILED, error=reason,
-                                 tenant=tenant)
-            print(f"{job_id}: failed ({reason})")
+            _fail_staged(staging, job_id, "request.json", exc,
+                         str(status.get("tenant", "")))
             continue
         svc.submit(request, job_id=job_id)
         adopted += 1
@@ -156,9 +181,8 @@ def cmd_worker(args) -> int:
             if args.watch is None:
                 break
             time.sleep(args.watch)
-    failed = sum(1 for doc in (staging.read_status(j)
-                               for j in staging.jobs())
-                 if doc.get("state") == JobState.FAILED.value)
+    failed = sum(_staged_status(staging, j).get("state")
+                 == JobState.FAILED.value for j in staging.jobs())
     return 1 if failed and args.strict else 0
 
 

@@ -2,13 +2,16 @@
 
 :func:`execute_request` turns one :class:`~repro.service.job.JobRequest`
 into one picklable payload dict, building everything live — machine,
-config, tracer, sanitizer — from the declarative description.  Every
-backend funnels through this function, which is what makes eager and
-pool execution bit-identical: a simulation depends only on its request
-(the fork isolation in the pool is defensive, not semantic — the same
-guarantee the figure sweeps pin in ``tests/bench/test_sweep.py``).  The
-service's result cache rests on the same property, in its full form —
-the whole payload repeats, the wall-clock ``engine.*`` gauges excepted
+config, tracer, sanitizer — from the declarative description (the
+description → call step itself is :func:`repro.bench.harness.run_app`,
+shared with the figure sweeps' ``run_point``).  Every backend funnels
+through this function, which is what makes eager and pool execution
+bit-identical: a simulation depends only on its request, not on what the
+executing process ran before — the pool forks each job from the service
+process as it is at dispatch, and gives a job its own process so that it
+can crash or be killed alone, not to change its numbers.  The service's
+result cache rests on the same property, in its full form — the whole
+payload repeats, the wall-clock ``engine.*`` gauges excepted
 (``tests/service/test_determinism.py``).
 
 The payload carries the artifact-bundle raw material::
@@ -33,8 +36,8 @@ __all__ = ["app_module", "build_size", "execute_request"]
 
 
 def app_module(app: str):
-    """The ``repro.apps.<app>`` package (imported lazily: a forked worker
-    pays the import cost only for the app it actually runs)."""
+    """The ``repro.apps.<app>`` package (imported lazily: a process pays
+    the import cost only for the apps it actually runs)."""
     import importlib
     return importlib.import_module(f"repro.apps.{app}")
 
@@ -58,18 +61,8 @@ def execute_request(request: JobRequest) -> dict:
 
     Raises whatever the app/runtime raises — surfacing errors is the
     backend's contract (:mod:`repro.service.backends`)."""
-    from ..bench.harness import fresh_cluster, fresh_multi_gpu
-    machine = (fresh_multi_gpu(request.count)
-               if request.machine == "multi_gpu"
-               else fresh_cluster(request.count))
-    runner = getattr(app_module(request.app), f"run_{request.version}")
+    from ..bench.harness import run_app
     size = build_size(request.app, request.size)
-    kwargs = dict(request.run_kwargs)
-    if request.version == "ompss":
-        kwargs["config"] = request.resolved_config()
-    else:
-        kwargs["functional"] = False
-
     tracer = Tracer() if request.collect_trace else None
     out = io.StringIO()
     with contextlib.ExitStack() as stack:
@@ -80,7 +73,9 @@ def execute_request(request: JobRequest) -> dict:
         if request.sanitize:
             from ..sanitizer import install as install_sanitizer
             san = stack.enter_context(install_sanitizer())
-        res = runner(machine, size, **kwargs)
+        res = run_app(request.app, request.version, request.machine,
+                      request.count, size, request.resolved_config(),
+                      request.run_kwargs)
 
     findings = []
     if san is not None:

@@ -1,13 +1,15 @@
 """The parallel sweep runner: determinism, ordering, crash surfacing.
 
 The contract under test (see :mod:`repro.bench.sweep`): a sweep's results
-are bit-identical whether points run serially or fanned out over worker
-processes, results come back in spec order, and a point that raises — or a
-point process that dies outright — surfaces as :class:`SweepPointError`
-naming the point instead of hanging or corrupting the sweep.
+are bit-identical whether points run serially or fanned out one forked
+process each, results come back in spec order, and a point that raises — or
+a point process that dies outright — surfaces as :class:`SweepPointError`
+naming the point instead of hanging or corrupting the sweep, with no point
+process left behind.
 """
 
 import os
+import time
 
 import pytest
 
@@ -82,8 +84,8 @@ def test_point_exception_surfaces_with_point_identity_parallel():
     bad = PointSpec(figure="figT", series="s", x=3, app="nosuchapp")
     with pytest.raises(SweepPointError, match="figT/s@3") as excinfo:
         run_points([bad], parallel=2)
-    # The child's traceback (with the causing KeyError) rides along.
-    assert "KeyError" in str(excinfo.value)
+    # The child's traceback (with the causing error) rides along.
+    assert "ModuleNotFoundError" in str(excinfo.value)
 
 
 def test_worker_crash_surfaces_instead_of_hanging(monkeypatch):
@@ -98,15 +100,25 @@ def test_worker_crash_surfaces_instead_of_hanging(monkeypatch):
     assert "died" in str(excinfo.value)
 
 
-def test_sweep_error_survives_pickling():
-    """Worker-raised errors cross the process boundary intact."""
-    import pickle
-    err = SweepPointError(PointSpec(figure="f", series="s", x=1,
-                                    app="matmul"), "boom")
-    clone = pickle.loads(pickle.dumps(err))
-    assert isinstance(clone, SweepPointError)
-    assert clone.spec.label == "f/s@1"
-    assert "boom" in str(clone)
+def test_first_failure_in_spec_order_is_raised_and_the_rest_killed(
+        monkeypatch):
+    """The failing first point ends the sweep at once: the slow point
+    beside it is killed and reaped, not waited for and not orphaned."""
+    def fake(spec):
+        if spec.series == "slow":
+            time.sleep(60)
+        raise RuntimeError(f"boom in {spec.series}")
+
+    monkeypatch.setattr(sweep, "run_point", fake)
+    specs = [PointSpec(figure="figT", series=series, x=1, app="matmul")
+             for series in ("failing", "slow")]
+    t0 = time.monotonic()
+    with pytest.raises(SweepPointError, match="figT/failing@1") as excinfo:
+        run_points(specs, parallel=2)
+    assert time.monotonic() - t0 < 30
+    assert "boom in failing" in str(excinfo.value)
+    with pytest.raises(ChildProcessError):        # no child left, not even
+        os.waitpid(-1, os.WNOHANG)                # an unreaped one
 
 
 def test_every_figure_declares_points():

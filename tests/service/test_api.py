@@ -10,6 +10,10 @@ queue keeps draining.
 
 import json
 import os
+import shutil
+import signal
+import subprocess
+import time
 
 import pytest
 
@@ -178,6 +182,41 @@ def test_worker_death_fails_job_and_queue_keeps_draining(tmp_path,
         snap = svc.metrics.snapshot()
         assert snap["service.jobs_failed"] == 1
         assert snap["service.jobs_completed"] == 3
+
+
+@pytest.mark.skipif(shutil.which("pgrep") is None,
+                    reason="needs pgrep to find the job processes")
+def test_killing_every_child_process_fails_only_the_running_job(
+        tmp_path, monkeypatch):
+    """The OOM-killer case: every process under the service is SIGKILLed
+    while a pool job runs.  That job fails, naming the wait status; the
+    backend is not broken by it, so a job submitted afterwards is done."""
+    real = backends_mod.execute_request
+    slow_size = {"n": 128, "bs": 64}
+
+    def fake(request):
+        if request.size == slow_size:
+            time.sleep(60)
+        return real(request)
+
+    monkeypatch.setattr(backends_mod, "execute_request", fake)
+    with Service(backends={"pool": PoolBackend(workers=2)},
+                 picker=Picker(fallback="pool"),
+                 staging=tmp_path) as svc:
+        victim = svc.submit(perf_request(size=slow_size))
+        assert svc.poll(victim) is JobState.RUNNING
+        children = subprocess.run(
+            ["pgrep", "-P", str(os.getpid())], capture_output=True,
+            text=True).stdout.split()
+        assert children                           # the job process, at least
+        for pid in children:
+            os.kill(int(pid), signal.SIGKILL)
+        svc.run_until_idle(timeout=30)
+        assert svc.state(victim) is JobState.FAILED
+        assert "died (wait status 0x9)" in svc.result(victim).error
+        after = svc.submit(perf_request())
+        svc.run_until_idle(timeout=120)
+        assert svc.state(after) is JobState.DONE
 
 
 @needs_fork

@@ -6,6 +6,9 @@ queue draining (pinned end-to-end in test_api.py).
 """
 
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -94,20 +97,55 @@ def test_pool_backend_surfaces_child_error_with_traceback():
         backend.close()
 
 
+def wait_for(backend, job_id):
+    deadline = time.monotonic() + 120
+    while (outcome := backend.poll(job_id)) is None:
+        assert time.monotonic() < deadline, f"{job_id} did not finish"
+        time.sleep(0.005)
+    return outcome
+
+
 @needs_fork
 def test_pool_backend_surfaces_dead_job_process(monkeypatch):
-    """A job process that dies without reporting (segfault stand-in:
-    os._exit) becomes a failed outcome naming the wait status — never a
-    hang, never a backend exception."""
-    monkeypatch.setattr(backends_mod, "execute_request",
-                        lambda request: os._exit(42))
+    """A job process that dies without reporting (os._exit as the segfault
+    stand-in, SIGKILL as the OOM-killer's) becomes a failed outcome naming
+    the wait status — never a hang, never a backend exception — and the
+    backend runs the next job as if nothing had happened."""
     backend = PoolBackend(workers=1)
     try:
-        backend.start("crash", perf_request())
-        while (outcome := backend.poll("crash")) is None:
-            pass
-        kind, detail = outcome
-        assert kind == "err"
-        assert "died" in detail
+        for die, status in (
+                (lambda request: os._exit(42), "0x2a00"),
+                (lambda request: os.kill(os.getpid(), signal.SIGKILL), "0x9")):
+            with monkeypatch.context() as patched:
+                patched.setattr(backends_mod, "execute_request", die)
+                backend.start("crash", perf_request())    # forks: patch is in
+            assert wait_for(backend, "crash") == \
+                ("err", f"process died (wait status {status})")
+            backend.start("good", perf_request())
+            kind, payload = wait_for(backend, "good")
+            assert kind == "ok"
+            assert payload["makespan"] > 0
     finally:
         backend.close()
+
+
+@needs_fork
+def test_pool_backend_is_processes_only_and_close_leaves_none(monkeypatch):
+    """Two jobs in flight are two child processes and no thread in the
+    service process; ``close`` kills and reaps them, so afterwards there
+    is no child left to wait for — not even a zombie."""
+    monkeypatch.setattr(backends_mod, "execute_request",
+                        lambda request: time.sleep(60))
+    backend = PoolBackend(workers=2)
+    try:
+        backend.start("a", perf_request())
+        backend.start("b", perf_request())
+        assert backend.poll("a") is None and backend.poll("b") is None
+        assert backend.free_slots() == 0
+        assert threading.active_count() == 1
+    finally:
+        backend.close()
+    assert backend.active() == ()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    backend.close()                               # idempotent

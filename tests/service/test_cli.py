@@ -2,9 +2,11 @@
 round trip, without a daemon (the staging directory is the queue)."""
 
 import json
+import types
 
 import pytest
 
+from repro.service import cli
 from repro.service.cli import main
 
 
@@ -110,18 +112,34 @@ def test_missing_artifact_names_available_ones(tmp_path, capsys):
 @pytest.mark.parametrize("strict", [False, True])
 def test_worker_fails_malformed_requests_and_keeps_draining(tmp_path, capsys,
                                                             strict):
-    """A staged ``request.json`` the worker cannot decode fails that job
-    (reason staged beside it) instead of killing the worker: the valid
-    job sorted after the bad ones still runs."""
+    """A staged ``request.json`` or ``status.json`` the worker cannot
+    decode fails that job (reason staged beside it) instead of killing
+    the worker: the valid job sorted after the bad ones still runs.  A
+    job with no ``status.json`` yet is a submission in flight, left alone."""
     staging = tmp_path / "svc"
-    bad = {"a-truncated": '{"app": "matm',
-           "b-unknown-app": json.dumps({"app": "linpack"}),
-           "c-newer-schema": json.dumps({"app": "matmul", "gpu_kind": "x"})}
-    for job_id, text in bad.items():
+    queued = '{"job_id": "%s", "state": "queued", "tenant": "mallory"}'
+    good_request = json.dumps({"app": "matmul",
+                               "config": {"functional": False}})
+    # job id -> (request.json, status.json or None, expected error)
+    bad = {
+        "a-truncated": ('{"app": "matm', queued,
+                        "bad request.json: JSONDecodeError"),
+        "b-unknown-app": (json.dumps({"app": "linpack"}), queued,
+                          "bad request.json: ValueError"),
+        "c-newer-schema": (json.dumps({"app": "matmul", "gpu_kind": "x"}),
+                           queued, "bad request.json: TypeError"),
+        "d-truncated-status": (good_request, '{"job_id": "%s", "sta',
+                               "bad status.json: JSONDecodeError"),
+        "e-list-status": (good_request, "[1, 2]",
+                          "bad status.json: TypeError"),
+    }
+    in_flight = {"f-no-status-yet": (good_request, None, None)}
+    for job_id, (request, status, _) in {**bad, **in_flight}.items():
         (staging / job_id).mkdir(parents=True)
-        (staging / job_id / "request.json").write_text(text)
-        (staging / job_id / "status.json").write_text(json.dumps(
-            {"job_id": job_id, "state": "queued", "tenant": "mallory"}))
+        (staging / job_id / "request.json").write_text(request)
+        if status is not None:
+            (staging / job_id / "status.json").write_text(
+                status % job_id if "%s" in status else status)
     submit(capsys, staging, "--job-id", "z-good")
 
     argv = ["worker", "--staging", str(staging)] + ["--strict"] * strict
@@ -130,14 +148,43 @@ def test_worker_fails_malformed_requests_and_keeps_draining(tmp_path, capsys,
     assert "z-good: done" in out
     assert json.loads((staging / "z-good" / "result.json").read_text()
                       )["state"] == "done"
-    for job_id, error in (("a-truncated", "JSONDecodeError"),
-                          ("b-unknown-app", "ValueError"),
-                          ("c-newer-schema", "TypeError")):
+    for job_id, (_, staged_status, error) in bad.items():
         status = json.loads((staging / job_id / "status.json").read_text())
         result = json.loads((staging / job_id / "result.json").read_text())
         assert status["state"] == result["state"] == "failed"
-        assert status["tenant"] == "mallory"
+        assert status["tenant"] == ("mallory" if staged_status is queued
+                                    else "")
         assert status["error"] == result["error"]
-        assert error in status["error"]
+        assert status["error"].startswith(error)
         assert len(status["error"].splitlines()) == 1
-        assert f"{job_id}: failed" in out
+        assert out.count(f"{job_id}: failed") == 1
+    assert sorted(p.name for p in (staging / "f-no-status-yet").iterdir()) \
+        == ["request.json"]
+    assert "f-no-status-yet" not in out
+
+
+def test_worker_watch_adopts_jobs_submitted_between_passes(tmp_path, capsys,
+                                                           monkeypatch):
+    """``--watch`` against an injected clock: the first sleep is when a
+    second job gets submitted, the second sleep is the operator's Ctrl-C.
+    Both jobs run, each reported once."""
+    staging = tmp_path / "svc"
+    submit(capsys, staging, "--job-id", "first")
+    sleeps = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        if len(sleeps) == 2:
+            raise KeyboardInterrupt
+        main(["submit", "--staging", str(staging), "--app", "matmul",
+              "--size", "n=256,bs=64", "--perf", "--job-id", "second"])
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(sleep=sleep))
+    with pytest.raises(KeyboardInterrupt):
+        main(["worker", "--staging", str(staging), "--watch", "0.25"])
+    out = capsys.readouterr().out
+    assert sleeps == [0.25, 0.25]
+    for job_id in ("first", "second"):
+        assert out.count(f"{job_id}: done") == 1
+        assert json.loads((staging / job_id / "status.json").read_text()
+                          )["state"] == "done"
