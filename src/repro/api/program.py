@@ -95,15 +95,20 @@ class Program:
 
     @property
     def stats(self) -> dict:
-        """Execution counters for the benchmark reports."""
+        """Execution counters for the benchmark reports: eight totals read
+        from :attr:`metrics` (the registry is the one place they live)."""
         rt = self.rt
+        value = rt.metrics.value
         return {
-            "tasks": rt.tasks_finished,
-            "transfers": rt.coherence.transfers,
-            "bytes_transferred": rt.coherence.bytes_transferred,
-            "dedup_hits": rt.coherence.dedup_hits,
-            "cache_hits": sum(c.hits for c in rt.all_caches()),
-            "cache_misses": sum(c.misses for c in rt.all_caches()),
-            "cache_evictions": sum(c.evictions for c in rt.all_caches()),
-            "network_bytes": (rt.am.bytes_sent if rt.am is not None else 0),
+            "tasks": value("runtime.tasks_finished"),
+            "transfers": value("coherence.transfers"),
+            "bytes_transferred": value("coherence.bytes_transferred"),
+            "dedup_hits": value("coherence.dedup_hits"),
+            "cache_hits": sum(value(f"cache.{c.space.name}.hits")
+                              for c in rt.all_caches()),
+            "cache_misses": sum(value(f"cache.{c.space.name}.misses")
+                                for c in rt.all_caches()),
+            "cache_evictions": sum(value(f"cache.{c.space.name}.evictions")
+                                   for c in rt.all_caches()),
+            "network_bytes": value("am.bytes_sent"),
         }

@@ -20,6 +20,7 @@ from typing import Any, Callable, Optional
 
 from ..faults.errors import AMTimeoutError
 from ..hardware.network import Network
+from ..metrics import CounterRegistry
 from ..sim import Environment, Event
 
 __all__ = ["AMLayer", "Endpoint", "SHORT_SIZE"]
@@ -65,11 +66,12 @@ class AMLayer:
         self.network = network
         self.endpoints = [Endpoint(self, node.index)
                           for node in network.nodes]
-        self.short_sent = 0
-        self.long_sent = 0
-        self.bytes_sent = 0
-        #: optional :class:`~repro.metrics.CounterRegistry`; counters are
-        #: namespaced ``am.*`` with per-link ``am.link.<src>-><dst>.*``.
+        if metrics is None:
+            metrics = CounterRegistry()
+        #: the :class:`~repro.metrics.CounterRegistry` the layer counts into
+        #: (``metrics=None``: a private one), namespaced ``am.*`` with
+        #: per-link ``am.link.<src>-><dst>.*``; ``short_sent`` /
+        #: ``long_sent`` / ``bytes_sent`` are views of its counters.
         self.metrics = metrics
         #: fault engine hook; when set, requests run the resilient path
         #: (watchdog + exponential-backoff retry + idempotency tokens).
@@ -82,6 +84,18 @@ class AMLayer:
     def endpoint(self, node_index: int) -> Endpoint:
         return self.endpoints[node_index]
 
+    @property
+    def short_sent(self) -> int:
+        return self.metrics.value("am.short_sent")
+
+    @property
+    def long_sent(self) -> int:
+        return self.metrics.value("am.long_sent")
+
+    @property
+    def bytes_sent(self) -> int:
+        return self.metrics.value("am.bytes_sent")
+
     def request(self, src: int, dst: int, handler: str, *args: Any,
                 payload_bytes: int = 0, priority: int = 0) -> Event:
         """Send an AM from node ``src`` to ``dst``; returns an event that
@@ -90,21 +104,15 @@ class AMLayer:
         ``payload_bytes`` > 0 makes it a long message carrying bulk data.
         """
         nbytes = payload_bytes if payload_bytes > 0 else SHORT_SIZE
-        if payload_bytes > 0:
-            self.long_sent += 1
-        else:
-            self.short_sent += 1
-        self.bytes_sent += nbytes
-        if self.metrics is not None:
-            key = (payload_bytes > 0, src, dst)
-            bound = self._bound_counters.get(key)
-            if bound is None:
-                bound = self._bound_counters[key] = self._bind_counters(*key)
-            c_sent, c_bytes, c_link_messages, c_link_bytes = bound
-            c_sent.value += 1
-            c_bytes.value += nbytes
-            c_link_messages.value += 1
-            c_link_bytes.value += nbytes
+        key = (payload_bytes > 0, src, dst)
+        bound = self._bound_counters.get(key)
+        if bound is None:
+            bound = self._bound_counters[key] = self._bind_counters(*key)
+        c_sent, c_bytes, c_link_messages, c_link_bytes = bound
+        c_sent.value += 1
+        c_bytes.value += nbytes
+        c_link_messages.value += 1
+        c_link_bytes.value += nbytes
 
         if self.faults is not None:
             token = next(self._tokens)
@@ -147,7 +155,7 @@ class AMLayer:
         plan = self.faults.plan
         backoff = plan.am_backoff
         for attempt in range(1, plan.am_max_retries + 1):
-            if attempt > 1 and self.metrics is not None:
+            if attempt > 1:
                 self.metrics.inc("am.retries")
             outcome = self.faults.am_outcome(src, dst)
             delivery = self.env.process(self._attempt(
@@ -157,8 +165,7 @@ class AMLayer:
             if delivery in fired:
                 return fired[delivery]
             # The attempt (or its acknowledgement) was lost: back off.
-            if self.metrics is not None:
-                self.metrics.inc("am.timeouts")
+            self.metrics.inc("am.timeouts")
             yield self.env.timeout(backoff)
             backoff *= plan.am_backoff_factor
         raise AMTimeoutError(
@@ -189,8 +196,7 @@ class AMLayer:
             # do not run the handler again — that is the duplicate-delivery
             # hazard — return the first delivery's result instead.
             endpoint.duplicates_suppressed += 1
-            if self.metrics is not None:
-                self.metrics.inc("am.duplicates_suppressed")
+            self.metrics.inc("am.duplicates_suppressed")
             entry = endpoint.seen_tokens[token]
             if isinstance(entry, Event):
                 result = yield entry   # first delivery still in progress

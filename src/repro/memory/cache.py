@@ -22,6 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..metrics import CounterRegistry
 from .region import Region, RegionKey
 from .space import AddressSpace
 
@@ -78,6 +79,10 @@ class SoftwareCache:
     re-sorting the whole cache per eviction.  The dirty set is maintained
     incrementally alongside, making :meth:`dirty_entries` O(dirty) rather
     than O(resident).
+
+    Statistics live in the counter registry under ``cache.<space name>.*``
+    (``metrics=None`` means a private one); ``hits`` / ``misses`` /
+    ``evictions`` / ``writebacks`` are read-only views of those counters.
     """
 
     def __init__(self, space: AddressSpace, capacity: int,
@@ -93,36 +98,44 @@ class SoftwareCache:
         #: keys of dirty entries, ordered by when they were first dirtied.
         self._dirty: dict[RegionKey, None] = {}
         self.bytes_used = 0
-        # statistics (mirrored into the registry when one is attached)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
-        self.writebacks_elided = 0
         #: optional re-fetch cost estimator ``CacheEntry -> float`` (set by
         #: the datamove layer when cost-aware eviction is enabled).  When
         #: None, :meth:`choose_victims` runs the historical pure-LRU path.
         self.victim_cost_fn = None
-        #: optional :class:`~repro.metrics.CounterRegistry`; counters are
-        #: namespaced ``cache.<space name>.*``.
+        if metrics is None:
+            metrics = CounterRegistry()
+        #: the :class:`~repro.metrics.CounterRegistry` holding this cache's
+        #: statistics, namespaced ``cache.<space name>.*``.
         self.metrics = metrics
         self._mprefix = f"cache.{space.name}"
         # Hit/miss counting sits on every access; bind the counter objects
         # once instead of a name lookup per lookup().
-        if metrics is not None:
-            self._c_hits = metrics.counter(f"{self._mprefix}.hits")
-            self._c_misses = metrics.counter(f"{self._mprefix}.misses")
-        else:
-            self._c_hits = self._c_misses = None
+        self._c_hits = metrics.counter(f"{self._mprefix}.hits")
+        self._c_misses = metrics.counter(f"{self._mprefix}.misses")
 
     def _count(self, what: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(f"{self._mprefix}.{what}")
+        self.metrics.inc(f"{self._mprefix}.{what}")
 
     def _track_usage(self) -> None:
-        if self.metrics is not None:
-            self.metrics.set_gauge(f"{self._mprefix}.bytes_used",
-                                   self.bytes_used)
+        self.metrics.set_gauge(f"{self._mprefix}.bytes_used",
+                               self.bytes_used)
+
+    # -- statistics (views of the registry's counters) ---------------------
+    @property
+    def hits(self) -> int:
+        return self._c_hits.value
+
+    @property
+    def misses(self) -> int:
+        return self._c_misses.value
+
+    @property
+    def evictions(self) -> int:
+        return self.metrics.value(f"{self._mprefix}.evictions")
+
+    @property
+    def writebacks(self) -> int:
+        return self.metrics.value(f"{self._mprefix}.writebacks")
 
     # -- queries ---------------------------------------------------------
     def has(self, region: Region) -> bool:
@@ -147,8 +160,9 @@ class SoftwareCache:
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups that hit (0.0 when nothing was accessed)."""
-        accesses = self.hits + self.misses
-        return self.hits / accesses if accesses else 0.0
+        hits = self._c_hits.value
+        accesses = hits + self._c_misses.value
+        return hits / accesses if accesses else 0.0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -158,15 +172,11 @@ class SoftwareCache:
         """Record an access; True on hit (entry refreshed), False on miss."""
         ent = self._entries.get(region.key)
         if ent is None:
-            self.misses += 1
-            if self._c_misses is not None:
-                self._c_misses.value += 1
+            self._c_misses.value += 1
             return False
         ent.last_use = next(_use_clock)
         self._entries.move_to_end(region.key)
-        self.hits += 1
-        if self._c_hits is not None:
-            self._c_hits.value += 1
+        self._c_hits.value += 1
         return True
 
     def choose_victims(self, nbytes_needed: int) -> list[CacheEntry]:
@@ -258,7 +268,6 @@ class SoftwareCache:
             del self._entries[region.key]
             self._dirty.pop(region.key, None)
             self.bytes_used -= ent.nbytes
-            self.evictions += 1
             self._count("evictions")
             self._track_usage()
 
@@ -299,7 +308,6 @@ class SoftwareCache:
         if ent is not None and ent.dirty:
             ent.dirty = False
             del self._dirty[region.key]
-            self.writebacks += 1
             self._count("writebacks")
 
     def clear_dirty(self, region: Region) -> None:
@@ -309,5 +317,4 @@ class SoftwareCache:
         if ent is not None and ent.dirty:
             ent.dirty = False
             del self._dirty[region.key]
-            self.writebacks_elided += 1
             self._count("writebacks_elided")

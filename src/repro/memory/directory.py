@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from ..metrics import CounterRegistry
 from .region import (
     PartialOverlapError,
     Region,
@@ -52,30 +53,28 @@ class Directory:
         #: Per object id, the distinct region shapes seen (for overlap
         #: checks), kept sorted by start for bisect lookups.
         self._shapes: dict[int, list[Region]] = {}
-        #: optional :class:`~repro.metrics.CounterRegistry`; counters are
-        #: namespaced ``directory.*``.
+        if metrics is None:
+            metrics = CounterRegistry()
+        #: the :class:`~repro.metrics.CounterRegistry` the directory counts
+        #: into (``metrics=None``: a private one), namespaced ``directory.*``.
         self.metrics = metrics
         #: bound counter for the hottest count (every affinity score and
         #: coherence check funnels through entry()): incrementing the live
         #: Counter object skips the registry's name lookup per call.
-        self._c_lookups = (metrics.counter("directory.lookups")
-                           if metrics is not None else None)
+        self._c_lookups = metrics.counter("directory.lookups")
 
     def _count(self, what: str) -> None:
-        if self.metrics is not None:
-            key = _COUNT_KEYS.get(what)
-            if key is None:
-                key = _COUNT_KEYS[what] = "directory." + what
-            self.metrics.inc(key)
+        key = _COUNT_KEYS.get(what)
+        if key is None:
+            key = _COUNT_KEYS[what] = "directory." + what
+        self.metrics.inc(key)
 
     # -- bookkeeping -----------------------------------------------------
     def entry(self, region: Region) -> DirectoryEntry:
         # entry() is the single hottest directory call (every affinity
         # score and coherence check funnels through it): the metrics count
         # and the found-path lookup are inlined.
-        c = self._c_lookups
-        if c is not None:
-            c.value += 1
+        self._c_lookups.value += 1
         ent = self._entries.get(region.key)
         if ent is None:
             self._check_shape(region)
@@ -83,9 +82,7 @@ class Directory:
                                  holders={self.home})
             self._entries[region.key] = ent
             self._count("entries_created")
-            if self.metrics is not None:
-                self.metrics.set_gauge("directory.entries",
-                                       len(self._entries))
+            self.metrics.set_gauge("directory.entries", len(self._entries))
         return ent
 
     def _check_shape(self, region: Region) -> None:
@@ -144,7 +141,7 @@ class Directory:
         ent.producer = producer
         ent.discarded = False
         self._count("writes_recorded")
-        if self.metrics is not None and len(ent.holders) > 1:
+        if len(ent.holders) > 1:
             # Every other holder's copy just became stale.
             self.metrics.inc("directory.invalidations",
                              len(ent.holders) - (space in ent.holders))
@@ -197,7 +194,7 @@ class Directory:
                 dropped += 1
                 if not ent.holders:
                     orphaned.append(ent.region)
-        if dropped and self.metrics is not None:
+        if dropped:
             self.metrics.inc("directory.fault_invalidations", dropped)
         return orphaned
 

@@ -53,17 +53,21 @@ class CoherenceEngine:
         metrics = runtime.metrics
         self._c_transfers = metrics.counter("coherence.transfers")
         self._c_bytes = metrics.counter("coherence.bytes_transferred")
-        # statistics
-        self.transfers = 0
-        self.bytes_transferred = 0
-        self.dedup_hits = 0
+
+    @property
+    def transfers(self) -> int:
+        """Physical transfer legs (``coherence.transfers``)."""
+        return self._c_transfers.value
+
+    @property
+    def bytes_transferred(self) -> int:
+        """Bytes over those legs (``coherence.bytes_transferred``)."""
+        return self._c_bytes.value
 
     def _count_leg(self, link: str, nbytes: int) -> None:
         """One physical transfer leg: totals plus per-link accounting.
         ``link`` uses the tracer's place labels (``net:0->1``,
         ``link:node0.host->node0.gpu0``) so counters and timelines line up."""
-        self.transfers += 1
-        self.bytes_transferred += nbytes
         counters = self._leg_counters.get(link)
         if counters is None:
             metrics = self.rt.metrics
@@ -336,7 +340,6 @@ class CoherenceEngine:
         key = (id(dst), region.key, version)
         pending = self._inflight.get(key)
         if pending is not None:
-            self.dedup_hits += 1
             self.rt.metrics.inc("coherence.dedup_hits")
             yield pending
             return

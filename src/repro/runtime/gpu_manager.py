@@ -51,7 +51,6 @@ class GPUManager:
                                jitter=self.rt.config.kernel_jitter,
                                metrics=self.rt.metrics)
         self.copy_stream = self.ctx.create_stream()
-        self.tasks_run = 0
         #: cleared by the fault engine on a gpu_loss event; the manager
         #: loop abandons (and requeues) its work and exits.
         self.alive = True
@@ -72,6 +71,11 @@ class GPUManager:
         self._c_prefetch_hits = metrics.counter(f"{prefix}.prefetch.hits")
         self._c_prefetch_staged = metrics.counter(
             f"{prefix}.prefetch.staged")
+
+    @property
+    def tasks_run(self) -> int:
+        """Tasks completed here (``gpu.<place>.tasks``)."""
+        return self._c_tasks.value
 
     def accepts(self, task: Task) -> bool:
         return task.device == "cuda" and self.alive
@@ -186,7 +190,6 @@ class GPUManager:
                                  trace_start, self.env.now)
             if task.subtasks is not None:
                 yield self.image.run_children(task)
-            self.tasks_run += 1
             self._c_tasks.value += 1
             rt.metrics.observe("tasks.cuda.duration",
                                self.env.now - trace_start)

@@ -202,7 +202,6 @@ class Image:
             rt.datamove.liveness.task_finished(task)
         newly_ready = rt.graph.task_finished(task)
         self.scheduler.task_finished(task, place, newly_ready)
-        rt.tasks_finished += 1
         rt._c_finished.value += 1
         if task.done is not None and not task.done.triggered:
             task.done.succeed()
@@ -327,7 +326,6 @@ class Runtime:
 
         # -- signalling ------------------------------------------------------------
         self.running = False
-        self._completion_event = self.env.event()
         #: fired (and cleared) when the graph drains; lazily created by
         #: taskwait so a full barrier costs one wakeup, not one per task.
         self._idle_event: Optional[Event] = None
@@ -337,8 +335,6 @@ class Runtime:
         self._c_submitted = self.metrics.counter("runtime.tasks_submitted")
         self._c_finished = self.metrics.counter("runtime.tasks_finished")
         self._g_live = self.metrics.gauge("runtime.tasks_live")
-        self.tasks_submitted = 0
-        self.tasks_finished = 0
         #: cumulative wall-clock spent inside run_main (engine throughput
         #: denominator; see :meth:`run_main`).
         self._wall_seconds = 0.0
@@ -366,6 +362,11 @@ class Runtime:
 
     def all_caches(self) -> list[SoftwareCache]:
         return list(self._caches.values())
+
+    @property
+    def tasks_finished(self) -> int:
+        """Top-level tasks completed (``runtime.tasks_finished``)."""
+        return self._c_finished.value
 
     def gpu_manager_of(self, space: AddressSpace) -> GPUManager:
         return self._managers[id(space)]
@@ -408,10 +409,6 @@ class Runtime:
         # master's communication thread must still see completions — a
         # remote task finishing frees proxy capacity, which can make a
         # long-queued dispatch possible without any new submission.
-        ev = self._completion_event
-        if ev.callbacks:
-            self._completion_event = self.env.event()
-            ev.succeed()
         # Inlined Image.notify_work for the one kind (per-task path).
         events = self.master_image._work_events
         node_ev = events["node"]
@@ -421,9 +418,6 @@ class Runtime:
         if self._idle_event is not None and self.graph.live_count == 0:
             ev, self._idle_event = self._idle_event, None
             ev.succeed()
-
-    def wait_for_completion(self) -> Event:
-        return self._completion_event
 
     # ------------------------------------------------------------------
     # Data registration (the application's shared objects)
@@ -449,7 +443,6 @@ class Runtime:
         if not self._started:
             self.start()
         task.done = self.env.event()
-        self.tasks_submitted += 1
         self._c_submitted.value += 1
         if self.sanitizer is not None:
             self.sanitizer.note_submit(task)

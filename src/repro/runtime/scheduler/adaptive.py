@@ -79,7 +79,6 @@ class AdaptiveScheduler(Scheduler):
         super().__init__(notify, directory, POLICIES["affinity"],
                          steal=steal, metrics=metrics)
         self.adaptive_datamove = adaptive_datamove
-        self.switches = 0
         self._rt = None
         #: tid -> task for everything submitted but not yet dispatched
         #: (the spread-signal sample).
@@ -98,6 +97,11 @@ class AdaptiveScheduler(Scheduler):
         """Give the controller its signal sources (called by the owning
         image once the runtime exists)."""
         self._rt = rt
+
+    @property
+    def switches(self) -> int:
+        """Policy switches (``scheduler.adaptive.switches``)."""
+        return self.metrics.value("scheduler.adaptive.switches")
 
     # -- protocol ---------------------------------------------------------
     def submit(self, task: Task) -> None:
@@ -132,7 +136,7 @@ class AdaptiveScheduler(Scheduler):
     # -- signals ----------------------------------------------------------
     def _live_tasks(self) -> float:
         rt = self._rt
-        if rt is None or rt.metrics is None:
+        if rt is None:
             return 1.0  # assume live; starvation then measures raw idling
         return rt.metrics.value("runtime.tasks_live", 0)
 
@@ -150,11 +154,10 @@ class AdaptiveScheduler(Scheduler):
         starvation = (idle / polls) if polls else 0.0
         depth = self._pending
         spread = self._spread()
-        if self.metrics is not None:
-            self.metrics.inc("scheduler.adaptive.evaluations")
-            self.metrics.set_gauge("scheduler.adaptive.starvation", starvation)
-            self.metrics.set_gauge("scheduler.adaptive.ready_depth", depth)
-            self.metrics.set_gauge("scheduler.adaptive.spread", spread)
+        self.metrics.inc("scheduler.adaptive.evaluations")
+        self.metrics.set_gauge("scheduler.adaptive.starvation", starvation)
+        self.metrics.set_gauge("scheduler.adaptive.ready_depth", depth)
+        self.metrics.set_gauge("scheduler.adaptive.spread", spread)
         want = self.policy.name
         if starvation >= STARVE_HIGH:
             # Starving: shallow queues mean too little is ready (release
@@ -178,9 +181,7 @@ class AdaptiveScheduler(Scheduler):
         self._want, self._want_streak = None, 0
         moved = self.drain_all()
         self.set_policy(POLICIES[name])
-        self.switches += 1
-        if self.metrics is not None:
-            self.metrics.inc("scheduler.adaptive.switches")
+        self.metrics.inc("scheduler.adaptive.switches")
         # Policy fact: re-placed tasks wake their device's waiters like a
         # submission does, but they are neither new ready submissions nor
         # events of the controller's evaluation window.
@@ -203,8 +204,7 @@ class AdaptiveScheduler(Scheduler):
 
     def _evaluate_datamove(self) -> None:
         rt = self._rt
-        if (not self.adaptive_datamove or rt is None
-                or rt.datamove is None or rt.metrics is None):
+        if not self.adaptive_datamove or rt is None or rt.datamove is None:
             return
         pressure, busy, now = self._dm_signals()
         p0, b0, t0 = self._dm_folded
@@ -226,9 +226,8 @@ class AdaptiveScheduler(Scheduler):
             self._wm_streak += 1
             if self._wm_streak >= HYSTERESIS:
                 dm.set_write_mode(CachePolicy.WRITE_BACK)
-                if self.metrics is not None:
-                    self.metrics.inc("scheduler.adaptive.datamove_switches")
-                    self.metrics.set_info("datamove.write_mode", "wb")
+                self.metrics.inc("scheduler.adaptive.datamove_switches")
+                self.metrics.set_info("datamove.write_mode", "wb")
         else:
             self._wm_streak = 0
         # Write traffic while links are saturated: elide.  (Elided
@@ -244,7 +243,6 @@ class AdaptiveScheduler(Scheduler):
         if self._dm_streak >= HYSTERESIS:
             dm.elision = want
             self._dm_want, self._dm_streak = None, 0
-            if self.metrics is not None:
-                self.metrics.inc("scheduler.adaptive.datamove_switches")
-                self.metrics.set_info("datamove.elision",
-                                      "on" if want else "off")
+            self.metrics.inc("scheduler.adaptive.datamove_switches")
+            self.metrics.set_info("datamove.elision",
+                                  "on" if want else "off")

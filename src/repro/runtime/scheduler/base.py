@@ -22,6 +22,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from ...memory.directory import Directory
+from ...metrics import CounterRegistry
 from ..task import Task
 from .critical_path import BottomLevelEstimator
 
@@ -253,19 +254,17 @@ class Scheduler:
         #: write is O(1); :meth:`recount_pending` is the reference the
         #: tests hold it to.
         self._pending = 0
-        self.stolen = 0          # steal operations
-        self.stolen_tasks = 0    # tasks moved by steals
+        if metrics is None:
+            metrics = CounterRegistry()
+        #: the :class:`~repro.metrics.CounterRegistry` the scheduler counts
+        #: into (``metrics=None``: a private one), namespaced
+        #: ``scheduler.*``; ``stolen`` / ``stolen_tasks`` are views of it.
+        self.metrics = metrics
+        self._c_ready = metrics.counter("scheduler.ready_submissions")
+        self._g_pending = metrics.gauge("scheduler.pending")
         #: prices tasks for the ``cp`` row's queues and steal rule (and for
         #: the adaptive controller's spread signal under any row).
         self.estimator = BottomLevelEstimator(metrics)
-        #: optional :class:`~repro.metrics.CounterRegistry`; counters are
-        #: namespaced ``scheduler.*``.
-        self.metrics = metrics
-        if metrics is not None:
-            self._c_ready = metrics.counter("scheduler.ready_submissions")
-            self._g_pending = metrics.gauge("scheduler.pending")
-        else:
-            self._c_ready = self._g_pending = None
         self._victims: dict[int, list] = {}
         self._rr = 0
         self._cursors: dict[str, int] = {}
@@ -289,9 +288,8 @@ class Scheduler:
         self.shared = policy.queue(self)
         self._local = {id(w): policy.queue(self) for w in self.workers}
         self._victims.clear()
-        if self.metrics is not None:
-            self.metrics.set_info("scheduler.policy",
-                                  self.info_prefix + policy.name)
+        self.metrics.set_info("scheduler.policy",
+                              self.info_prefix + policy.name)
 
     def register_worker(self, worker: WorkerProtocol) -> None:
         self.workers.append(worker)
@@ -306,8 +304,7 @@ class Scheduler:
         self.workers = [w for w in self.workers if w is not worker]
         self._local.pop(id(worker), None)
         self._victims.clear()
-        if self.metrics is not None:
-            self.metrics.inc("scheduler.blacklisted")
+        self.metrics.inc("scheduler.blacklisted")
         return stranded
 
     def rebalance(self, worker: WorkerProtocol) -> list[Task]:
@@ -356,12 +353,20 @@ class Scheduler:
                 and w.node_index == thief.node_index]
         return queues
 
-    def note_steal(self, tasks: int = 1) -> None:
-        """Count one steal operation that moved ``tasks`` tasks."""
-        self.stolen += 1
-        self.stolen_tasks += tasks
-        if self.metrics is not None:
-            self.metrics.inc("scheduler.steals")
+    def note_steal(self) -> None:
+        """Count one steal operation."""
+        self.metrics.inc("scheduler.steals")
+
+    @property
+    def stolen(self) -> int:
+        """Steal operations (``scheduler.steals``)."""
+        return self.metrics.value("scheduler.steals")
+
+    @property
+    def stolen_tasks(self) -> int:
+        """Tasks moved by ``ws`` batch steals (``scheduler.ws.stolen_tasks``;
+        every other steal rule moves one task per operation)."""
+        return self.metrics.value("scheduler.ws.stolen_tasks")
 
     # -- protocol ------------------------------------------------------------
     def submit(self, task: Task) -> None:
@@ -373,9 +378,8 @@ class Scheduler:
     def _entered(self, n: int) -> None:
         """``n`` ready tasks were just pushed: count them, write the gauge."""
         self._pending += n
-        if self._c_ready is not None:
-            self._c_ready.value += n
-            self._g_pending.set(self._pending)
+        self._c_ready.value += n
+        self._g_pending.set(self._pending)
 
     def task_finished(self, task: Task, worker: WorkerProtocol,
                       newly_ready: list[Task]) -> None:

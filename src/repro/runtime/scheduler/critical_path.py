@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...metrics import CounterRegistry
 from ..task import Task
 
 __all__ = ["BottomLevelEstimator"]
@@ -41,6 +42,10 @@ class BottomLevelEstimator:
     """Cost models + observed-duration EMA -> memoized bottom levels."""
 
     def __init__(self, metrics=None):
+        if metrics is None:
+            metrics = CounterRegistry()
+        #: the registry whose ``tasks.<kind>.duration`` histograms feed the
+        #: EMA (``metrics=None``: a private one nothing observes into).
         self.metrics = metrics
         self.gpu_spec = None
         self.cpu_spec = None
@@ -65,8 +70,6 @@ class BottomLevelEstimator:
 
     def refresh(self) -> None:
         """Fold new ``tasks.<kind>.duration`` observations into the EMA."""
-        if self.metrics is None:
-            return
         for kind in ("smp", "cuda"):
             hist = self.metrics.histogram(f"tasks.{kind}.duration")
             seen_count, seen_total = self._folded[kind]

@@ -244,9 +244,8 @@ def steal_half(sched: Scheduler, thief: WorkerProtocol) -> Optional[Task]:
         return None
     # Rounded up, so depth-1 victims still yield.
     first, *rest = best.pop_back_for(thief, (best._size + 1) // 2)
-    sched.note_steal(1 + len(rest))
-    if sched.metrics is not None:
-        sched.metrics.inc("scheduler.ws.stolen_tasks", 1 + len(rest))
+    sched.note_steal()
+    sched.metrics.inc("scheduler.ws.stolen_tasks", 1 + len(rest))
     own = sched._local[id(thief)]
     for task in rest:
         own.push(task)

@@ -67,12 +67,16 @@ class SMPWorker:
         self.space = image.host_space
         self.cache = None  # host memory is not a software cache
         self.worker_index = worker_index
-        self.tasks_run = 0
         #: scheduler-visible place label + its per-worker metric key,
         #: interned once instead of f-string-built per finished task.
         self.place_name = f"smp:{self.node_index}:{self.worker_index}"
         self._c_tasks = self.rt.metrics.counter(
             f"worker.{self.place_name}.tasks")
+
+    @property
+    def tasks_run(self) -> int:
+        """Tasks completed here (``worker.<place>.tasks``)."""
+        return self._c_tasks.value
 
     def accepts(self, task: Task) -> bool:
         return task.device == "smp"
@@ -107,7 +111,6 @@ class SMPWorker:
             # their own sibling-scope graph; the parent completes once they
             # all have (so its own siblings see the decomposed work done).
             yield self.image.run_children(task)
-        self.tasks_run += 1
         self._c_tasks.value += 1
         self.rt.metrics.observe("tasks.smp.duration",
                                 self.env.now - trace_start)

@@ -14,55 +14,30 @@ import argparse
 import json
 import sys
 
-from ..hardware.cluster import build_gpu_cluster, build_multi_gpu_node
+from ..bench.harness import fresh_cluster, fresh_multi_gpu, run_app
 from ..runtime.config import RuntimeConfig
-from ..sim import Environment
+from ..service.job import APPS
+from ..service.runner import build_size
 from .core import Sanitizer, install
 from .report import render_report
 
 __all__ = ["main"]
 
-APPS = ("matmul", "stream", "perlin", "nbody")
 
-
-def _machine(nodes: int, gpus: int):
-    if nodes > 1:
-        return build_gpu_cluster(Environment(), num_nodes=nodes)
-    return build_multi_gpu_node(Environment(), num_gpus=gpus)
-
-
-def _check_app(name: str, nodes: int, gpus: int) -> Sanitizer:
-    config = RuntimeConfig()  # functional: bodies must actually run
-    machine = _machine(nodes, gpus)
+def _check_app(name: str, machine: str, count: int) -> Sanitizer:
+    if name not in APPS:
+        raise SystemExit(f"unknown app {name!r} (choose from "
+                         f"{', '.join(APPS)})")
     with install() as san:
-        if name == "matmul":
-            from ..apps.matmul import TEST_MATMUL, run_ompss
-            run_ompss(machine, TEST_MATMUL, config=config)
-        elif name == "stream":
-            from ..apps.stream import TEST_STREAM, run_ompss
-            run_ompss(machine, TEST_STREAM, config=config)
-        elif name == "perlin":
-            from ..apps.perlin import TEST_PERLIN, run_ompss
-            run_ompss(machine, TEST_PERLIN, config=config)
-        elif name == "nbody":
-            from ..apps.nbody import TEST_NBODY, run_ompss
-            run_ompss(machine, TEST_NBODY, config=config)
-        else:
-            raise SystemExit(f"unknown app {name!r} (choose from "
-                             f"{', '.join(APPS)})")
+        # Functional (the default config): bodies must actually run.
+        run_app(name, "ompss", machine, count, build_size(name, None),
+                RuntimeConfig(), {})
     return san
 
 
 def _as_json(per_target: dict[str, Sanitizer]) -> str:
-    doc = {
-        target: [
-            {"kind": f.kind, "task": f.task, "obj": f.obj,
-             "detail": f.detail, "where": f.where, "count": f.count,
-             "regions": list(f.regions), "cost": f.cost}
-            for f in san.findings()
-        ]
-        for target, san in per_target.items()
-    }
+    doc = {target: [f.to_dict() for f in san.findings()]
+           for target, san in per_target.items()}
     return json.dumps(doc, indent=1)
 
 
@@ -87,12 +62,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="machine-readable findings on stdout")
     args = parser.parse_args(argv)
 
+    # The hardware shape as run_app and a service JobRequest spell it.
+    machine, count = (("cluster", args.nodes) if args.nodes > 1
+                      else ("multi_gpu", args.gpus))
     per_target: dict[str, Sanitizer] = {}
     failed = False
     if args.fixtures:
         from .fixtures import EXPECTED, FIXTURES, run_fixture
         for name in FIXTURES:
-            san = run_fixture(name, _machine(args.nodes, args.gpus))
+            san = run_fixture(name, (fresh_cluster if machine == "cluster"
+                                     else fresh_multi_gpu)(count))
             per_target[name] = san
             got = {(f.kind, f.task, f.obj) for f in san.findings()}
             ok = got == EXPECTED[name]
@@ -102,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"   expected findings {'matched' if ok else 'MISSED'}")
     else:
         for name in (args.apps or APPS):
-            san = _check_app(name, args.nodes, args.gpus)
+            san = _check_app(name, machine, count)
             per_target[name] = san
             failed = failed or bool(san.findings())
             if not args.as_json:

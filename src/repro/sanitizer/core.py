@@ -89,6 +89,13 @@ class Finding:
             bits.append(f"est. cost {self.cost:.6f}s")
         return head + " (" + "; ".join(bits) + ")"
 
+    def to_dict(self) -> dict:
+        """The eight JSON-friendly fields a report or a job bundle keeps."""
+        return {"kind": self.kind, "task": self.task, "obj": self.obj,
+                "detail": self.detail, "where": self.where,
+                "count": self.count, "regions": list(self.regions),
+                "cost": self.cost}
+
 
 class _TaskRecord:
     """Everything the sanitizer knows about one submitted task."""

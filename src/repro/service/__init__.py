@@ -7,7 +7,7 @@ configuration, optional fault plan and sanitizer), submits it to a
 :class:`Service` and gets a job id back immediately.  The service queues
 requests with priorities and per-tenant weighted fair scheduling
 (:class:`JobQueue`), routes each to an execution backend by resource
-shape (:class:`Picker`), runs it in-process or in a process forked for
+shape (a rule of :class:`Service`), runs it in-process or in a process forked for
 that job alone (:mod:`repro.service.backends`), and stages the
 outcome as an artifact bundle — metrics snapshot, Chrome trace,
 sanitizer findings, captured stdout — in a per-job directory
@@ -21,7 +21,6 @@ Layers (docs/SERVICE.md is the guide):
 * :mod:`repro.service.isolation` — the process supervisor: one fork per
   job, and per point of a figure sweep (:mod:`repro.bench.sweep`);
 * :mod:`repro.service.queue`     — priorities + weighted fair queueing;
-* :mod:`repro.service.picker`    — request → backend-pool routing;
 * :mod:`repro.service.backends`  — ``AbstractBackend`` and the eager /
   one-fork-per-job pool implementations;
 * :mod:`repro.service.api`       — the :class:`Service` submit/poll/
@@ -33,7 +32,6 @@ Layers (docs/SERVICE.md is the guide):
 from .api import Service
 from .backends import AbstractBackend, EagerBackend, PoolBackend
 from .job import JobRequest, JobResult, JobState
-from .picker import Picker, Route
 from .queue import JobQueue
 from .runner import execute_request
 from .staging import ARTIFACTS, StagingDir
@@ -44,8 +42,6 @@ __all__ = [
     "JobResult",
     "JobState",
     "JobQueue",
-    "Picker",
-    "Route",
     "AbstractBackend",
     "EagerBackend",
     "PoolBackend",

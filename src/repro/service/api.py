@@ -1,7 +1,7 @@
 """The async submit / poll / stream-status / fetch-artifacts façade.
 
-A :class:`Service` owns the queue, the picker, the backends and a
-staging root, and pumps jobs between them::
+A :class:`Service` owns the queue, the backends and a staging root, and
+pumps jobs between them::
 
     from repro.service import JobRequest, Service
 
@@ -47,7 +47,6 @@ from typing import Iterator, Optional
 from ..metrics import CounterRegistry
 from .backends import AbstractBackend, EagerBackend, PoolBackend
 from .job import JobRequest, JobResult, JobState
-from .picker import Picker
 from .queue import JobQueue
 from .staging import StagingDir
 
@@ -81,11 +80,16 @@ class _CacheEntry:
 
 
 class Service:
-    """Queue + picker + backends + staging, pumped synchronously."""
+    """Queue + backends + staging, pumped synchronously.
+
+    Routing is a rule, not a part: with both an ``eager`` and a ``pool``
+    backend, cluster runs and wide (3+ device) nodes are forked on the
+    pool while small single-node runs stay in-process; otherwise every
+    job goes to the first (normally the only) backend.
+    """
 
     def __init__(self,
                  backends: "dict[str, AbstractBackend] | None" = None,
-                 picker: Optional[Picker] = None,
                  queue: Optional[JobQueue] = None,
                  staging: "StagingDir | str | None" = None,
                  metrics: Optional[CounterRegistry] = None):
@@ -94,8 +98,6 @@ class Service:
             {"eager": EagerBackend()}
         for name, backend in self.backends.items():
             backend.name = name
-        self.picker = picker if picker is not None else \
-            Picker.default(tuple(self.backends))
         self.queue = queue if queue is not None else JobQueue()
         if self.queue.metrics is None:
             # Adopted queues report into the service's registry, so the
@@ -171,7 +173,11 @@ class Service:
             record = self._jobs[job_id]
             entry = self._cache.get(record.key)
             if entry is None:
-                backend = self.backends[self.picker.pick(request)]
+                if "pool" in self.backends and "eager" in self.backends:
+                    heavy = request.machine == "cluster" or request.count >= 3
+                    backend = self.backends["pool" if heavy else "eager"]
+                else:
+                    backend = next(iter(self.backends.values()))
                 if backend.free_slots() <= 0:
                     break
             popped_id, request = self.queue.pop()

@@ -46,7 +46,7 @@ __all__ = ["AbstractBackend", "EagerBackend", "PoolBackend"]
 class AbstractBackend(abc.ABC):
     """The backend contract: start / poll / capacity / close."""
 
-    #: registry name the picker routes by.
+    #: registry name the service routes by.
     name: str = "abstract"
 
     def __init__(self, slots: int = 1):

@@ -39,7 +39,6 @@ from .api import Service
 from .backends import EagerBackend, PoolBackend
 from .job import (APPS, MACHINES, VERSIONS, JobRequest, JobResult,
                   JobState)
-from .picker import Picker
 from .queue import JobQueue
 from .staging import StagingDir
 
@@ -94,7 +93,6 @@ def _build_service(staging: str, pool: int,
     backends = ({"pool": PoolBackend(workers=pool)} if pool > 0
                 else {"eager": EagerBackend()})
     return Service(backends=backends,
-                   picker=Picker(fallback=next(iter(backends))),
                    queue=None if not weights else JobQueue(weights=weights),
                    staging=StagingDir(staging))
 
@@ -230,7 +228,6 @@ def cmd_demo(args) -> int:
           f"{len(weights)} tenants (weights {weights}) "
           f"onto a {args.workers}-worker fork-isolated pool…")
     with Service(backends={"pool": PoolBackend(workers=args.workers)},
-                 picker=Picker(fallback="pool"),
                  queue=JobQueue(weights=weights),
                  staging=args.staging) as svc:
         ids = [svc.submit(req) for req in batch]

@@ -119,13 +119,6 @@ class JobQueue:
         return job_id, request
 
     # -- introspection ----------------------------------------------------
-    def pending_by_tenant(self) -> "dict[str, int]":
-        out: dict[str, int] = {}
-        for (_, tenant), q in self._queues.items():
-            if q:
-                out[tenant] = out.get(tenant, 0) + len(q)
-        return out
-
     def __len__(self) -> int:
         return self._len
 

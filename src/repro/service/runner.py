@@ -77,14 +77,8 @@ def execute_request(request: JobRequest) -> dict:
                       request.count, size, request.resolved_config(),
                       request.run_kwargs)
 
-    findings = []
-    if san is not None:
-        findings = [
-            {"kind": f.kind, "task": f.task, "obj": f.obj,
-             "detail": f.detail, "where": f.where, "count": f.count,
-             "regions": list(f.regions), "cost": f.cost}
-            for f in san.findings()
-        ]
+    findings = ([f.to_dict() for f in san.findings()]
+                if san is not None else [])
     return {
         "makespan": res.makespan,
         "metric": res.metric,

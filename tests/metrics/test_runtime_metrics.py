@@ -231,3 +231,11 @@ def test_registry_can_be_shared_across_runs():
 
         prog.run(main())
     assert shared.value("runtime.tasks_finished") == 2
+    # The registry is the one store, so under a caller-shared registry the
+    # attribute views of the *second* run report the registry's totals.
+    assert prog.rt.tasks_finished == 2
+    assert prog.stats["tasks"] == 2
+    assert prog.rt.coherence.transfers == shared.value("coherence.transfers")
+    cache, = prog.rt.all_caches()
+    assert cache.misses == 6 and cache.hits == 0
+    assert prog.rt.master_image.gpu_managers[0].tasks_run == 2

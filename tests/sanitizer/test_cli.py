@@ -3,6 +3,7 @@
 import json
 
 from repro.sanitizer.cli import APPS, main
+from repro.service import job
 
 
 def test_cli_clean_app_exits_zero(capsys):
@@ -12,12 +13,16 @@ def test_cli_clean_app_exits_zero(capsys):
 
 
 def test_cli_all_apps_listed():
-    assert APPS == ("matmul", "stream", "perlin", "nbody")
+    """The CLI checks what the service can run: one app list, seven apps."""
+    assert APPS is job.APPS
+    assert APPS == ("matmul", "stream", "perlin", "nbody", "cholesky",
+                    "jacobi", "spreduce")
 
 
 def test_cli_cluster_run(capsys):
-    assert main(["--nodes", "2", "nbody"]) == 0
-    assert "clean" in capsys.readouterr().out
+    assert main(["--nodes", "2", "nbody", "cholesky"]) == 0
+    out = capsys.readouterr().out
+    assert "nbody: clean" in out and "cholesky: clean" in out
 
 
 def test_cli_fixtures_exit_zero_when_all_expected_found(capsys):

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.runtime.config import RuntimeConfig
-from repro.service import (JobQueue, JobRequest, JobState, Picker,
+from repro.service import (EagerBackend, JobQueue, JobRequest, JobState,
                            PoolBackend, Service)
 from repro.service import backends as backends_mod
 
@@ -45,6 +45,53 @@ def test_submit_poll_wait_round_trip(tmp_path):
         # The staged status mirrors the in-process state.
         assert svc.status(job_id)["state"] == "done"
         assert svc.staging.read_status(job_id)["state"] == "done"
+
+
+#: one request per resource shape the routing rule tells apart.
+SHAPES = {
+    "small": dict(count=1),
+    "two-gpus": dict(count=2),
+    "wide-node": dict(count=3),
+    "cluster": dict(machine="cluster", count=2),
+}
+
+
+@pytest.mark.parametrize("backends, expected", [
+    # one backend: everything goes there, whatever it is called
+    (("eager",), dict.fromkeys(SHAPES, "eager")),
+    (("pool",), dict.fromkeys(SHAPES, "pool")),
+    # eager + pool: cluster runs and 3+ device nodes are forked
+    (("eager", "pool"), {"small": "eager", "two-gpus": "eager",
+                         "wide-node": "pool", "cluster": "pool"}),
+    (("pool", "eager"), {"small": "eager", "two-gpus": "eager",
+                         "wide-node": "pool", "cluster": "pool"}),
+], ids=["eager-only", "pool-only", "mixed", "mixed-any-order"])
+def test_routing_rule(tmp_path, backends, expected):
+    """The whole of routing: one backend takes everything; ``eager`` +
+    ``pool`` sends ``machine == "cluster" or count >= 3`` to the pool.
+    The rule goes by backend *name*, so in-process backends stand in."""
+    with Service(backends={name: EagerBackend() for name in backends},
+                 staging=tmp_path) as svc:
+        ids = {shape: svc.submit(perf_request(**kwargs))
+               for shape, kwargs in SHAPES.items()}
+        svc.run_until_idle(timeout=120)
+        routed = {shape: svc.result(job_id).backend
+                  for shape, job_id in ids.items()}
+        snap = svc.metrics.snapshot()
+    assert routed == expected
+    for name in backends:
+        assert snap.get(f"service.backend.{name}.completed", 0) == \
+            sum(1 for b in routed.values() if b == name)
+
+
+def test_local_service_routes_small_jobs_in_process(tmp_path):
+    """``Service.local(workers=N)`` is the mixed case: a small job does
+    not pay a fork (what lets ``svc-mixed`` overlap an in-process job
+    with a forked one on a two-core host)."""
+    with Service.local(workers=1, staging=tmp_path) as svc:
+        assert list(svc.backends) == ["eager", "pool"]
+        assert svc.wait(svc.submit(perf_request()),
+                        timeout=60).backend == "eager"
 
 
 def test_stream_status_yields_each_transition(tmp_path):
@@ -117,7 +164,6 @@ def test_mixed_tenant_batch_fair_share_on_pool(tmp_path):
              for tenant in ("alice", "bob", "carol") for app in apps]
     assert len(batch) >= 8
     with Service(backends={"pool": PoolBackend(workers=2)},
-                 picker=Picker(fallback="pool"),
                  queue=JobQueue(weights={"alice": 2.0}),
                  staging=tmp_path) as svc:
         ids = [svc.submit(req) for req in batch]
@@ -171,7 +217,6 @@ def test_worker_death_fails_job_and_queue_keeps_draining(tmp_path,
 
     monkeypatch.setattr(backends_mod, "execute_request", fake)
     with Service(backends={"pool": PoolBackend(workers=2)},
-                 picker=Picker(fallback="pool"),
                  staging=tmp_path) as svc:
         crash = svc.submit(perf_request(tenant="doomed", size=doomed_size))
         good = [svc.submit(perf_request()) for _ in range(3)]
@@ -201,7 +246,6 @@ def test_killing_every_child_process_fails_only_the_running_job(
 
     monkeypatch.setattr(backends_mod, "execute_request", fake)
     with Service(backends={"pool": PoolBackend(workers=2)},
-                 picker=Picker(fallback="pool"),
                  staging=tmp_path) as svc:
         victim = svc.submit(perf_request(size=slow_size))
         assert svc.poll(victim) is JobState.RUNNING
@@ -238,7 +282,6 @@ def test_failed_leader_promotes_first_follower(tmp_path, monkeypatch, how):
 
     monkeypatch.setattr(backends_mod, "execute_request", fake)
     with Service(backends={"pool": PoolBackend(workers=2)},
-                 picker=Picker(fallback="pool"),
                  staging=tmp_path / "svc") as svc:
         ids = [svc.submit(perf_request(tenant=t))
                for t in ("alice", "bob", "carol", "dave")]

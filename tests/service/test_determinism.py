@@ -19,7 +19,7 @@ import pytest
 
 from repro.faults import FaultEvent, FaultPlan
 from repro.runtime.config import RuntimeConfig
-from repro.service import (JobRequest, Picker, PoolBackend, Service,
+from repro.service import (JobRequest, PoolBackend, Service,
                            execute_request)
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -53,7 +53,6 @@ def test_eager_and_pool_results_bit_identical(tmp_path):
     with Service(staging=tmp_path / "eager") as svc:
         eager = run_all(svc)
     with Service(backends={"pool": PoolBackend(workers=2)},
-                 picker=Picker(fallback="pool"),
                  staging=tmp_path / "pool") as svc:
         pooled = run_all(svc)
     for e, p in zip(eager, pooled):
