@@ -407,11 +407,7 @@ SCHED_POINTS = ("cholesky-mgpu", "cholesky-cluster", "matmul-mgpu")
 
 def _sched_base(point: str) -> dict:
     if point == "cholesky-mgpu":
-        # Runs under write-through — the paper's conservative cache mode —
-        # so the ablation also measures whether a policy can recover the
-        # write-back performance without being told (the adaptive tier's
-        # datamove loop switches the write mode from live signals; the
-        # static policies execute the configuration as given).
+        # Runs under write-through — the paper's conservative cache mode.
         return dict(app="cholesky", machine="multi_gpu", count=4,
                     size=cholesky.PAPER_CHOLESKY, run_kwargs={},
                     cfg=dict(functional=False, overlap=True, prefetch=True,
@@ -435,8 +431,8 @@ def fig_sched_points() -> "list[PointSpec]":
             base = _sched_base(point)
             cfg = dict(base["cfg"], scheduler=policy)
             if policy == "adaptive":
-                # The adaptive tier is the meta-scheduler with its whole
-                # signal loop: policy switching *and* datamove switching.
+                # Only the adaptive rows recover write-through (the
+                # datamove monitor), so every other row runs as configured.
                 cfg["adaptive_datamove"] = True
             points.append(PointSpec(
                 figure="fig-sched", series=policy, x=point,

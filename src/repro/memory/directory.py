@@ -120,10 +120,6 @@ class Directory:
         """Node-level (hierarchical) view: nodes holding the latest version."""
         return frozenset(s.node_index for s in self.entry(region).holders)
 
-    def host_is_current(self, region: Region) -> bool:
-        return any(s.kind == "host" and s.node_index == self.home.node_index
-                   for s in self.entry(region).holders)
-
     # -- transitions ---------------------------------------------------------
     def record_copy(self, region: Region, space: AddressSpace) -> None:
         """``space`` received the current version of ``region``."""
@@ -205,10 +201,6 @@ class Directory:
 
     def all_regions(self) -> list[Region]:
         return [e.region for e in self._entries.values()]
-
-    def regions_held_by(self, space: AddressSpace) -> list[Region]:
-        return [e.region for e in self._entries.values()
-                if space in e.holders]
 
     def __len__(self) -> int:
         return len(self._entries)

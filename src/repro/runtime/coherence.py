@@ -188,13 +188,14 @@ class CoherenceEngine:
             # entry.  A torn commit returns above without reaching this,
             # keeping the re-executed task's sequence entries intact.
             self.datamove.liveness.task_committed(task)
+            self.datamove.note_commit()
         if cache is None or lost:
             return
         policy = self.config.cache_policy
         dm = self.datamove
         if dm is not None and dm.write_mode is not None:
-            # The adaptive layer switched write modes mid-run (see
-            # DataMover.set_write_mode); later commits honor the override.
+            # The recovery monitor switched write modes mid-run (see
+            # DataMover.note_commit); later commits honor the override.
             policy = dm.write_mode
         if policy is CachePolicy.WRITE_THROUGH:
             # Propagate every write to host memory immediately — unless the

@@ -62,7 +62,7 @@ class RuntimeConfig:
     #: pieces lazily, not the other way around).
     fault_plan: object = None
     # -- data-movement optimisation layer (repro.runtime.datamove) --------
-    # All three mechanisms default off: with every flag at its default the
+    # Every flag defaults off: with all of them at their defaults the
     # runtime constructs no DataMover and executes the identical event
     # stream, keeping the golden makespans bit-identical.
     #: skip the host write-back of a dirty region whose version is dead —
@@ -75,11 +75,12 @@ class RuntimeConfig:
     #: break cache-eviction LRU ties by re-fetch cost (nbytes divided by
     #: the source link bandwidth): cheap-to-refetch regions evict first.
     cost_aware_eviction: bool = False
-    # -- adaptive meta-scheduler knob (scheduler="adaptive") --------------
-    #: let the adaptive scheduler drive the datamove write mode (toggling
-    #: write-back elision from live link/write-back pressure).  Constructs
-    #: a DataMover (with liveness tracking) even when the static elision
-    #: flag is off, so the mode can be switched mid-run.
+    #: recover a write-through run from write-back pressure, under any
+    #: scheduling policy: the DataMover's commit-time monitor switches the
+    #: commit write mode to write-back, one way, once write-backs keep
+    #: growing while the transfer links are saturated.  Constructs a
+    #: DataMover even when the other flags are off; inert unless
+    #: ``cache_policy`` is write-through.
     adaptive_datamove: bool = False
 
     def __post_init__(self):

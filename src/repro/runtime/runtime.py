@@ -63,12 +63,7 @@ class Image:
         self.scheduler = make_scheduler(
             rt.config.scheduler, self.notify_work, rt.directory,
             steal=rt.config.steal, metrics=rt.metrics,
-            adaptive_datamove=rt.config.adaptive_datamove,
         )
-        if hasattr(self.scheduler, "attach_runtime"):
-            # The adaptive meta-scheduler reads live runtime signals
-            # (tasks_live, link busy, datamove write mode).
-            self.scheduler.attach_runtime(rt)
         # Execution places.  Each GPU claims a manager thread; on a cluster
         # master one more core serves communication; the rest run SMP tasks.
         reserved = len(node.gpus) + (1 if (is_master and rt.is_cluster) else 0)

@@ -24,14 +24,12 @@ __all__ = [
 
 
 def make_scheduler(name: str, notify: Callable[..., None],
-                   directory: Directory, steal: bool = True, metrics=None,
-                   adaptive_datamove: bool = False) -> Scheduler:
-    """Instantiate a scheduling policy by its evaluation-chart name.
-    ``adaptive_datamove`` only concerns the ``adaptive`` controller."""
+                   directory: Directory, steal: bool = True,
+                   metrics=None) -> Scheduler:
+    """Instantiate a scheduling policy by its evaluation-chart name."""
     if name == "adaptive":
         return AdaptiveScheduler(notify, directory, steal=steal,
-                                 metrics=metrics,
-                                 adaptive_datamove=adaptive_datamove)
+                                 metrics=metrics)
     if name not in POLICIES:
         raise ValueError(f"unknown scheduler {name!r}")
     return Scheduler(notify, directory, POLICIES[name], steal=steal,

@@ -1,8 +1,7 @@
 """The ``adaptive`` meta-scheduler: metrics-driven policy switching.
 
-Closes the observability loop (ROADMAP item 4): the counters the runtime
-already publishes are *consumed* here to pick the scheduling policy — and,
-optionally, the data-movement write mode — mid-run.
+Closes the observability loop: the counters the runtime already publishes
+are *consumed* here to pick the scheduling policy mid-run.
 
 It is the scheduler core plus a controller: the core runs one row of the
 policy table at a time (``affinity`` to begin with, then ``cp`` or ``ws``
@@ -25,14 +24,10 @@ noisy window cannot thrash the queues.  Switching drains every queue,
 adopts the new row and re-places the tasks (in ``tid`` order) — nothing is
 lost, which the chaos suite exercises under faults.
 
-With ``adaptive_datamove`` the same evaluation also drives the PR 6 data
-movement controls: sustained write-back pressure while the transfer links
-are busy enables write-back elision (``DataMover.elision``, reverted when
-the pressure clears) — and, when the run was configured write-through,
-switches the commit write mode to write-back outright
-(:meth:`DataMover.set_write_mode`, one-way), so eager per-commit
-device->host copies stop competing with the fetch traffic.  Both use the
-same hysteresis as policy switches.
+The controller reads only scheduler-side signals and its own registry; the
+cache write policy is not its business.  Recovering a write-through run
+from write-back pressure belongs to the data-movement layer's monitor
+(docs/DATAMOVE.md, "Write-through recovery") and works under any policy.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Optional
 
-from ...memory.cache import CachePolicy
 from ...memory.directory import Directory
 from ..task import Task
 from .base import Scheduler, WorkerProtocol
@@ -51,8 +45,8 @@ __all__ = ["AdaptiveScheduler"]
 #: scheduler events (submissions + polls) between signal evaluations.
 INTERVAL = 24
 
-#: consecutive agreeing evaluations required before a policy (or datamove
-#: write-mode) switch — the anti-thrash guard.
+#: consecutive agreeing evaluations required before a policy switch — the
+#: anti-thrash guard.
 HYSTERESIS = 2
 
 #: starvation fraction above which the run counts as starving, and below
@@ -66,20 +60,14 @@ SPREAD_HIGH = 4.0
 #: pending-task sample size for the spread signal.
 SPREAD_SAMPLE = 32
 
-#: link busy fraction of the window above which write-back pressure is
-#: worth elision.
-BUSY_HIGH = 0.5
-
 
 class AdaptiveScheduler(Scheduler):
     info_prefix = "adaptive:"
 
     def __init__(self, notify, directory: Directory, steal: bool = True,
-                 metrics=None, adaptive_datamove: bool = False):
+                 metrics=None):
         super().__init__(notify, directory, POLICIES["affinity"],
                          steal=steal, metrics=metrics)
-        self.adaptive_datamove = adaptive_datamove
-        self._rt = None
         #: tid -> task for everything submitted but not yet dispatched
         #: (the spread-signal sample).
         self._ready: dict[int, Task] = {}
@@ -88,15 +76,6 @@ class AdaptiveScheduler(Scheduler):
         self._idle_polls = 0
         self._want: Optional[str] = None
         self._want_streak = 0
-        self._dm_want: Optional[bool] = None
-        self._dm_streak = 0
-        self._dm_folded = (0.0, 0.0, 0.0)  # pressure, busy, sim-time
-        self._wm_streak = 0                # write-mode switch streak
-
-    def attach_runtime(self, rt) -> None:
-        """Give the controller its signal sources (called by the owning
-        image once the runtime exists)."""
-        self._rt = rt
 
     @property
     def switches(self) -> int:
@@ -135,10 +114,9 @@ class AdaptiveScheduler(Scheduler):
 
     # -- signals ----------------------------------------------------------
     def _live_tasks(self) -> float:
-        rt = self._rt
-        if rt is None:
-            return 1.0  # assume live; starvation then measures raw idling
-        return rt.metrics.value("runtime.tasks_live", 0)
+        # Without a runtime publishing the gauge, assume work is live:
+        # starvation then measures raw idling.
+        return self.metrics.value("runtime.tasks_live", 1)
 
     def _spread(self) -> float:
         if not self._ready:
@@ -175,7 +153,6 @@ class AdaptiveScheduler(Scheduler):
                 self._switch(want)
         else:
             self._want, self._want_streak = None, 0
-        self._evaluate_datamove()
 
     def _switch(self, name: str) -> None:
         self._want, self._want_streak = None, 0
@@ -189,60 +166,3 @@ class AdaptiveScheduler(Scheduler):
             self._place(self, task)
             self._pending += 1
             self._notify(task.device)
-
-    # -- datamove write-mode switching ------------------------------------
-    def _dm_signals(self) -> tuple[float, float, float]:
-        rt = self._rt
-        m = rt.metrics
-        pressure = sum(c.value for name, c in m._counters.items()
-                       if name.startswith("cache.")
-                       and name.endswith((".writebacks", ".writebacks_elided")))
-        pressure += m.value("datamove.writebacks_elided", 0)
-        busy = sum(g.value for name, g in m._gauges.items()
-                   if name.endswith(".busy_seconds"))
-        return pressure, busy, rt.env.now
-
-    def _evaluate_datamove(self) -> None:
-        rt = self._rt
-        if not self.adaptive_datamove or rt is None or rt.datamove is None:
-            return
-        pressure, busy, now = self._dm_signals()
-        p0, b0, t0 = self._dm_folded
-        self._dm_folded = (pressure, busy, now)
-        window = now - t0
-        if window <= 0:
-            return
-        busy_frac = (busy - b0) / window
-        pressed = pressure > p0 and busy_frac >= BUSY_HIGH
-        dm = rt.datamove
-        # Write-through under pressure: each commit pays an eager device->
-        # host write-back while the transfer links are already saturated.
-        # Deferring those writes (write-back mode) is always recoverable —
-        # eviction and flush still drain dirty data — so the switch is
-        # one-way: reverting to eager writes would just recreate the
-        # saturation that triggered it.
-        if (pressed and dm.write_mode is None
-                and rt.config.cache_policy is CachePolicy.WRITE_THROUGH):
-            self._wm_streak += 1
-            if self._wm_streak >= HYSTERESIS:
-                dm.set_write_mode(CachePolicy.WRITE_BACK)
-                self.metrics.inc("scheduler.adaptive.datamove_switches")
-                self.metrics.set_info("datamove.write_mode", "wb")
-        else:
-            self._wm_streak = 0
-        # Write traffic while links are saturated: elide.  (Elided
-        # write-backs keep counting as pressure, so success does not read
-        # as quiet and flap the mode back off.)
-        want = pressed
-        if want == dm.elision:
-            self._dm_want, self._dm_streak = None, 0
-            return
-        self._dm_streak = (self._dm_streak + 1
-                           if want == self._dm_want else 1)
-        self._dm_want = want
-        if self._dm_streak >= HYSTERESIS:
-            dm.elision = want
-            self._dm_want, self._dm_streak = None, 0
-            self.metrics.inc("scheduler.adaptive.datamove_switches")
-            self.metrics.set_info("datamove.elision",
-                                  "on" if want else "off")

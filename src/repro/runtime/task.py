@@ -140,10 +140,6 @@ class Task:
         return base + tuple(c for c in self.copies
                             if c.region.key not in seen)
 
-    @property
-    def footprint_bytes(self) -> int:
-        return sum(a.region.nbytes for a in self.accesses)
-
     def smp_duration(self, cpu_spec) -> float:
         if callable(self.smp_cost):
             return self.smp_cost(cpu_spec)

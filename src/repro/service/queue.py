@@ -64,11 +64,6 @@ class JobQueue:
     def weight(self, tenant: str) -> float:
         return self._weights.get(tenant, self._default_weight)
 
-    def set_weight(self, tenant: str, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        self._weights[tenant] = weight
-
     # -- queue operations -------------------------------------------------
     def push(self, job_id: str, request: JobRequest) -> None:
         tenant = request.tenant

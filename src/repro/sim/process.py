@@ -59,10 +59,6 @@ class Process(Event):
     def name(self) -> str:
         return self._name or getattr(self._generator, "__name__", "process")
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self.triggered:

@@ -8,7 +8,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Optional
+from typing import Any
 
 from .core import Event, SimulationError
 
@@ -136,23 +136,12 @@ class Store:
         self.items.append(item)
         self._serve()
 
-    def put_front(self, item: Any) -> None:
-        """Insert at the head of the queue (LIFO-style priority insert)."""
-        self.items.insert(0, item)
-        self._serve()
-
     def get(self) -> Event:
         """Event that fires with the next item once one is available."""
         ev = Event(self.env)
         self._getters.append(ev)
         self._serve()
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: pop the head item or return ``None``."""
-        if self.items and not self._getters:
-            return self.items.pop(0)
-        return None
 
     def _serve(self) -> None:
         while self.items and self._getters:

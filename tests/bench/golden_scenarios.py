@@ -132,7 +132,8 @@ SCENARIOS = {
     # -- the policies the paper goldens above never select ------------------
     "cholesky-4gpu-wb-cp": lambda: _cholesky_mgpu("wb", "cp"),
     "cholesky-4gpu-wt-ws": lambda: _cholesky_mgpu("wt", "ws"),
-    # one policy switch (affinity -> cp) and the wt -> wb write-mode switch
+    # one policy switch (affinity -> cp) and the datamove monitor's
+    # wt -> wb write-mode switch
     "cholesky-4gpu-wt-adaptive-adm": lambda: _cholesky_mgpu(
         "wt", "adaptive", adaptive_datamove=True),
     # a dozen policy switches with the prestage lookahead (peek_for) armed

@@ -29,7 +29,6 @@ def test_fresh_region_lives_at_home():
     r = region()
     assert d.holders(r) == {host}
     assert d.version(r) == 0
-    assert d.host_is_current(r)
 
 
 def test_record_copy_adds_holder():
@@ -50,7 +49,6 @@ def test_record_write_invalidates_other_holders():
     assert d.holders(r) == {gpu0}
     assert d.version(r) == 1
     assert not d.is_current(r, host)
-    assert not d.host_is_current(r)
 
 
 def test_record_drop_removes_holder():
@@ -93,17 +91,6 @@ def test_partial_overlap_detected_across_uses():
     d.entry(Region(obj, 0, 10))   # equal: fine
     with pytest.raises(PartialOverlapError):
         d.entry(Region(obj, 5, 10))
-
-
-def test_regions_held_by():
-    host, gpu0, _g1, _rem, d = make_world()
-    obj = DataObject(name="x", num_elements=100)
-    r1, r2 = Region(obj, 0, 10), Region(obj, 10, 10)
-    d.record_copy(r1, gpu0)
-    d.entry(r2)
-    held = d.regions_held_by(gpu0)
-    assert [r.key for r in held] == [r1.key]
-    assert len(d.regions_held_by(host)) == 2
 
 
 def test_len_counts_entries():

@@ -25,7 +25,7 @@ from repro.memory.cache import SoftwareCache
 from repro.memory.directory import Directory
 from repro.memory.space import DeviceSpace
 from repro.metrics import CounterRegistry
-from repro.runtime import Runtime, Task, make_scheduler
+from repro.runtime import Task, make_scheduler
 from repro.sim import Environment
 from tests.bench.golden_scenarios import _ST, SCENARIOS, _mgpu
 
@@ -51,20 +51,6 @@ PINNED = {
          "dedup_hits": 0, "cache_hits": 0, "cache_misses": 528,
          "cache_evictions": 528, "network_bytes": 0}, 96),
 }
-
-
-@pytest.fixture
-def runtimes(monkeypatch):
-    """Every ``Runtime`` constructed during the test, in order."""
-    made = []
-    init = Runtime.__init__
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(Runtime, "__init__", recording)
-    return made
 
 
 def views_of(rt) -> dict:

@@ -44,15 +44,6 @@ def test_inputs_outputs_views():
     assert t.outputs == [a_out, a_io]
 
 
-def test_footprint_bytes():
-    o = obj(100)
-    t = Task(name="t", accesses=(
-        Access(o.region(0, 10), Direction.IN),
-        Access(o.region(10, 20), Direction.OUT),
-    ))
-    assert t.footprint_bytes == 30 * 4
-
-
 def test_smp_duration_constant_and_callable():
     t1 = Task(name="c", smp_cost=0.5)
     assert t1.smp_duration(XEON_E5620) == 0.5

@@ -133,6 +133,3 @@ def test_invalid_weights_rejected():
         JobQueue(weights={"alice": 0.0})
     with pytest.raises(ValueError):
         JobQueue(default_weight=-1.0)
-    q = JobQueue()
-    with pytest.raises(ValueError):
-        q.set_weight("alice", 0.0)

@@ -173,18 +173,6 @@ def test_self_interrupt_rejected():
     assert errors == ["rejected"]
 
 
-def test_is_alive_flag():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(2)
-
-    p = env.process(proc())
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
-
-
 def test_active_process_is_tracked():
     env = Environment()
     seen = []

@@ -203,21 +203,6 @@ def test_store_fifo_order():
     assert got == [1, 2, 3]
 
 
-def test_store_put_front_jumps_queue():
-    env = Environment()
-    store = Store(env)
-    store.put("second")
-    store.put_front("first")
-    assert store.try_get() == "first"
-    assert store.try_get() == "second"
-
-
-def test_store_try_get_empty_returns_none():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-
-
 def test_store_len():
     env = Environment()
     store = Store(env)
