@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 
 from repro.apps import matmul
 from repro.bench.harness import fresh_cluster, fresh_multi_gpu
@@ -53,20 +52,12 @@ def _cluster_run(size, plan):
 def bench_zero_overhead(size) -> dict:
     """Empty plan = bit-identical makespan; inert plan = engine armed but
     silent, so its inflation is purely the checkpoint-on-commit writeback
-    cost.  Wall-clock ratios are recorded for context only."""
-    t0 = time.perf_counter()
+    cost."""
     bare = _mgpu_run(size, None)
-    bare_wall = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     empty = _mgpu_run(size, FaultPlan())
-    empty_wall = time.perf_counter() - t0
-
     inert = FaultPlan(events=(
         FaultEvent(kind="kernel_abort", nth=10**9),), seed=0)
-    t0 = time.perf_counter()
     armed = _mgpu_run(size, inert)
-    armed_wall = time.perf_counter() - t0
 
     assert empty.makespan == bare.makespan, "empty plan moved the makespan"
     return {
@@ -75,8 +66,6 @@ def bench_zero_overhead(size) -> dict:
         "empty_plan_bit_identical": empty.makespan == bare.makespan,
         "armed_inert_makespan": armed.makespan,
         "armed_inert_inflation": armed.makespan / bare.makespan - 1.0,
-        "wall_overhead_empty": empty_wall / bare_wall - 1.0,
-        "wall_overhead_armed": armed_wall / bare_wall - 1.0,
     }
 
 

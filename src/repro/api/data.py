@@ -9,7 +9,7 @@ clauses resolve against.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,11 +39,10 @@ class DataView:
     def np(self) -> np.ndarray:
         """Current canonical contents (functional mode, after a flush)."""
         rt = self.handle.program.rt
-        if rt.sanitizer is not None:
-            # Only this view's range is read — noting the whole object
-            # would charge the program with reads it never made.
-            rt.sanitizer.note_host_read(self.handle.obj, self.region.start,
-                                        self.region.end)
+        # Only this view's range is read — noting the whole object would
+        # charge the program with reads it never made.
+        for fn in rt.probes.host_read:
+            fn(self.handle.obj, self.region.start, self.region.end)
         array = rt.read_array(self.handle.obj)
         return array[self.region.start:self.region.end]
 
@@ -96,8 +95,8 @@ class DataHandle:
     def np(self) -> np.ndarray:
         """The canonical master-host array (functional mode)."""
         rt = self.program.rt
-        if rt.sanitizer is not None:
-            rt.sanitizer.note_host_read(self.obj, 0, self.obj.num_elements)
+        for fn in rt.probes.host_read:
+            fn(self.obj, 0, self.obj.num_elements)
         return rt.read_array(self.obj)
 
     def __repr__(self) -> str:

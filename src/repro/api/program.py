@@ -10,11 +10,10 @@ scheduling all live below this interface.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..cuda.kernels import KernelRegistry
 from ..hardware.cluster import Machine, build_multi_gpu_node
 from ..runtime.config import RuntimeConfig
 from ..runtime.runtime import Runtime
@@ -31,7 +30,7 @@ class Program:
     def __init__(self, machine: Optional[Machine] = None,
                  config: Optional[RuntimeConfig] = None,
                  env: Optional[Environment] = None,
-                 tracer=None, metrics=None, sanitizer=None):
+                 tracer=None, sanitizer=None):
         if machine is None:
             env = env or Environment()
             machine = build_multi_gpu_node(env, num_gpus=1)
@@ -39,7 +38,7 @@ class Program:
         self.machine = machine
         self.config = config or RuntimeConfig()
         self.rt = Runtime(machine, self.config, tracer=tracer,
-                          metrics=metrics, sanitizer=sanitizer)
+                          sanitizer=sanitizer)
         self._makespan: Optional[float] = None
 
     # -- data ----------------------------------------------------------------
@@ -77,13 +76,6 @@ class Program:
         if self._makespan is None:
             raise RuntimeError("run() has not completed yet")
         return self._makespan
-
-    # -- correctness tooling ---------------------------------------------------
-    @property
-    def sanitizer(self):
-        """The active :class:`~repro.sanitizer.Sanitizer` (None unless one
-        was passed in or installed via ``repro.sanitizer.install()``)."""
-        return self.rt.sanitizer
 
     # -- metrics --------------------------------------------------------------
     @property

@@ -18,11 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..cuda.api import CudaContext
 from ..hardware.cluster import Machine
-from ..sim import Environment
 
 __all__ = ["AppResult", "make_contexts"]
 

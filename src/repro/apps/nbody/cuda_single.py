@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...cuda import KernelSpec, nbody_cost
 from ...hardware.cluster import Machine
 from ..base import AppResult, make_contexts

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from ..hardware.gpu import GPUDevice
 from ..hardware.node import Node
-from ..memory.allocator import BytePool, PoolLease
+from ..memory.allocator import BytePool
 from ..sim import Environment, Event
 from .kernels import KernelRegistry, KernelSpec
 from .stream import Stream
@@ -36,14 +36,11 @@ class CudaContext:
 
     def __init__(self, env: Environment, gpu: GPUDevice, node: Node,
                  registry: Optional[KernelRegistry] = None,
-                 jitter: float = 0.0, metrics=None):
+                 jitter: float = 0.0):
         self.env = env
         self.gpu = gpu
         self.node = node
         self.registry = registry or KernelRegistry()
-        #: optional :class:`~repro.metrics.CounterRegistry` shared with the
-        #: streams this context creates.
-        self.metrics = metrics
         #: relative kernel-duration variability (real launches are not
         #: perfectly repeatable; a zero-variance simulation produces
         #: artificial lock-step schedules).  Deterministic per launch index.
@@ -51,7 +48,7 @@ class CudaContext:
         self._lcg = (gpu.index * 2654435761 + node.index * 40503 + 12345) \
             & 0xFFFFFFFF
         self.null_stream = Stream(
-            env, name=f"n{node.index}.gpu{gpu.index}.null", metrics=metrics)
+            env, name=f"n{node.index}.gpu{gpu.index}.null")
         self._streams: list[Stream] = [self.null_stream]
         self.pinned_pool = BytePool(
             env, node.spec.pinned_pool_capacity,
@@ -72,8 +69,7 @@ class CudaContext:
         s = Stream(
             self.env,
             name=f"n{self.node.index}.gpu{self.gpu.index}"
-                 f".s{len(self._streams)}",
-            metrics=self.metrics)
+                 f".s{len(self._streams)}")
         self._streams.append(s)
         return s
 

@@ -31,22 +31,17 @@ class Stream:
 
     _next_id = 0
 
-    def __init__(self, env: Environment, name: str = "", metrics=None):
+    def __init__(self, env: Environment, name: str = ""):
         self.env = env
         Stream._next_id += 1
         self.sid = Stream._next_id
         self.name = name or f"stream{self.sid}"
         self._tail: Optional[Event] = None
-        self.ops_enqueued = 0
-        #: optional :class:`~repro.metrics.CounterRegistry`; enqueues are
-        #: counted under ``cuda.stream.<name>.ops``.
-        self.metrics = metrics
-        self._c_ops = (metrics.counter(f"cuda.stream.{self.name}.ops")
-                       if metrics is not None else None)
-        #: queue-depth gauge (high-water = pipelining depth actually
-        #: reached).
-        self._g_depth = (metrics.gauge(f"cuda.stream.{self.name}.depth")
-                         if metrics is not None else None)
+        # Enqueues counted under ``cuda.stream.<name>.ops`` of the
+        # environment's registry; the queue-depth gauge's high-water mark
+        # is the pipelining depth actually reached.
+        self._c_ops = env.metrics.counter(f"cuda.stream.{self.name}.ops")
+        self._g_depth = env.metrics.gauge(f"cuda.stream.{self.name}.depth")
         self._pending: deque = deque()
         self._pump_proc = None
         self._wakeup: Optional[Event] = None
@@ -55,6 +50,10 @@ class Stream:
         #: a failed tail poisoned every successor).
         self._poison: Optional[BaseException] = None
 
+    @property
+    def ops_enqueued(self) -> int:
+        return self._c_ops.value
+
     def enqueue(self, operation: Callable[[], "object"]) -> Event:
         """Append ``operation`` (a generator factory) to the stream.
 
@@ -62,13 +61,10 @@ class Stream:
         operation starts only after every previously enqueued operation on
         this stream has completed (in-order execution).
         """
-        self.ops_enqueued += 1
-        if self._c_ops is not None:
-            self._c_ops.value += 1
+        self._c_ops.value += 1
         done = Event(self.env)
         self._pending.append((operation, done))
-        if self._g_depth is not None:
-            self._g_depth.set(len(self._pending))
+        self._g_depth.set(len(self._pending))
         if self._pump_proc is None:
             self._pump_proc = self.env.process(self._pump())
         elif self._wakeup is not None:

@@ -34,7 +34,6 @@ from .mutations import MUTATIONS
 from .profiles import PROFILES
 from .runner import MACHINES, check_workload
 from .shrink import shrink_trace
-from .spec import task_count
 
 __all__ = ["main", "replay_command"]
 

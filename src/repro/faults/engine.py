@@ -68,12 +68,6 @@ class FaultEngine:
             "corrupt": plan.by_kind("am_corrupt"),
             "ack_drop": plan.by_kind("am_ack_drop"),
         }
-        # Attach to the fabric so hardware/AM layers can consult us.
-        if runtime.am is not None:
-            runtime.am.faults = self
-        network = getattr(runtime.machine, "network", None)
-        if network is not None:
-            network.faults = self
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -114,7 +108,9 @@ class FaultEngine:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     # ------------------------------------------------------------------
-    # Injection queries (called by hardware / AM layers)
+    # Interceptors (bound by the runtime's probe seam, see
+    # repro.runtime.probes, and consulted by the network, AM and GPU
+    # manager layers)
     # ------------------------------------------------------------------
     def link_slowdown(self, src: int, dst: int) -> float:
         """Current inter-node wire-time multiplier for ``src -> dst``."""
@@ -141,13 +137,7 @@ class FaultEngine:
             return "blackhole"
         for outcome in ("drop", "corrupt", "ack_drop"):
             for ev in self._am_events[outcome]:
-                if not ev.matches_link(src, dst):
-                    continue
-                if ev.nth is not None:
-                    hit = ev.nth == seq
-                else:
-                    hit = self.rng.random() < ev.probability
-                if hit:
+                if ev.matches_link(src, dst) and self._hit(ev, seq):
                     self.note(f"am_{outcome}ped" if outcome != "corrupt"
                               else "am_corrupted", f"{src}->{dst}#{seq}")
                     return outcome
@@ -159,17 +149,18 @@ class FaultEngine:
         seq = self._kernel_seq.get(key, 0) + 1
         self._kernel_seq[key] = seq
         for ev in self._kernel_aborts:
-            if not ev.matches_device(*key):
-                continue
-            if ev.nth is not None:
-                hit = ev.nth == seq
-            else:
-                hit = self.rng.random() < ev.probability
-            if hit:
+            if ev.matches_device(*key) and self._hit(ev, seq):
                 self.note("kernel_abort",
                           f"{task.name}@{manager.place_name}#{seq}")
                 return True
         return False
+
+    def _hit(self, ev, seq: int) -> bool:
+        """Does triggered event ``ev`` fire on attempt ``seq``?  Its
+        ``nth`` attempt exactly, or one RNG draw against its probability."""
+        if ev.nth is not None:
+            return ev.nth == seq
+        return self.rng.random() < ev.probability
 
     def _pcie_boundary(self, ev, edge: str) -> None:
         """Recompute the affected links' degradation from the set of
@@ -205,6 +196,14 @@ class FaultEngine:
         manager.alive = False
         manager.gpu.failed = True
         manager.space.failed = True
+        # The master must stop treating this node as a cuda target when no
+        # live GPU remains there, and reclaim cuda work queued for it.
+        proxy = None
+        if node_index != 0 and not any(m.alive for m in image.gpu_managers):
+            for p in rt.master_image.proxies:
+                if p.node_index == node_index:
+                    proxy = p
+                    proxy.gpus_alive = False
         self.note("gpu_lost", manager.place_name)
         dropped = manager.cache.invalidate_all()
         if dropped:
@@ -220,25 +219,18 @@ class FaultEngine:
                 continue  # the manager loop abandons (and requeues) it
             self.metrics.inc("faults.tasks_rebalanced")
             self.resubmit(image, task)
-        # The master must stop treating this node as a cuda target when no
-        # live GPU remains there, and reclaim cuda work queued for it.
-        if node_index != 0 and not any(m.alive for m in image.gpu_managers):
-            master = rt.master_image
-            proxy = None
-            for p in master.proxies:
-                if p.node_index == node_index:
-                    proxy = p
-                    break
-            if proxy is not None:
-                for task in master.scheduler.rebalance(proxy):
-                    self.metrics.inc("faults.tasks_rebalanced")
-                    self.resubmit(master, task)
+        if proxy is not None:
+            for task in rt.master_image.scheduler.rebalance(proxy):
+                self.metrics.inc("faults.tasks_rebalanced")
+                self.resubmit(rt.master_image, task)
         if self.plan.paranoid:
             self.check_now()
         rt.notify_work()
 
     def resubmit(self, image: "Image", task) -> None:
         """Put a recovered task back where something can actually run it."""
+        if self.rt.datamove is not None:
+            self.rt.datamove.note_resubmit(task)
         if any(w.accepts(task) for w in image.scheduler.workers):
             image.submit_local(task)
             return
@@ -325,13 +317,14 @@ class FaultEngine:
         pending for ``region`` (else None: the loss is unrecoverable)."""
         return self._restores.get(region.key)
 
-    def notify_write(self, region: "Region") -> None:
-        """A new version of ``region`` was committed: release any fetch
-        stalled on its restoration."""
-        ev = self._restores.pop(region.key, None)
-        if ev is not None:
-            ev.succeed()
-            self.note("region_restored", region.obj.name)
+    def commit(self, task, written) -> None:
+        """Probe point: new versions were committed — release any fetch
+        stalled on their restoration."""
+        for acc in written:
+            ev = self._restores.pop(acc.region.key, None)
+            if ev is not None:
+                ev.succeed()
+                self.note("region_restored", acc.region.obj.name)
 
     # ------------------------------------------------------------------
     # Invariants (paranoid mode)

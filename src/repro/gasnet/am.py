@@ -16,11 +16,10 @@ AM traffic and bulk data contend for the same NIC ports.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..faults.errors import AMTimeoutError
 from ..hardware.network import Network
-from ..metrics import CounterRegistry
 from ..sim import Environment, Event
 
 __all__ = ["AMLayer", "Endpoint", "SHORT_SIZE"]
@@ -32,11 +31,9 @@ SHORT_SIZE = 64
 class Endpoint:
     """One node's attachment to the AM layer: its handler table."""
 
-    def __init__(self, layer: "AMLayer", node_index: int):
-        self.layer = layer
+    def __init__(self, node_index: int):
         self.node_index = node_index
         self._handlers: dict[str, Callable] = {}
-        self.received = 0
         #: idempotency-token dedup table (fault mode): token -> handler
         #: result, or an Event while the first delivery is still running.
         self.seen_tokens: dict[int, Any] = {}
@@ -61,21 +58,21 @@ class Endpoint:
 class AMLayer:
     """The conduit: endpoints plus request delivery over the fabric."""
 
-    def __init__(self, env: Environment, network: Network, metrics=None):
+    def __init__(self, env: Environment, network: Network):
         self.env = env
         self.network = network
-        self.endpoints = [Endpoint(self, node.index)
+        self.endpoints = [Endpoint(node.index)
                           for node in network.nodes]
-        if metrics is None:
-            metrics = CounterRegistry()
-        #: the :class:`~repro.metrics.CounterRegistry` the layer counts into
-        #: (``metrics=None``: a private one), namespaced ``am.*`` with
-        #: per-link ``am.link.<src>-><dst>.*``; ``short_sent`` /
-        #: ``long_sent`` / ``bytes_sent`` are views of its counters.
-        self.metrics = metrics
-        #: fault engine hook; when set, requests run the resilient path
-        #: (watchdog + exponential-backoff retry + idempotency tokens).
-        self.faults = None
+        #: the environment's registry, which the layer counts into under
+        #: ``am.*`` with per-link ``am.link.<src>-><dst>.*``; ``short_sent``
+        #: / ``long_sent`` / ``bytes_sent`` are views of its counters.
+        self.metrics = env.metrics
+        #: the ``am_sent`` / ``am_handled`` probes and ``am_outcome``
+        #: interceptors a runtime binds; a bound outcome switches every
+        #: request to at-least-once delivery under ``retry`` (a FaultPlan's
+        #: watchdog and backoff schedule) with idempotency tokens.
+        self.on_sent = self.on_handled = self.outcomes = ()
+        self.retry = None
         self._tokens = itertools.count(1)
         #: (is_long, src, dst) -> the four counters one message bumps,
         #: bound on a link's first message of that size class.
@@ -113,8 +110,10 @@ class AMLayer:
         c_bytes.value += nbytes
         c_link_messages.value += 1
         c_link_bytes.value += nbytes
+        for fn in self.on_sent:
+            fn(src, dst, handler, nbytes)
 
-        if self.faults is not None:
+        if self.outcomes:
             token = next(self._tokens)
             return self.env.process(self._resilient_request(
                 token, src, dst, handler, args, nbytes, priority))
@@ -127,10 +126,11 @@ class AMLayer:
             # Handler dispatch overhead on the receiving image.
             yield self.env.timeout(self.network.nic.am_overhead)
             fn = self.endpoints[dst].handler(handler)
-            self.endpoints[dst].received += 1
             result = fn(src, *args)
             if hasattr(result, "send"):  # generator handler: run as process
                 result = yield self.env.process(result)
+            for probe in self.on_handled:
+                probe(src, dst, handler)
             return result
 
         return self.env.process(deliver())
@@ -143,7 +143,7 @@ class AMLayer:
                 counter(f"{link}.messages"), counter(f"{link}.bytes"))
 
     # ------------------------------------------------------------------
-    # Fault-tolerant delivery (active only when a fault engine is attached)
+    # Fault-tolerant delivery (active only while an am_outcome is bound)
     # ------------------------------------------------------------------
     def _resilient_request(self, token: int, src: int, dst: int,
                            handler: str, args: tuple, nbytes: int,
@@ -152,12 +152,13 @@ class AMLayer:
         timeout the sender backs off exponentially and resends with the
         same idempotency token, so the receiver runs the handler exactly
         once no matter how many copies arrive."""
-        plan = self.faults.plan
+        plan = self.retry
         backoff = plan.am_backoff
         for attempt in range(1, plan.am_max_retries + 1):
             if attempt > 1:
                 self.metrics.inc("am.retries")
-            outcome = self.faults.am_outcome(src, dst)
+            for fate in self.outcomes:
+                outcome = fate(src, dst)
             delivery = self.env.process(self._attempt(
                 token, src, dst, handler, args, nbytes, priority, outcome))
             watchdog = self.env.timeout(plan.am_timeout)
@@ -206,10 +207,11 @@ class AMLayer:
             marker = Event(self.env)
             endpoint.seen_tokens[token] = marker
             fn = endpoint.handler(handler)
-            endpoint.received += 1
             result = fn(src, *args)
             if hasattr(result, "send"):
                 result = yield self.env.process(result)
+            for probe in self.on_handled:
+                probe(src, dst, handler)
             endpoint.seen_tokens[token] = result
             marker.succeed(result)
         if outcome == "ack_drop":

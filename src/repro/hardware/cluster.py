@@ -8,9 +8,7 @@ from ..sim import Environment
 from .network import Network
 from .node import Node
 from .specs import (
-    CLUSTER_NODE,
     MULTI_GPU_NODE,
-    QDR_INFINIBAND,
     ClusterSpec,
     NodeSpec,
     gpu_cluster_spec,
@@ -30,6 +28,12 @@ class Machine:
         self.nodes = nodes
         self.network = network
         self.name = name
+
+    @property
+    def metrics(self):
+        """The run's registry (the environment's): its hardware counts
+        into it with or without a runtime on top."""
+        return self.env.metrics
 
     @property
     def num_nodes(self) -> int:

@@ -34,22 +34,37 @@ class GPUDevice:
         self.spec = spec
         self.index = index
         self.node = node
+        #: unique within the machine: counter names derive from it.
+        self.name = (f"node{node.index}.gpu{index}" if node is not None
+                     else f"gpu{index}")
         self.compute = Resource(env, capacity=1, name=f"gpu{index}.compute")
         # One PCIe link per direction — possibly shared with sibling GPUs
         # (the S2050 enclosure attaches two GPUs per host interface card).
         # The number of concurrent DMA engines limits how many directions
         # can move at once on GeForce vs Tesla.
         self.h2d = h2d or Link(env, spec.pcie_pinned_bw, spec.pcie_latency,
-                               name=f"gpu{index}.h2d")
+                               name=f"{self.name}.h2d")
         self.d2h = d2h or Link(env, spec.pcie_pinned_bw, spec.pcie_latency,
-                               name=f"gpu{index}.d2h")
+                               name=f"{self.name}.d2h")
         self.dma = Resource(env, capacity=spec.copy_engines,
                             name=f"gpu{index}.dma")
-        self.kernels_launched = 0
-        self.busy_time = 0.0
+        metrics = env.metrics
+        self._c_kernels = metrics.counter(f"hardware.gpu.{self.name}.kernels")
+        self._c_busy = metrics.counter(
+            f"hardware.gpu.{self.name}.busy_seconds")
         #: set by the fault engine on a ``gpu_loss`` event; the device
         #: refuses new kernels afterwards (its manager stops first).
         self.failed = False
+
+    @property
+    def kernels_launched(self) -> int:
+        return self._c_kernels.value
+
+    @property
+    def busy_time(self) -> float:
+        """Seconds the compute engine ran kernels (launch overhead
+        included)."""
+        return self._c_busy.value
 
     @property
     def mem_capacity(self) -> int:
@@ -65,8 +80,8 @@ class GPUDevice:
             yield req
             start = self.env.now
             yield self.env.timeout(self.spec.kernel_launch_overhead + duration)
-            self.busy_time += self.env.now - start
-        self.kernels_launched += 1
+            self._c_busy.value += self.env.now - start
+        self._c_kernels.value += 1
 
     def dma_transfer(self, nbytes: int, direction: str, pinned: bool = True):
         """Process generator: move ``nbytes`` host<->device via a DMA engine.

@@ -20,10 +20,11 @@ __all__ = ["Link"]
 
 class Link:
     """A unidirectional channel with bandwidth, latency and optional
-    multi-engine concurrency (``lanes > 1``)."""
+    multi-engine concurrency (``lanes > 1``).  ``name`` keys the link's
+    counters, so it must be unique within its environment."""
 
     def __init__(self, env: Environment, bandwidth: float, latency: float,
-                 name: str = "", lanes: int = 1):
+                 name: str = "link", lanes: int = 1):
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         if latency < 0:
@@ -33,27 +34,29 @@ class Link:
         self.latency = latency
         self.name = name
         self._lanes = Resource(env, capacity=lanes, name=name)
-        self.bytes_moved = 0
-        self.transfer_count = 0
-        #: cumulative seconds the link was held, latency term included.
-        self.busy_seconds = 0.0
         #: hold-time multiplier, driven by fault-injection degradation
         #: windows (1.0 = healthy; multiplying by 1.0 is IEEE-exact, so
         #: the healthy path is bit-identical to an undegraded link).
         self.degradation = 1.0
-        # bound ``hardware.link.<name>.*`` instruments (see attach_metrics)
-        self._m_bytes = None
-        self._m_transfers = None
-        self._m_busy = None
+        # The one place this link's statistics live.
+        prefix = f"hardware.link.{name}"
+        metrics = env.metrics
+        self._c_bytes = metrics.counter(f"{prefix}.bytes_moved")
+        self._c_transfers = metrics.counter(f"{prefix}.transfers")
+        self._g_busy = metrics.gauge(f"{prefix}.busy_seconds")
 
-    def attach_metrics(self, registry) -> None:
-        """Mirror this link's statistics into ``hardware.link.<name>.*``
-        counters of ``registry`` (a CounterRegistry).  Recording never
-        touches simulated time, so attaching is timing-neutral."""
-        prefix = f"hardware.link.{self.name}"
-        self._m_bytes = registry.counter(f"{prefix}.bytes_moved")
-        self._m_transfers = registry.counter(f"{prefix}.transfers")
-        self._m_busy = registry.gauge(f"{prefix}.busy_seconds")
+    @property
+    def bytes_moved(self) -> int:
+        return self._c_bytes.value
+
+    @property
+    def transfer_count(self) -> int:
+        return self._c_transfers.value
+
+    @property
+    def busy_seconds(self) -> float:
+        """Cumulative seconds the link was held, latency term included."""
+        return self._g_busy.value
 
     def occupancy(self, nbytes: int) -> float:
         """Time the link is held for an ``nbytes`` transfer."""
@@ -64,13 +67,10 @@ class Link:
     def account(self, nbytes: int, seconds: float) -> None:
         """Record a completed hold of ``seconds`` moving ``nbytes``.
         ``seconds`` must be the full hold time (latency included)."""
-        self.bytes_moved += nbytes
-        self.transfer_count += 1
-        self.busy_seconds += seconds
-        if self._m_bytes is not None:
-            self._m_bytes.value += nbytes
-            self._m_transfers.value += 1
-            self._m_busy.set(self.busy_seconds)
+        self._c_bytes.value += nbytes
+        self._c_transfers.value += 1
+        busy = self._g_busy
+        busy.set(busy.value + seconds)
 
     def transfer(self, nbytes: int, priority: int = 0):
         """Process generator: move ``nbytes`` across the link."""

@@ -23,11 +23,15 @@ class Network:
         self.env = env
         self.nodes = nodes
         self.nic = nic
-        self.bytes_moved = 0
-        self.message_count = 0
-        #: fault engine hook; when set, wire times honor its degradation
-        #: windows (partitions are handled at the AM layer).
-        self.faults = None
+        self._c_bytes = env.metrics.counter("hardware.network.bytes_moved")
+        self._c_messages = env.metrics.counter("hardware.network.messages")
+        #: ``link_slowdown(src, dst)`` interceptors a runtime binds (the
+        #: fault engine's degradation windows): each scales the wire time.
+        self.slowdowns = ()
+
+    @property
+    def bytes_moved(self) -> int:
+        return self._c_bytes.value
 
     def wire_time(self, nbytes: int) -> float:
         return self.nic.latency + nbytes / self.nic.bandwidth
@@ -43,8 +47,8 @@ class Network:
         # Hold both endpoints for the duration of the wire transfer.  The
         # sender's tx port is the primary serialization point.
         wire = self.wire_time(nbytes)
-        if self.faults is not None:
-            wire *= self.faults.link_slowdown(src.index, dst.index)
+        for slowdown in self.slowdowns:
+            wire *= slowdown(src.index, dst.index)
         with src.nic_tx._lanes.request(priority=priority) as tx_req:
             yield tx_req
             with dst.nic_rx._lanes.request(priority=priority) as rx_req:
@@ -54,5 +58,5 @@ class Network:
         # streams report truthful NIC busy fractions.
         src.nic_tx.account(nbytes, wire)
         dst.nic_rx.account(nbytes, wire)
-        self.bytes_moved += nbytes
-        self.message_count += 1
+        self._c_bytes.value += nbytes
+        self._c_messages.value += 1

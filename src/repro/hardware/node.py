@@ -43,7 +43,6 @@ class Node:
                 h2d = d2h = None
             self.gpus.append(GPUDevice(env, gspec, i, node=self,
                                        h2d=h2d, d2h=d2h))
-        self.nic_spec = nic
         if nic is not None:
             self.nic_tx = Link(env, nic.bandwidth, nic.latency,
                                name=f"node{index}.nic_tx")

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import numpy as np
-
 from ..hardware.network import Network
 from ..sim import Environment, Event, Store
 

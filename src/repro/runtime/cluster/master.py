@@ -50,6 +50,9 @@ class NodeProxy:
         #: tids whose inputs the datamove prestage already started moving
         #: (prevents re-spawning the same speculative fetches every poll).
         self.prestaged: set[int] = set()
+        #: cleared by fault recovery when the node's last GPU dies, so
+        #: the node stops attracting cuda work that would only bounce.
+        self.gpus_alive = True
         # ``cluster.node<i>.*`` instruments, bound when the event they
         # record first happens so an idle node exports no keys.
         self._metric_ns = f"cluster.node{node_index}"
@@ -93,12 +96,7 @@ class NodeProxy:
         # node") and are never shipped through a proxy.
         if task.parent is not None:
             return False
-        if task.device != "cuda" or self.rt.faults is None:
-            return True
-        # Under fault injection a node whose GPUs all died must stop
-        # attracting cuda work, or dispatches would just bounce back.
-        image = self.rt.images[self.node_index]
-        return any(m.alive for m in image.gpu_managers)
+        return task.device != "cuda" or self.gpus_alive
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<NodeProxy node{self.node_index}>"
@@ -158,10 +156,8 @@ class CommThread:
         # completion comes back via its own active message).
         start = self.env.now
         yield rt.am.request(0, proxy.node_index, "nanos.run_task", task)
-        if rt.tracer is not None:
-            rt.tracer.record("message", f"run:{task.name}",
-                             f"ctl:0->{proxy.node_index}", start,
-                             self.env.now)
+        for fn in rt.probes.dispatch:
+            fn(task, proxy.node_index, start, self.env.now)
 
     def _prestage(self, proxy: NodeProxy, depth: int) -> bool:
         """Speculatively move the inputs of the next ``depth`` queued tasks

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 from ..faults.errors import RegionLostError
 from ..memory.cache import CachePolicy, SoftwareCache
 from ..memory.region import Region
-from ..memory.space import AddressSpace, DeviceSpace, HostSpace
+from ..memory.space import AddressSpace
 from ..sim import Event
 from .task import Task
 
@@ -45,6 +45,12 @@ class CoherenceEngine:
         #: the datamove layer, or None (no flag that needs liveness) — the
         #: None case must execute the byte-identical historical paths.
         self.datamove = runtime.datamove
+        self.probes = runtime.probes
+        faults = runtime.faults
+        #: checkpoint-on-commit (``FaultPlan.protect_outputs``): only a
+        #: fault plan can kill a device mid-commit.
+        self.protect_outputs = (faults is not None
+                                and faults.plan.protect_outputs)
         #: (space id, region key, version) -> completion event of the fetch.
         self._inflight: dict[tuple[int, tuple, int], Event] = {}
         #: per-link bound counter pairs (the f-string names are built and
@@ -95,7 +101,7 @@ class CoherenceEngine:
             yield  # pragma: no cover - generator marker
         cache: Optional[SoftwareCache] = getattr(place, "cache", None)
         space: AddressSpace = place.space
-        sanitizer = self.rt.sanitizer
+        issued = self.probes.transfer_issued
         directory = self.directory
         needed = []
         for acc in copy_accs:
@@ -106,11 +112,8 @@ class CoherenceEngine:
                 # this device produced) spawn no fetch process at all —
                 # on figure workloads that is most of them.
                 if not directory.is_current(acc.region, space):
-                    if sanitizer is not None:
-                        # A real input transfer is about to happen —
-                        # remembered so an unused input clause can report
-                        # the wasted bytes.
-                        sanitizer.note_stage_in(task, acc.region)
+                    for fn in issued:
+                        fn(task, acc.region, space)
                     needed.append(acc.region)
             elif self.config.functional and cache is not None:
                 # Output-only on a device: materialize a writable buffer.
@@ -118,30 +121,25 @@ class CoherenceEngine:
         if len(needed) == 1:
             # Single missing input: run the fetch inline in this process
             # instead of spawning (and immediately joining) a child.
-            yield from self._fetch(needed[0], space, place)
+            yield from self.fetch(needed[0], space, place)
         elif needed:
             yield self.env.all_of([
-                self.env.process(self._fetch(region, space, place))
+                self.env.process(self.fetch(region, space, place))
                 for region in needed
             ])
 
     def commit_outputs(self, task: Task, place) -> "object":
-        """Process generator: publish the task's writes per cache policy."""
+        """Process generator: publish the task's writes per cache policy.
+        Returns False for a torn commit — the device died mid-commit
+        without output protection and nothing was published — else True."""
         copy_accs = task.copy_accesses
         if not copy_accs:
-            return
+            return True
             yield  # pragma: no cover - generator marker
         cache: Optional[SoftwareCache] = getattr(place, "cache", None)
         space: AddressSpace = place.space
         written = [a for a in copy_accs if a.direction.writes]
-        faults = self.rt.faults
-        if faults is not None:
-            # Cleared until the directory flip below: the executing place
-            # checks it after a device loss to tell a torn commit (requeue
-            # the task) from a completed one (the task really finished).
-            task._committed = False
-        protect = (faults is not None and cache is not None
-                   and faults.plan.protect_outputs)
+        protect = self.protect_outputs and cache is not None
         host = self.rt.host_space(space.node_index)
         if protect:
             # Checkpoint-on-commit, data first: host memory receives the
@@ -155,22 +153,17 @@ class CoherenceEngine:
             # AddressSpace.failed).
             for acc in written:
                 yield from self._move_leg(acc.region, space, host, place)
-        lost = faults is not None and space.failed
+        lost = space.failed
         if lost and not protect:
             # Unprotected torn commit: the outputs died with the device
             # and were never published.  Leave the old version (still
             # recorded elsewhere) as current; the caller re-executes.
-            return
-        sanitizer = self.rt.sanitizer
+            return False
         for acc in written:
-            owner = host if (lost and protect) else space
-            self.directory.record_write(acc.region, owner, producer=task)
-            if sanitizer is not None:
-                sanitizer.note_commit(task, acc.region, self.env.now)
+            self.directory.record_write(acc.region, host if lost else space,
+                                        producer=task)
             if protect and not lost:
                 self.directory.record_copy(acc.region, host)
-            if faults is not None:
-                faults.notify_write(acc.region)
             if cache is not None and not lost:
                 if protect:
                     # Host already holds the new version: the entry is
@@ -178,19 +171,15 @@ class CoherenceEngine:
                     cache.mark_clean(acc.region)
                 else:
                     cache.mark_dirty(acc.region)
-        if faults is not None:
-            task._committed = True
-        if self.datamove is not None:
-            # Publish point passed: the task's writes install in the
-            # liveness tables and it stops counting as a live reader or
-            # overwriter — *before* the elision decisions below, so its
-            # own fresh version is never judged dead by its own write
-            # entry.  A torn commit returns above without reaching this,
-            # keeping the re-executed task's sequence entries intact.
-            self.datamove.liveness.task_committed(task)
-            self.datamove.note_commit()
+        # Publish point passed.  The liveness tracker installs the task's
+        # writes here, *before* the elision decisions below, so its own
+        # fresh version is never judged dead by its own write entry; a
+        # torn commit returned above, keeping a re-executed task's
+        # sequence entries intact.
+        for fn in self.probes.commit:
+            fn(task, written)
         if cache is None or lost:
-            return
+            return True
         policy = self.config.cache_policy
         dm = self.datamove
         if dm is not None and dm.write_mode is not None:
@@ -222,21 +211,22 @@ class CoherenceEngine:
                     yield from self._writeback(acc.region, space, cache,
                                                place)
             for acc in copy_accs:
-                self._safe_unpin(acc.region, cache, faults)
+                self._safe_unpin(acc.region, cache)
                 ent = cache.entry_or_none(acc.region)
                 if ent is not None and ent.pin_count == 0:
                     self._drop_entry(acc.region, space, cache,
                                      dead=acc.region.key in elided)
-            return
+            return True
         # WB / WT: just unpin; entries stay resident.
         for acc in copy_accs:
-            self._safe_unpin(acc.region, cache, faults)
+            self._safe_unpin(acc.region, cache)
+        return True
 
     @staticmethod
-    def _safe_unpin(region: Region, cache: SoftwareCache, faults) -> None:
-        """Unpin, tolerating (in fault mode only) an entry that a device
+    def _safe_unpin(region: Region, cache: SoftwareCache) -> None:
+        """Unpin, tolerating (on a failed device only) an entry that the
         loss invalidated while the commit's writebacks were in flight."""
-        if faults is not None:
+        if cache.space.failed:
             ent = cache.entry_or_none(region)
             if ent is None or ent.pin_count <= 0:
                 return
@@ -254,7 +244,7 @@ class CoherenceEngine:
         for region in targets:
             if not self.directory.is_current(region, home):
                 moves.append(self.env.process(
-                    self._fetch(region, home, place=None)))
+                    self.fetch(region, home, place=None)))
         if moves:
             yield self.env.all_of(moves)
         # Data written back is now clean in whichever caches hold it.
@@ -315,6 +305,8 @@ class CoherenceEngine:
             else:
                 self.directory.record_drop(region, space)
         space.drop(region)
+        for fn in self.probes.evict:
+            fn(region, space, dead)
 
     def _writeback(self, region: Region, space: AddressSpace,
                    cache: SoftwareCache, place):
@@ -329,10 +321,6 @@ class CoherenceEngine:
     # Fetch path resolution
     # ------------------------------------------------------------------
     def fetch(self, region: Region, dst: AddressSpace, place=None):
-        """Public alias of :meth:`_fetch` for the cluster layer."""
-        yield from self._fetch(region, dst, place)
-
-    def _fetch(self, region: Region, dst: AddressSpace, place):
         """Process generator: bring the current version of ``region`` to
         ``dst`` (directory updated; in-flight fetches deduplicated)."""
         if self.directory.is_current(region, dst):
@@ -396,10 +384,10 @@ class CoherenceEngine:
         if src.node_index == dst.node_index:
             if src.kind == "gpu" and dst.kind == "gpu":
                 # Through host memory (no peer-to-peer DMA in CUDA 3.2).
-                # Recursing through _fetch deduplicates the drain leg when
+                # Recursing through fetch deduplicates the drain leg when
                 # several consumers pull the same producer copy at once.
                 host = self.rt.host_space(src.node_index)
-                yield from self._fetch(region, host, self.rt.place_of(src))
+                yield from self.fetch(region, host, self.rt.place_of(src))
                 yield from self._move_leg(region, host, dst, place)
             else:
                 yield from self._move_leg(region, src, dst, place)
@@ -408,7 +396,7 @@ class CoherenceEngine:
         # (dedup'd), wire it over, then descend to the device if needed.
         if src.kind == "gpu":
             src_host = self.rt.host_space(src.node_index)
-            yield from self._fetch(region, src_host,
+            yield from self.fetch(region, src_host,
                                    self.rt.place_of(src))
             src = src_host
         dst_host = self.rt.host_space(dst.node_index)
@@ -416,7 +404,7 @@ class CoherenceEngine:
             if dst is not dst_host:
                 # Let the host-level fetch dedup across this node's
                 # consumers, then do the local PCIe leg.
-                yield from self._fetch(region, dst_host, place)
+                yield from self.fetch(region, dst_host, place)
             else:
                 yield from self._wire(region, src, dst_host)
         if dst is not dst_host:
@@ -451,9 +439,8 @@ class CoherenceEngine:
                          region, src, dst, payload_bytes=region.nbytes)
         link = f"net:{src.node_index}->{dst.node_index}"
         self._count_leg(link, region.nbytes)
-        if self.rt.tracer is not None:
-            self.rt.tracer.record("transfer", region.obj.name, link,
-                                  start, self.env.now, nbytes=region.nbytes)
+        for fn in self.probes.transfer_done:
+            fn(region, link, start, self.env.now)
 
     def _move_leg(self, region: Region, src: AddressSpace,
                   dst: AddressSpace, place):
@@ -473,7 +460,5 @@ class CoherenceEngine:
             dst.write(region, src.read(region))
         link = f"link:{src.name}->{dst.name}"
         self._count_leg(link, region.nbytes)
-        if self.rt.tracer is not None:
-            self.rt.tracer.record("transfer", region.obj.name, link,
-                                  start, self.env.now,
-                                  nbytes=region.nbytes)
+        for fn in self.probes.transfer_done:
+            fn(region, link, start, self.env.now)

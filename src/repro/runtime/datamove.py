@@ -201,9 +201,9 @@ class DataMover:
     ``cost_aware_eviction`` or ``adaptive_datamove``): the tracker, the
     elision decision over it, the commit write mode with the monitor that
     recovers a write-through run from write-back pressure, and the eviction
-    cost function.  The runtime feeds :attr:`liveness` directly at submit,
-    commit and finish; the coherence engine calls :meth:`note_commit` at
-    every publish point."""
+    cost function.  It is a probe subscriber (:mod:`repro.runtime.probes`):
+    the task lifecycle points feed :attr:`liveness`, and every ``commit``
+    also reaches :meth:`note_commit`."""
 
     def __init__(self, rt: "Runtime"):
         self.rt = rt
@@ -223,8 +223,8 @@ class DataMover:
         # -- write-through recovery monitor -----------------------------------
         self._watch = (cfg.adaptive_datamove
                        and cfg.cache_policy is CachePolicy.WRITE_THROUGH)
-        #: the links ``Runtime`` attaches to the registry, in its order and
-        #: each once (GPUs behind one PCIe switch share their links).
+        #: the machine's links, each once (GPUs behind one PCIe switch
+        #: share their links).
         links = []
         for node in rt.machine.nodes:
             links += (node.membus, node.nic_tx, node.nic_rx)
@@ -236,15 +236,22 @@ class DataMover:
         self._streak = 0
         self._last = (0, 0.0, 0.0)  # write-backs, busy seconds, sim time
 
+    # -- probe points ----------------------------------------------------
+    def task_submitted(self, task: "Task", parent) -> None:
+        if parent is None:  # children run under their parent's claim
+            self.liveness.task_submitted(task)
+
+    def commit(self, task: "Task", written) -> None:
+        self.liveness.task_committed(task)
+        self.note_commit()
+
+    def task_retired(self, task: "Task") -> None:
+        self.liveness.task_finished(task)
+
     def note_resubmit(self, task: "Task") -> None:
-        """Fault recovery is re-executing ``task``.  Requeue only happens
-        before a successful commit, so the claim it runs under was never
-        retired — its own, or for a nested child (never registered, see
-        :class:`LivenessTracker`) that of the top-level ancestor, which
-        stays live until its children finish: the sequence entries are
-        intact and re-execution reuses them.  Kept as an explicit hook
-        (and assertion point) rather than silent reliance on that
-        invariant."""
+        """Fault recovery re-runs ``task``: it never committed, so the claim
+        it runs under — its own, or its top-level ancestor's for a nested
+        child (see :class:`LivenessTracker`) — is intact and reused."""
         while task.parent is not None:
             task = task.parent
         assert getattr(task, "_liveness_entries", None) is not None, \

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..memory.region import PartialOverlapError, Region, RegionKey
 from .task import Task, TaskState
@@ -44,21 +44,16 @@ class _RegionState:
 class DependencyGraph:
     """Sibling-scope dependency tracking for one parent task."""
 
-    def __init__(self, on_ready: Optional[Callable[[Task], None]] = None):
-        #: called when a task has no unfinished predecessors.
-        self.on_ready = on_ready
-        #: optional ``(pred, succ, region, kind, created)`` callback — the
-        #: annotation sanitizer's arc-provenance tap.  It fires on *every*
-        #: arc attempt (deduplicated ones included, with created=False) so
-        #: an arc owed to several regions names all of them; None (the
-        #: default) keeps the hot path a single predictable branch.
-        self.arc_observer: Optional[Callable] = None
+    def __init__(self, on_arc: tuple = ()):
+        #: the bound ``dep_arc`` probes ``(pred, succ, region, kind,
+        #: created)``, fired on *every* arc attempt (deduplicated ones
+        #: included, with created=False) so an arc owed to several regions
+        #: names all of them.
+        self.on_arc = on_arc
         self._regions: dict[RegionKey, _RegionState] = {}
         #: per object id, the distinct region shapes seen, sorted by start.
         self._shapes: dict[int, list[Region]] = {}
         self._live_tasks: set[int] = set()
-        self.tasks_added = 0
-        self.arcs_created = 0
 
     # -- bookkeeping ------------------------------------------------------
     def _check_shape(self, region: Region) -> None:
@@ -93,36 +88,31 @@ class DependencyGraph:
         return st
 
     def _add_arc(self, pred: Task, succ: Task, region: Region,
-                 kind: str) -> bool:
+                 kind: str) -> None:
         if pred.state is TaskState.FINISHED or pred is succ:
-            return False
+            return
         created = succ.tid not in pred.successor_ids
         if created:
             pred.successor_ids.add(succ.tid)
             pred.successors.append(succ)
             succ.pending_preds += 1
-        if self.arc_observer is not None:
-            self.arc_observer(pred, succ, region, kind, created)
-        return created
+        for fn in self.on_arc:
+            fn(pred, succ, region, kind, created)
 
     # -- public protocol ---------------------------------------------------
     def add_task(self, task: Task) -> bool:
         """Register ``task``; returns True when immediately ready."""
-        self.tasks_added += 1
         self._live_tasks.add(task.tid)
         for acc in task.accesses:
             st = self._state(acc.region)
             region = acc.region
             if acc.direction.reads and st.last_writer is not None:
-                if self._add_arc(st.last_writer, task, region, "raw"):
-                    self.arcs_created += 1
+                self._add_arc(st.last_writer, task, region, "raw")
             if acc.direction.writes:
                 if st.last_writer is not None:
-                    if self._add_arc(st.last_writer, task, region, "waw"):
-                        self.arcs_created += 1
+                    self._add_arc(st.last_writer, task, region, "waw")
                 for reader in st.readers_since_write:
-                    if self._add_arc(reader, task, region, "war"):
-                        self.arcs_created += 1
+                    self._add_arc(reader, task, region, "war")
         # Second pass: update per-region state.
         for acc in task.accesses:
             st = self._state(acc.region)
@@ -144,8 +134,6 @@ class DependencyGraph:
                                         2 * len(st.readers_since_write))
         if task.pending_preds == 0:
             task.state = TaskState.READY
-            if self.on_ready is not None:
-                self.on_ready(task)
             return True
         return False
 
@@ -160,9 +148,6 @@ class DependencyGraph:
             if succ.pending_preds == 0 and succ.state is TaskState.CREATED:
                 succ.state = TaskState.READY
                 newly_ready.append(succ)
-        if self.on_ready is not None:
-            for t in newly_ready:
-                self.on_ready(t)
         return newly_ready
 
     def last_writer_of(self, region: Region) -> Optional[Task]:

@@ -48,13 +48,14 @@ class GPUManager:
         self.cache = cache
         self.ctx = CudaContext(self.env, gpu, image.node,
                                registry=self.rt.kernel_registry,
-                               jitter=self.rt.config.kernel_jitter,
-                               metrics=self.rt.metrics)
+                               jitter=self.rt.config.kernel_jitter)
         self.copy_stream = self.ctx.create_stream()
         #: cleared by the fault engine on a gpu_loss event; the manager
         #: loop abandons (and requeues) its work and exits.
         self.alive = True
         self.current_task: Optional[Task] = None
+        #: the bound ``kernel_should_abort`` interceptors (the fault engine's)
+        self._aborts = self.rt.probes.kernel_should_abort
         #: scheduler-visible place label, also the prefix of every metric
         #: this manager records — all interned once here instead of being
         #: f-string-built per DMA leg / kernel / task.
@@ -125,7 +126,9 @@ class GPUManager:
             self.current_task = task
             task.state = TaskState.RUNNING
             task.assigned_to = self
-            trace_start = self.env.now
+            start = self.env.now
+            for fn in rt.probes.task_started:
+                fn(task, self)
             if rt.config.task_overhead:
                 yield self.env.timeout(rt.config.task_overhead)
             if not self.alive:
@@ -139,14 +142,12 @@ class GPUManager:
             if not self.alive:
                 self._abandon(task, None)
                 return
-            faults = rt.faults
-            # Abort-before-side-effects: in fault mode the functional body
-            # is deferred to after the kernel + health checks, so an
-            # aborted or lost kernel never mutates device buffers (an
-            # inout region stays at the version the directory records).
-            aborted = (faults is not None
-                       and faults.kernel_should_abort(self, task))
-            kernel_done = self._launch(task, defer_body=faults is not None)
+            # Abort-before-side-effects: while a kernel can be aborted, an
+            # aborted or lost kernel must never mutate device buffers.
+            aborted = False
+            for should_abort in self._aborts:
+                aborted = should_abort(self, task) or aborted
+            kernel_done = self._launch(task)
             self._c_kernels.value += 1
 
             prefetch_proc = None
@@ -160,9 +161,8 @@ class GPUManager:
 
             kernel_enqueued = self.env.now
             yield kernel_done
-            if rt.tracer is not None:
-                rt.tracer.record("kernel", task.name, self.place_name,
-                                 kernel_enqueued, self.env.now)
+            for fn in rt.probes.kernel_done:
+                fn(task, self, kernel_enqueued, self.env.now)
             if prefetch_proc is not None:
                 yield prefetch_proc
             if not self.alive:
@@ -172,11 +172,10 @@ class GPUManager:
                 self._requeue(task, "kernel_abort")
                 self.current_task = None
                 continue
-            if faults is not None:
+            if self._aborts:
                 self._run_body(task)
-            yield from rt.coherence.commit_outputs(task, self)
-            if (faults is not None
-                    and not getattr(task, "_committed", True)):
+            published = yield from rt.coherence.commit_outputs(task, self)
+            if not published:
                 # Torn commit (device died mid-commit without output
                 # protection): nothing was published, re-execute.
                 self._requeue(task, "torn_commit")
@@ -185,42 +184,38 @@ class GPUManager:
                     self._abandon(None, staged_next)
                     return
                 continue
-            if rt.tracer is not None:
-                rt.tracer.record("task", task.name, self.place_name,
-                                 trace_start, self.env.now)
             if task.subtasks is not None:
                 yield self.image.run_children(task)
             self._c_tasks.value += 1
-            rt.metrics.observe("tasks.cuda.duration",
-                               self.env.now - trace_start)
+            rt.metrics.observe("tasks.cuda.duration", self.env.now - start)
             self.current_task = None
-            self.image.finish_task(task, self)
+            self.image.finish_task(task, self, start)
 
     def _prefetch(self, task: Task):
         task.assigned_to = self
         yield from self.rt.coherence.stage_in(task, self)
         task._staged = True
 
-    def _launch(self, task: Task, defer_body: bool = False) -> Event:
+    def _launch(self, task: Task) -> Event:
         """Enqueue the task's kernel; returns the completion event.
 
-        With ``defer_body`` the functional body is *not* attached to the
-        kernel completion — the caller runs it via :meth:`_run_body` only
-        after the launch survives fault checks."""
+        While a kernel can be aborted the functional body is *not*
+        attached to the kernel completion — the caller runs it via
+        :meth:`_run_body` only after the launch survives."""
         func_args: tuple = ()
-        if (not defer_body and self.rt.config.functional
+        if (not self._aborts and self.rt.config.functional
                 and task.kernel.func is not None):
             func_args = tuple(resolve_args(task, self.space,
-                                           self.rt.sanitizer))
+                                           self.rt.probes.watch_args))
         return self.ctx.launch(task.kernel, func_args=func_args,
                                **task.cost_kwargs)
 
     def _run_body(self, task: Task) -> None:
-        """The deferred functional body (fault mode): mirrors exactly what
-        the stream op would have run at kernel completion."""
+        """The deferred functional body: mirrors exactly what the stream
+        op would have run at kernel completion."""
         if self.rt.config.functional and task.kernel.func is not None:
             func_args = tuple(resolve_args(task, self.space,
-                                           self.rt.sanitizer))
+                                           self.rt.probes.watch_args))
             if func_args:
                 task.kernel.func(*func_args)
 
@@ -250,8 +245,6 @@ class GPUManager:
         task._staged = False
         task.state = TaskState.READY
         task.assigned_to = None
-        if rt.datamove is not None:
-            rt.datamove.note_resubmit(task)
         task.retries += 1
         if task.retries > rt.faults.plan.max_task_retries:
             raise TaskRetryExceeded(

@@ -11,7 +11,7 @@ paper's hierarchical design.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from ..memory.cache import SoftwareCache
 from ..memory.directory import Directory
 from ..memory.region import DataObject, Region
 from ..memory.space import AddressSpace, DeviceSpace, HostSpace
-from ..metrics import CounterRegistry
 from ..sim import Environment, Event
+from . import probes
 from .cluster import CommThread, NodeProxy
 from .coherence import CoherenceEngine
 from .config import RuntimeConfig
@@ -138,26 +138,25 @@ class Image:
         if not children:
             done.succeed()
             return done
-        graph = DependencyGraph()
-        sanitizer = self.rt.sanitizer
-        if sanitizer is not None:
-            graph.arc_observer = sanitizer.note_arc
+        probes = self.rt.probes
+        graph = DependencyGraph(on_arc=probes.dep_arc)
         parent._child_graph = graph
         parent._children_left = len(children)
         parent._children_done = done
         for child in children:
             child.parent = parent
             child.done = self.rt.env.event()
-            if sanitizer is not None:
-                sanitizer.note_submit(child, parent=parent)
+            for fn in probes.task_submitted:
+                fn(child, parent)
             if graph.add_task(child):
                 self.submit_local(child)
         return done
 
-    def finish_task(self, task: Task, place) -> None:
-        """Called by the executing place when a task's body has committed."""
-        if self.rt.sanitizer is not None:
-            self.rt.sanitizer.note_task_finish(task)
+    def finish_task(self, task: Task, place, start: float) -> None:
+        """Called by the executing place, which took ``task`` at ``start``,
+        once its body committed and its decomposition children finished."""
+        for fn in self.rt.probes.task_finished:
+            fn(task, place, start, self.rt.env.now)
         if task.parent is not None:
             self._account_child(task, place)
         elif self.is_master:
@@ -169,6 +168,8 @@ class Image:
     def _account_child(self, task: Task, place) -> None:
         """Child-task bookkeeping: local graph + parent completion count."""
         parent = task.parent
+        for fn in self.rt.probes.task_retired:
+            fn(task)
         newly_ready = parent._child_graph.task_finished(task)
         for t in newly_ready:
             self.submit_local(t)
@@ -193,8 +194,8 @@ class Image:
             # must not double-decrement successor counts in the graph.
             rt.metrics.inc("runtime.duplicate_completions")
             return
-        if rt.datamove is not None:
-            rt.datamove.liveness.task_finished(task)
+        for fn in rt.probes.task_retired:
+            fn(task)
         newly_ready = rt.graph.task_finished(task)
         self.scheduler.task_finished(task, place, newly_ready)
         rt._c_finished.value += 1
@@ -209,26 +210,14 @@ class Runtime:
     def __init__(self, machine: Machine,
                  config: Optional[RuntimeConfig] = None,
                  kernel_registry: Optional[KernelRegistry] = None,
-                 tracer=None,
-                 metrics: Optional[CounterRegistry] = None,
-                 sanitizer=None):
+                 tracer=None, sanitizer=None):
         self.machine = machine
         self.env: Environment = machine.env
         self.config = config or RuntimeConfig()
         self.kernel_registry = kernel_registry or KernelRegistry()
-        #: optional Tracer recording task/transfer/message spans.  Picked
-        #: up from ``repro.runtime.trace.install()`` when not passed
-        #: explicitly (the same pattern the sanitizer uses below): span
-        #: recording is passive, so traced runs keep identical timestamps.
-        if tracer is None:
-            from .trace import current_tracer
-            tracer = current_tracer()
-        self.tracer = tracer
-        #: counter registry every subsystem reports into; scoped timers use
-        #: the simulation clock.  Always present (recording is cheap); pass
-        #: your own to share one registry across runtimes in a sweep.
-        self.metrics = (metrics if metrics is not None
-                        else CounterRegistry(clock=lambda: self.env.now))
+        #: the run's counter registry — the machine's, which its hardware
+        #: already counts into; every runtime layer reports here too.
+        self.metrics = machine.metrics
         functional = self.config.functional
 
         # -- address spaces -------------------------------------------------
@@ -268,56 +257,42 @@ class Runtime:
         if cfg.cost_aware_eviction:
             for cache in self._caches.values():
                 cache.victim_cost_fn = self.datamove.make_cost_fn(cache)
-        # hardware.link.* mirrors (satellite observability): registering is
-        # timing-neutral, so it is unconditional.
-        for node in machine.nodes:
-            node.membus.attach_metrics(self.metrics)
-            for link in (node.nic_tx, node.nic_rx):
-                if link is not None:
-                    link.attach_metrics(self.metrics)
-            for gpu in node.gpus:
-                gpu.h2d.attach_metrics(self.metrics)
-                gpu.d2h.attach_metrics(self.metrics)
 
+        # -- fault injection ------------------------------------------------
+        #: FaultEngine when the config carries a non-empty plan; None
+        #: otherwise (an empty plan is treated exactly like no plan, so
+        #: fault-free schedules stay bit-identical).
+        plan = cfg.fault_plan
+        self.faults: Optional[FaultEngine] = (
+            FaultEngine(self, plan)
+            if plan is not None and not plan.is_empty else None)
+
+        # -- the probe seam (repro.runtime.probes) ---------------------------
+        #: the Tracer among the subscribers (set by its ``attach``), for
+        #: the fault engine and the sanitizer, which report into it.
+        self.tracer = None
+        #: every point and interceptor, bound once: the installed
+        #: subscribers, ``tracer`` / ``sanitizer`` and the runtime's own
+        #: liveness tracker and fault engine.
+        self.probes = probes.bind(self, tracer, sanitizer, self.datamove,
+                                  self.faults)
         self.coherence = CoherenceEngine(self)
-        self.graph = DependencyGraph()
-
-        # -- annotation sanitizer -------------------------------------------
-        #: the active :class:`~repro.sanitizer.Sanitizer`, or None.  Picked
-        #: up from ``repro.sanitizer.install()`` when not passed explicitly
-        #: (lazy import: the sanitizer is an optional layer on top of the
-        #: runtime, mirroring how ``fault_plan`` stays duck-typed).  Every
-        #: hook below is gated on this attribute and none of them touches
-        #: the simulated clock, so a disabled run executes the identical
-        #: instruction stream and an enabled run keeps identical timestamps.
-        if sanitizer is None:
-            from ..sanitizer.core import current_sanitizer
-            sanitizer = current_sanitizer()
-        self.sanitizer = sanitizer
-        if sanitizer is not None:
-            sanitizer.attach(self)
-            self.graph.arc_observer = sanitizer.note_arc
+        self.graph = DependencyGraph(on_arc=self.probes.dep_arc)
 
         # -- cluster fabric ------------------------------------------------------
         self.am: Optional[AMLayer] = None
         if machine.is_cluster:
-            self.am = AMLayer(self.env, machine.network,
-                              metrics=self.metrics)
+            am = self.am = AMLayer(self.env, machine.network)
+            p = self.probes
+            am.on_sent, am.on_handled = p.am_sent, p.am_handled
+            am.outcomes, am.retry = p.am_outcome, plan
+            machine.network.slowdowns = p.link_slowdown
             self._register_am_handlers()
 
         # -- images -------------------------------------------------------------
         self.images = [Image(self, node, is_master=(node.index == 0))
                        for node in machine.nodes]
         self.master_image = self.images[0]
-
-        # -- fault injection ------------------------------------------------
-        #: FaultEngine when the config carries a non-empty plan; None
-        #: otherwise (an empty plan is treated exactly like no plan, so
-        #: fault-free schedules stay bit-identical).
-        self.faults = None
-        plan = self.config.fault_plan
-        if plan is not None and not plan.is_empty:
-            self.faults = FaultEngine(self, plan)
 
         # -- signalling ------------------------------------------------------------
         self.running = False
@@ -439,10 +414,8 @@ class Runtime:
             self.start()
         task.done = self.env.event()
         self._c_submitted.value += 1
-        if self.sanitizer is not None:
-            self.sanitizer.note_submit(task)
-        if self.datamove is not None:
-            self.datamove.liveness.task_submitted(task)
+        for fn in self.probes.task_submitted:
+            fn(task, None)
         ready = self.graph.add_task(task)
         self._g_live.set(self.graph.live_count)
         if ready:
@@ -461,8 +434,8 @@ class Runtime:
             yield self._idle_event
         if not noflush:
             yield from self.coherence.flush()
-        if self.sanitizer is not None:
-            self.sanitizer.note_taskwait()
+        for fn in self.probes.taskwait:
+            fn(None)
 
     def taskwait_on(self, regions: list[Region], noflush: bool = False):
         """Process generator: the ``taskwait on(...)`` construct — wait only
@@ -476,8 +449,8 @@ class Runtime:
             yield self.env.all_of(producers)
         if not noflush:
             yield from self.coherence.flush(regions)
-        if self.sanitizer is not None:
-            self.sanitizer.note_taskwait_on(regions)
+        for fn in self.probes.taskwait:
+            fn(regions)
 
     def run_main(self, main_generator) -> float:
         """Execute a main program (a generator using submit/taskwait) to

@@ -23,20 +23,23 @@ executes it)::
     prv = tracer.to_paraver()              # Paraver .prv text
     json_text = tracer.to_chrome()         # chrome://tracing JSON
 
-In a real run the runtime records the spans: build the runtime as
-``Runtime(machine, config, tracer=tracer)`` and export after ``run_main``
-(see ``examples/metrics_report.py``).
+In a real run the runtime records the spans: a Tracer is a probe
+subscriber (:mod:`repro.runtime.probes`).  Build the runtime as
+``Runtime(machine, config, tracer=tracer)`` (or inside :func:`install`) and
+export after ``run_main`` (see ``examples/metrics_report.py``).  Recording
+is passive, so a traced run's simulated timestamps are bit-identical to an
+untraced one.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-__all__ = ["Tracer", "TraceEvent", "CATEGORIES", "current_tracer",
-           "install"]
+from . import probes
+
+__all__ = ["Tracer", "TraceEvent", "CATEGORIES", "install"]
 
 #: Span categories recorded by the instrumented runtime.
 CATEGORIES = ("task", "kernel", "transfer", "message", "stage", "fault",
@@ -76,6 +79,27 @@ class Tracer:
                end: float, nbytes: int = 0) -> None:
         self.events.append(TraceEvent(category, name, place, start, end,
                                       nbytes))
+
+    # -- probe points (each appends its span directly) -------------------
+    def attach(self, runtime) -> None:
+        runtime.tracer = self
+
+    def task_finished(self, task, place, start: float, end: float) -> None:
+        self.events.append(TraceEvent("task", task.name, place.place_name,
+                                      start, end))
+
+    def kernel_done(self, task, place, start: float, end: float) -> None:
+        self.events.append(TraceEvent("kernel", task.name, place.place_name,
+                                      start, end))
+
+    def transfer_done(self, region, link: str, start: float,
+                      end: float) -> None:
+        self.events.append(TraceEvent("transfer", region.obj.name, link,
+                                      start, end, region.nbytes))
+
+    def dispatch(self, task, node: int, start: float, end: float) -> None:
+        self.events.append(TraceEvent("message", f"run:{task.name}",
+                                      f"ctl:0->{node}", start, end))
 
     # -- queries ----------------------------------------------------------
     def by_category(self, category: str) -> list[TraceEvent]:
@@ -191,39 +215,15 @@ class Tracer:
         return json.dumps(doc, indent=1)
 
 
-# ----------------------------------------------------------------------
-# Installation (how a Runtime built elsewhere finds the active tracer)
-# ----------------------------------------------------------------------
-_ACTIVE: "list[Tracer]" = []
-
-
-def current_tracer() -> "Tracer | None":
-    """The innermost installed tracer, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
 def install(tracer: "Tracer | None" = None):
-    """Context manager: runtimes built inside record into the tracer.
-
-    Mirrors :func:`repro.sanitizer.install` — app entry points construct
-    their own ``Program``/``Runtime``, so callers that cannot pass
-    ``tracer=`` through (the service runner, scripts wrapping an app)
-    install one around the call instead::
+    """Context manager: runtimes built inside record into ``tracer`` (a
+    fresh one by default), yielded — :func:`repro.runtime.probes.install`
+    for callers that cannot pass ``tracer=`` through::
 
         from repro.runtime import trace
 
         with trace.install() as tracer:
             run_ompss(machine, size, config=config)
         chrome_json = tracer.to_chrome()
-
-    Recording is passive (spans are appended after the fact, never
-    scheduled), so a traced run's simulated timestamps are bit-identical
-    to an untraced one.
     """
-    t = tracer if tracer is not None else Tracer()
-    _ACTIVE.append(t)
-    try:
-        yield t
-    finally:
-        _ACTIVE.remove(t)
+    return probes.install(tracer or Tracer())

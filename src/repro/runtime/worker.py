@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..memory.region import Region
-from .task import Direction, Task, TaskState
+from .task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Image
@@ -13,20 +13,21 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SMPWorker", "resolve_args"]
 
 
-def resolve_args(task: Task, space, sanitizer=None) -> list:
+def resolve_args(task: Task, space, watch_args=()) -> list:
     """Replace Region placeholders in the task's args with space buffers.
 
     Read regions resolve via ``space.read`` (the fetched copy); written
     regions via ``space.writable`` (allocated on demand), so the body mutates
     the executing space's storage in place.
 
-    With a ``sanitizer`` the resolved buffers are wrapped in watched views
-    (same memory — functional results are unchanged) so the body's actual
-    reads and writes are recorded against the declared clauses.
+    Each ``watch_args`` interceptor (the sanitizer's, see
+    :mod:`repro.runtime.probes`) returns a wrapper every resolved buffer
+    passes through — watched views of the same memory, so functional
+    results are unchanged while the body's reads and writes are recorded.
     """
     directions = {a.region.key: a.direction
                   for a in (*task.accesses, *task.copies)}
-    record = sanitizer.begin_task(task) if sanitizer is not None else None
+    wraps = [watch(task) for watch in watch_args] if watch_args else ()
 
     def one(region: Region):
         direction = directions.get(region.key)
@@ -37,8 +38,8 @@ def resolve_args(task: Task, space, sanitizer=None) -> list:
             )
         buf = (space.writable(region) if direction.writes
                else space.read(region))
-        if record is not None:
-            buf = sanitizer.watch_buffer(record, region, buf)
+        for wrap in wraps:
+            buf = wrap(region, buf)
         return buf
 
     resolved = []
@@ -92,29 +93,28 @@ class SMPWorker:
             yield from self.execute(task)
 
     def execute(self, task: Task):
+        probes = self.rt.probes
         task.state = TaskState.RUNNING
         task.assigned_to = self
-        trace_start = self.env.now
+        start = self.env.now
+        for fn in probes.task_started:
+            fn(task, self)
         if self.rt.config.task_overhead:
             yield self.env.timeout(self.rt.config.task_overhead)
         yield from self.rt.coherence.stage_in(task, self)
         duration = task.smp_duration(self.node.spec.cpu)
         yield from self.node.run_cpu_work(duration)
         if self.rt.config.functional and task.func is not None:
-            task.func(*resolve_args(task, self.space, self.rt.sanitizer))
+            task.func(*resolve_args(task, self.space, probes.watch_args))
         yield from self.rt.coherence.commit_outputs(task, self)
-        if self.rt.tracer is not None:
-            self.rt.tracer.record("task", task.name, self.place_name,
-                                  trace_start, self.env.now)
         if task.subtasks is not None:
             # Hierarchical decomposition: children run on this image with
             # their own sibling-scope graph; the parent completes once they
             # all have (so its own siblings see the decomposed work done).
             yield self.image.run_children(task)
         self._c_tasks.value += 1
-        self.rt.metrics.observe("tasks.smp.duration",
-                                self.env.now - trace_start)
-        self.image.finish_task(task, self)
+        self.rt.metrics.observe("tasks.smp.duration", self.env.now - start)
+        self.image.finish_task(task, self, start)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SMPWorker n{self.node_index}.w{self.worker_index}>"

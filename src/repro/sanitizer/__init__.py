@@ -22,10 +22,10 @@ Or from the command line::
 
     python -m repro.sanitizer matmul stream perlin nbody
 
-Every runtime hook is gated on ``Runtime.sanitizer is None`` and no hook
-ever advances the simulated clock, so disabled runs execute the exact
-instruction stream they always did and enabled runs keep makespans
-bit-identical (tests/sanitizer/test_no_overhead.py pins both).
+The sanitizer is a probe subscriber (:mod:`repro.runtime.probes`): an
+unsubscribed point is an empty tuple, and no hook ever advances the
+simulated clock, so enabled runs keep makespans bit-identical
+(tests/sanitizer/test_no_overhead.py pins both).
 """
 
 from .clock import VectorClock
@@ -34,7 +34,6 @@ from .core import (
     MAIN_CTX,
     Finding,
     Sanitizer,
-    current_sanitizer,
     install,
 )
 from .recorder import BufferWatch, WatchedBuffer, wrap
@@ -50,6 +49,5 @@ __all__ = [
     "KINDS",
     "MAIN_CTX",
     "install",
-    "current_sanitizer",
     "render_report",
 ]

@@ -1,21 +1,20 @@
 """The sanitizer engine: hooks, happens-before, and clause validation.
 
-A :class:`Sanitizer` attaches to one :class:`~repro.runtime.Runtime`
-(either passed explicitly or picked up from :func:`install`'s active
-stack) and receives hook calls from the runtime layers:
+A :class:`Sanitizer` is a probe subscriber (:mod:`repro.runtime.probes`)
+of one :class:`~repro.runtime.Runtime` (passed explicitly or installed
+with :func:`install`).  It subscribes to:
 
-* ``note_submit`` — runtime/submit and Image.run_children: snapshots the
-  submitter's vector clock (main context or parent task);
-* ``note_arc`` — the dependency graph's arc observer: provenance of every
-  arc attempt ``(pred, succ, region, kind)``, including deduplicated ones;
-* ``begin_task`` / ``watch`` — worker/gpu_manager resolve_args: wraps
-  region buffers for one execution attempt (re-execution resets watches);
-* ``note_task_finish`` — Image.finish_task;
-* ``note_commit`` / ``note_stage_in`` — the coherence engine;
-* ``note_taskwait`` / ``note_taskwait_on`` — the synchronization joins;
-* ``note_host_read`` — api data handles (``handle.np`` / ``view.np``).
+* ``task_submitted`` — snapshots the submitter's vector clock (main
+  context or parent task);
+* ``dep_arc`` — provenance of every arc attempt ``(pred, succ, region,
+  kind)``, including deduplicated ones;
+* the ``watch_args`` interceptor — wraps region buffers for one execution
+  attempt (re-execution resets watches);
+* ``task_finished``, ``commit`` and ``transfer_issued``;
+* ``taskwait`` — the synchronization joins;
+* ``host_read`` — api data handles (``handle.np`` / ``view.np``).
 
-None of the hooks yields, sleeps, or touches the simulated clock: the
+None of them yields, sleeps, or touches the simulated clock: the
 sanitizer is pure host-side bookkeeping, so enabling it cannot move a
 single simulated timestamp (pinned by tests/sanitizer/test_no_overhead.py).
 
@@ -34,10 +33,10 @@ checks three ways:
 from __future__ import annotations
 
 import inspect
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..runtime import probes
 from .clock import VectorClock
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "Finding",
     "Sanitizer",
     "install",
-    "current_sanitizer",
 ]
 
 #: The main program's clock context (tasks use their tid, which starts at 1).
@@ -195,20 +193,19 @@ class Sanitizer:
         self.rt = runtime
 
     def _now(self) -> float:
-        return self.rt.env.now if self.rt is not None else 0.0
+        return self.rt.env.now
 
     def _inc(self, name: str, value: int = 1) -> None:
-        if self.rt is not None:
-            self.rt.metrics.inc(f"sanitizer.{name}", value)
+        self.rt.metrics.inc(f"sanitizer.{name}", value)
 
     def _remember_regions(self, task) -> None:
         for acc in (*task.accesses, *task.copies):
             self._region_objs.setdefault(acc.region.key, acc.region)
 
     # ------------------------------------------------------------------
-    # Hooks (called by the runtime; none advances simulated time)
+    # Probe points (none advances simulated time)
     # ------------------------------------------------------------------
-    def note_submit(self, task, parent=None) -> None:
+    def task_submitted(self, task, parent) -> None:
         """A task entered a dependency graph (master or child scope)."""
         if parent is None:
             self._main_counter += 1
@@ -229,8 +226,8 @@ class Sanitizer:
         self._remember_regions(task)
         self._inc("tasks_tracked")
 
-    def note_arc(self, pred, succ, region, kind: str, created: bool) -> None:
-        """Arc observer: every attempt, deduplicated arcs included, so a
+    def dep_arc(self, pred, succ, region, kind: str, created: bool) -> None:
+        """Every arc attempt, deduplicated arcs included, so a
         multi-region arc's provenance names every contributing clause."""
         self._arc_prov.setdefault((pred.tid, succ.tid), set()).add(
             (region.key, kind))
@@ -240,8 +237,10 @@ class Sanitizer:
         if created:
             self._inc("arcs_observed")
 
-    def begin_task(self, task) -> _TaskRecord:
-        """One execution attempt starts: reset watches, bump the epoch."""
+    def watch_args(self, task):
+        """Interceptor: one execution attempt of ``task`` starts (watches
+        reset, epoch bumped); returns the wrapper its resolved buffers pass
+        through."""
         rec = self._records.get(task.tid)
         if rec is None:
             # Defensive: a task executed without passing through submit
@@ -262,9 +261,9 @@ class Sanitizer:
         rec.start_vc = vc
         rec.final_vc = None
         self._inc("tasks_instrumented")
-        return rec
+        return lambda region, buffer: self._watch_buffer(rec, region, buffer)
 
-    def watch_buffer(self, rec: _TaskRecord, region, buffer):
+    def _watch_buffer(self, rec: _TaskRecord, region, buffer):
         """Wrap one resolved region buffer for ``rec``'s current attempt."""
         from .recorder import BufferWatch, wrap
 
@@ -277,67 +276,66 @@ class Sanitizer:
         self._region_objs.setdefault(region.key, region)
         return wrap(buffer, w)
 
-    def note_task_finish(self, task) -> None:
+    def task_finished(self, task, place, start: float, end: float) -> None:
         rec = self._records.get(task.tid)
         if rec is None or rec.finish_time is not None:
             return
-        rec.finish_time = self._now()
+        rec.finish_time = end
         self._finished_unjoined.append(rec.tid)
 
-    def note_commit(self, task, region, time: float) -> None:
+    def commit(self, task, written) -> None:
         rec = self._records.get(task.tid)
-        if rec is not None:
-            rec.committed[region.key] = time
-        self._region_objs.setdefault(region.key, region)
-        self._inc("commits_recorded")
+        now = self._now()
+        for acc in written:
+            if rec is not None:
+                rec.committed[acc.region.key] = now
+            self._region_objs.setdefault(acc.region.key, acc.region)
+            self._inc("commits_recorded")
 
-    def note_stage_in(self, task, region) -> None:
+    def transfer_issued(self, task, region, space) -> None:
+        """A real input transfer is about to happen — remembered so an
+        unused input clause can report the wasted bytes."""
         rec = self._records.get(task.tid)
         if rec is not None:
             rec.staged.add(region.key)
 
-    def note_taskwait(self) -> None:
-        """A full taskwait: join every finished task into the main clock."""
-        for tid in self._finished_unjoined:
-            rec = self._records.get(tid)
+    def taskwait(self, regions) -> None:
+        """A taskwait completed.  A full one (``regions`` None) joins every
+        finished task into the main clock; ``taskwait on(regions)`` joins
+        the (transitive) producers of the named regions — every finished
+        task that wrote an overlapping region is guaranteed complete by the
+        construct's contract."""
+        if regions is None:
+            joined = [self._records.get(t) for t in self._finished_unjoined]
+            self._finished_unjoined = []
+        else:
+            targets = [(r.obj.oid, r.start, r.end) for r in regions]
+            joined = [rec for rec in self._records.values()
+                      if rec.finish_time is not None
+                      and self._writes_overlapping(rec, targets)]
+        for rec in joined:
             if rec is not None:
                 self._main_vc.join(self._final(rec))
-        self._finished_unjoined = []
         self._main_counter += 1
         self._main_vc.set(MAIN_CTX, self._main_counter)
-        self._inc("taskwaits")
+        self._inc("taskwaits" if regions is None else "taskwaits_on")
 
-    def note_taskwait_on(self, regions) -> None:
-        """``taskwait on(...)``: join the (transitive) producers of the
-        named regions — every finished task that wrote an overlapping
-        region is guaranteed complete by the construct's contract."""
-        targets = [(r.obj.oid, r.start, r.end) for r in regions]
-        for rec in self._records.values():
-            if rec.finish_time is None:
-                continue
-            if self._writes_overlapping(rec, targets):
-                self._main_vc.join(self._final(rec))
-        self._main_counter += 1
-        self._main_vc.set(MAIN_CTX, self._main_counter)
-        self._inc("taskwaits_on")
-
-    def note_host_read(self, obj, start: int, end: int) -> None:
+    def host_read(self, obj, start: int, end: int) -> None:
         """The program read canonical host data (``handle.np``)."""
         self._main_counter += 1
         self._main_vc.set(MAIN_CTX, self._main_counter)
         stale = []
-        if self.rt is not None:
-            directory = self.rt.directory
-            home = self.rt.master_host
-            for key, region in self._region_objs.items():
-                if (key[0] == obj.oid and region.start < end
-                        and region.end > start):
-                    # Peek without creating an entry: lazily materializing
-                    # directory state from a read-only check would perturb
-                    # the run being observed.
-                    ent = directory._entries.get(key)
-                    if ent is not None and home not in ent.holders:
-                        stale.append(region)
+        directory = self.rt.directory
+        home = self.rt.master_host
+        for key, region in self._region_objs.items():
+            if (key[0] == obj.oid and region.start < end
+                    and region.end > start):
+                # Peek without creating an entry: lazily materializing
+                # directory state from a read-only check would perturb
+                # the run being observed.
+                ent = directory._entries.get(key)
+                if ent is not None and home not in ent.holders:
+                    stale.append(region)
         self._host_reads.append(_HostRead(
             obj, start, end, tick=self._main_counter,
             snapshot=self._main_vc.copy(), time=self._now(), stale=stale))
@@ -348,47 +346,29 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def _final(self, rec: _TaskRecord) -> VectorClock:
         """``rec``'s completion clock: submit ⊔ preds' finals ⊔ children's
-        finals, with its own component at its epoch (memoized)."""
-        if rec.final_vc is not None:
-            return rec.final_vc
-        todo: dict[int, _TaskRecord] = {}
-        stack = [rec]
+        finals, with its own component at its epoch (memoized; resolved
+        depth-first, each task after its dependences)."""
+        stack, expanded = [rec], set()
         while stack:
-            r = stack.pop()
-            if r.final_vc is not None or r.tid in todo:
+            r = stack[-1]
+            if r.final_vc is not None:
+                stack.pop()
                 continue
-            todo[r.tid] = r
-            for tid in (*r.preds, *r.children):
-                dep = self._records.get(tid)
-                if dep is not None and dep.final_vc is None:
-                    stack.append(dep)
-        # Resolve in dependency order (the graph is a DAG; the fixpoint
-        # loop needs at most longest-chain passes over the pending set).
-        while todo:
-            progressed = False
-            for tid in list(todo):
-                r = todo[tid]
-                deps = [self._records[t] for t in (*r.preds, *r.children)
-                        if t in self._records and t != tid]
-                if any(d.final_vc is None for d in deps):
-                    continue
-                vc = r.submit_vc.copy()
-                for d in deps:
+            deps = [self._records[t] for t in (*r.preds, *r.children)
+                    if t in self._records and t != r.tid]
+            if r.tid not in expanded:
+                expanded.add(r.tid)
+                stack.extend(d for d in deps if d.final_vc is None)
+                continue
+            vc = r.submit_vc.copy()
+            for d in deps:
+                if d.final_vc is not None:  # always, unless the DAG broke
                     vc.join(d.final_vc)
-                vc.set(r.tid, r.effective_epoch)
-                if r.start_vc is None:
-                    r.start_vc = vc.copy()
-                r.final_vc = vc
-                del todo[tid]
-                progressed = True
-            if not progressed:  # pragma: no cover - DAG invariant broken
-                for r in todo.values():
-                    vc = r.submit_vc.copy()
-                    vc.set(r.tid, r.effective_epoch)
-                    r.final_vc = vc
-                    if r.start_vc is None:
-                        r.start_vc = vc.copy()
-                break
+            vc.set(r.tid, r.effective_epoch)
+            if r.start_vc is None:
+                r.start_vc = vc.copy()
+            r.final_vc = vc
+            stack.pop()
         return rec.final_vc
 
     def _start(self, rec: _TaskRecord) -> VectorClock:
@@ -636,31 +616,14 @@ class Sanitizer:
                     "<main program>", region=region, time=hr.time)
 
 
-# ----------------------------------------------------------------------
-# Installation (how Program/Runtime find the active sanitizer)
-# ----------------------------------------------------------------------
-_ACTIVE: list[Sanitizer] = []
-
-
-def current_sanitizer() -> Sanitizer | None:
-    """The innermost installed sanitizer, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
 def install(sanitizer: Sanitizer | None = None):
-    """Context manager: runtimes built inside pick up the sanitizer.
-
-    ::
+    """Context manager: runtimes built inside are checked by ``sanitizer``
+    (a fresh one by default), yielded —
+    :func:`repro.runtime.probes.install` under the hood::
 
         with install() as san:
             prog = Program(machine, config)
             prog.run(main(prog))
         report(san.findings())
     """
-    san = sanitizer if sanitizer is not None else Sanitizer()
-    _ACTIVE.append(san)
-    try:
-        yield san
-    finally:
-        _ACTIVE.remove(san)
+    return probes.install(sanitizer or Sanitizer())

@@ -29,6 +29,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Iterable, Optional
 
+from ..metrics import CounterRegistry
+
 __all__ = [
     "Environment",
     "Event",
@@ -178,8 +180,14 @@ class Timeout(Event):
 class Environment:
     """Owns the virtual clock and the event queue."""
 
-    def __init__(self, initial_time: float = 0.0):
+    def __init__(self, initial_time: float = 0.0,
+                 metrics: Optional[CounterRegistry] = None):
         self._now = float(initial_time)
+        #: the run's counter registry, timed on the simulated clock: the
+        #: hardware, the CUDA streams and the runtime built over this
+        #: environment all count into it.  Pass one to share it across runs.
+        self.metrics = (metrics if metrics is not None
+                        else CounterRegistry(clock=lambda: self._now))
         #: timed events: a heap of (when, priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
         #: immediate lanes: per-priority FIFOs of (seq, event) scheduled at

@@ -12,7 +12,12 @@ below were recorded from the seed run (see that module's docstring for the
 re-recording procedure).
 """
 
+import io
+
 import pytest
+
+from repro.runtime import probes, trace
+from repro.sanitizer import install as install_sanitizer
 
 from .golden_scenarios import SCENARIOS
 
@@ -55,3 +60,36 @@ def test_makespan_is_bit_identical(name):
     # Exact float equality on purpose: the swap of queue/cache/graph
     # internals must not change which event fires when.
     assert SCENARIOS[name]() == GOLDEN_MAKESPANS[name]
+
+
+class _Snapshots:
+    """A subscriber to no point: keeps each runtime built while installed."""
+
+    def __init__(self):
+        self.runtimes = []
+
+    def attach(self, runtime):
+        self.runtimes.append(runtime)
+
+    def taken(self):
+        # Wall-clock gauges differ between any two runs; the sanitizer's own
+        # counters exist only when it is subscribed.
+        return [{k: v for k, v in rt.metrics.snapshot().items()
+                 if not k.startswith(("engine.wall_seconds",
+                                      "engine.events_per_wall_second",
+                                      "sanitizer."))}
+                for rt in self.runtimes]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_subscriber_on_keeps_makespan_and_counters(name):
+    with probes.install(_Snapshots()) as plain:
+        SCENARIOS[name]()
+    stream = io.StringIO()
+    with probes.install(_Snapshots()) as watched, \
+            trace.install() as tracer, install_sanitizer(), \
+            probes.install(probes.JsonLinesRecorder(stream)):
+        makespan = SCENARIOS[name]()
+    assert makespan == GOLDEN_MAKESPANS[name]
+    assert plain.runtimes and watched.taken() == plain.taken()
+    assert tracer.events and stream.getvalue()

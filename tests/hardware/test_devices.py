@@ -72,14 +72,13 @@ def test_link_degraded_hold_time_is_accounted():
     assert link.busy_seconds == pytest.approx(3.0 * (0.5 + 1.0))
 
 
-def test_link_metrics_mirror_counters():
-    from repro.metrics import CounterRegistry
+def test_link_counts_into_the_environment_registry():
     env = Environment()
     link = Link(env, bandwidth=1e6, latency=0.0, name="nic0.tx")
-    registry = CounterRegistry()
-    link.attach_metrics(registry)
+    registry = env.metrics
     env.process(link.transfer(2_000_000))
     env.run()
+    assert link.bytes_moved == 2_000_000 and link.transfer_count == 1
     assert registry.value("hardware.link.nic0.tx.bytes_moved") == 2_000_000
     assert registry.value("hardware.link.nic0.tx.transfers") == 1
     assert registry.value("hardware.link.nic0.tx.busy_seconds") \

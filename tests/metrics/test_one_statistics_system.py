@@ -31,25 +31,29 @@ from tests.bench.golden_scenarios import _ST, SCENARIOS, _mgpu
 
 # ------------------------------------------------------- (a) parity on runs
 
-#: scenario -> (run, Program.stats, number of snapshot keys).
+#: scenario -> (run, Program.stats, number of snapshot keys).  The key
+#: counts include the hardware's own counters: two ``hardware.gpu.*`` per
+#: GPU, ``hardware.network.*`` on a cluster, and one ``hardware.link.*``
+#: set per GPU link (node-qualified on a cluster, whose nodes each have a
+#: ``gpu0``).
 PINNED = {
     "matmul-4gpu-wb-affinity": (
         SCENARIOS["matmul-4gpu-wb-affinity"],
         {"tasks": 512, "transfers": 520, "bytes_transferred": 8519680,
          "dedup_hits": 0, "cache_hits": 1022, "cache_misses": 514,
-         "cache_evictions": 0, "network_bytes": 0}, 144),
+         "cache_evictions": 0, "network_bytes": 0}, 152),
     "matmul-2node-stos-ps4": (
         SCENARIOS["matmul-2node-stos-ps4"],
         {"tasks": 704, "transfers": 352, "bytes_transferred": 5767168,
          "dedup_hits": 4, "cache_hits": 1280, "cache_misses": 256,
-         "cache_evictions": 0, "network_bytes": 1634304}, 132),
+         "cache_evictions": 0, "network_bytes": 1634304}, 146),
     # nocache drops every region after its task: one eviction per miss.
     "stream-2gpu-nocache": (
         lambda: stream.run_ompss(fresh_multi_gpu(2), _ST,
                                  config=_mgpu("nocache", "default")),
         {"tasks": 208, "transfers": 528, "bytes_transferred": 1081344,
          "dedup_hits": 0, "cache_hits": 0, "cache_misses": 528,
-         "cache_evictions": 528, "network_bytes": 0}, 96),
+         "cache_evictions": 528, "network_bytes": 0}, 100),
 }
 
 
@@ -122,6 +126,33 @@ def test_bare_am_layer_counts_into_a_private_registry():
     assert am.short_sent == 1 and am.long_sent == 0
     assert am.bytes_sent == SHORT_SIZE
     assert am.metrics.value("am.link.0->1.messages") == 1
+    # The AM layer has an environment: no registry given means its one.
+    assert am.metrics is env.metrics
+
+
+def test_mpi_cuda_baseline_counts_into_the_machine_registry():
+    """No Runtime: the hardware and the CUDA streams still report."""
+    from repro.apps.matmul import MatmulSize
+    from repro.apps.matmul.mpi_cuda import run_mpi_cuda
+
+    env = Environment()
+    machine = build_gpu_cluster(env, num_nodes=2)
+    run_mpi_cuda(machine, MatmulSize(n=256, bs=64), functional=False)
+    snap = machine.metrics.snapshot()
+    links = [link for node in machine.nodes
+             for link in (node.membus, node.nic_tx, node.nic_rx,
+                          *(l for g in node.gpus for l in (g.h2d, g.d2h)))]
+    for link in links:
+        key = f"hardware.link.{link.name}.bytes_moved"
+        assert snap[key] == link.bytes_moved, key
+    assert machine.nodes[0].nic_tx.bytes_moved > 0
+    assert snap["hardware.network.bytes_moved"] \
+        == machine.network.bytes_moved > 0
+    ops = {k: v for k, v in snap.items()
+           if k.startswith("cuda.stream.") and k.endswith(".ops")}
+    assert len(ops) == 2 and all(ops.values())
+    assert all(snap[f"hardware.gpu.node{n}.gpu0.kernels"] > 0
+               for n in (0, 1))
 
 
 def test_bare_directory_counts_into_a_private_registry():
@@ -179,9 +210,10 @@ SEVEN = ("runtime/scheduler/base.py", "runtime/scheduler/policies.py",
          "runtime/scheduler/critical_path.py", "gasnet/am.py",
          "memory/cache.py", "memory/directory.py")
 #: ``if metrics is None:`` default lines allowed per module (one per
-#: constructor that takes ``metrics=None``).
+#: constructor that takes ``metrics=None``; the AM layer takes none, it
+#: counts into its environment's registry).
 DEFAULTS = {"runtime/scheduler/base.py": 1,
-            "runtime/scheduler/critical_path.py": 1, "gasnet/am.py": 1,
+            "runtime/scheduler/critical_path.py": 1,
             "memory/cache.py": 1, "memory/directory.py": 1}
 #: the statistics that used to be kept twice; none may be a plain integer
 #: attribute again anywhere they used to live.

@@ -214,10 +214,9 @@ def test_registry_can_be_shared_across_runs():
     from repro.metrics import CounterRegistry
     shared = CounterRegistry()
     for _ in range(2):
-        env = Environment()
+        env = Environment(metrics=shared)
         machine = build_multi_gpu_node(env, num_gpus=1)
-        prog = Program(machine, RuntimeConfig(functional=False),
-                       metrics=shared)
+        prog = Program(machine, RuntimeConfig(functional=False))
         size = MatmulSize(n=128, bs=128)
         a = prog.array("A", size.elements)
         b = prog.array("B", size.elements)

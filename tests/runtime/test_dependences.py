@@ -118,17 +118,14 @@ def test_finished_predecessor_creates_no_arc():
     assert g.add_task(r)  # ready immediately: producer already done
 
 
-def test_on_ready_callback():
-    freed = []
-    g = DependencyGraph(on_ready=freed.append)
+def test_ready_tasks_are_returned():
+    g = DependencyGraph()
     o = obj()
     w = make_task("w", acc(o.whole, Direction.OUT))
     r = make_task("r", acc(o.whole, Direction.IN))
-    g.add_task(w)
-    g.add_task(r)
-    assert freed == [w]
-    g.task_finished(w)
-    assert freed == [w, r]
+    assert g.add_task(w)
+    assert not g.add_task(r)
+    assert g.task_finished(w) == [r]
 
 
 def test_last_writer_of():
@@ -159,14 +156,14 @@ def test_live_count():
 
 
 def test_arc_statistics():
-    g = DependencyGraph()
+    arcs = []
+    g = DependencyGraph(on_arc=(lambda *arc: arcs.append(arc),))
     o = obj()
     w = make_task("w", acc(o.whole, Direction.OUT))
     r = make_task("r", acc(o.whole, Direction.IN))
     g.add_task(w)
     g.add_task(r)
-    assert g.tasks_added == 2
-    assert g.arcs_created == 1
+    assert arcs == [(w, r, o.whole, "raw", True)]
 
 
 def test_no_duplicate_arcs():

@@ -2,8 +2,8 @@
 
 Two claims, both bit-exact:
 
-1. With no sanitizer installed, the golden makespans are unchanged (the
-   hooks compile down to ``if sanitizer is None`` branches).
+1. With no sanitizer installed, the golden makespans are unchanged (its
+   probe points are bound as empty tuples).
 2. Even with the sanitizer *enabled*, simulated time is identical — all
    bookkeeping is host-side Python between events, which the discrete
    event clock never charges for.  Observability must not change what
