@@ -12,7 +12,7 @@ With ``parallel=N`` every point runs in its own process, **forked from
 the pre-sweep process** (the parent runs no point itself) and supervised
 directly by :func:`run_points` through
 :class:`repro.service.isolation.IsolatedCall` — the supervisor behind
-the service's :class:`~repro.service.backends.PoolBackend`, with no
+the service's forking :class:`~repro.service.backends.Backend`, with no
 worker pool and no thread in between; at most N are alive at a time.
 So module-level counters (stream ids, cache use clocks) are identical
 for every point and one point can never observe another's state.  A

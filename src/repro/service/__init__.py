@@ -21,8 +21,8 @@ Layers (docs/SERVICE.md is the guide):
 * :mod:`repro.service.isolation` — the process supervisor: one fork per
   job, and per point of a figure sweep (:mod:`repro.bench.sweep`);
 * :mod:`repro.service.queue`     — priorities + weighted fair queueing;
-* :mod:`repro.service.backends`  — ``AbstractBackend`` and the eager /
-  one-fork-per-job pool implementations;
+* :mod:`repro.service.backends`  — ``Backend(workers)``: in-process
+  (``workers=0``) or one fork per job;
 * :mod:`repro.service.api`       — the :class:`Service` submit/poll/
   stream/fetch façade;
 * ``python -m repro.service``    — submit / status / artifacts / worker /
@@ -30,7 +30,7 @@ Layers (docs/SERVICE.md is the guide):
 """
 
 from .api import Service
-from .backends import AbstractBackend, EagerBackend, PoolBackend
+from .backends import Backend
 from .job import JobRequest, JobResult, JobState
 from .queue import JobQueue
 from .runner import execute_request
@@ -42,9 +42,7 @@ __all__ = [
     "JobResult",
     "JobState",
     "JobQueue",
-    "AbstractBackend",
-    "EagerBackend",
-    "PoolBackend",
+    "Backend",
     "StagingDir",
     "ARTIFACTS",
     "execute_request",

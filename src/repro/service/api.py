@@ -15,10 +15,13 @@ pumps jobs between them::
 ``submit`` returns immediately with a job id; :meth:`Service.pump` is
 the single synchronous step (collect finished outcomes, then dispatch
 queued jobs to backends with free slots, in queue order).  ``poll``,
-``stream_status`` and ``wait`` are conveniences over ``pump``.  All
-lifecycle transitions are mirrored to the staging directory
-(``status.json``), so an out-of-process observer — the CLI ``status``
-command — sees the same states the in-process API reports.
+``stream_status``, ``wait`` and ``run_until_idle`` are conveniences over
+``pump``; when a pump changes nothing they block in ``select`` on the
+running forked jobs' pipes, never in a sleep.  All lifecycle transitions
+are mirrored to the staging directory (``status.json``; a ``running``
+one names this process as its ``worker``), so an out-of-process observer
+— the CLI ``status`` command, or a ``worker`` re-adopting the jobs of a
+killed one — sees the same states the in-process API reports.
 
 A service simulates each distinct request once.  Jobs whose requests
 have the same :meth:`~repro.service.job.JobRequest.content_key` — equal
@@ -39,13 +42,15 @@ queue depth, host-time latency histograms.
 from __future__ import annotations
 
 import copy
+import os
+import select
 import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..metrics import CounterRegistry
-from .backends import AbstractBackend, EagerBackend, PoolBackend
+from .backends import Backend
 from .job import JobRequest, JobResult, JobState
 from .queue import JobQueue
 from .staging import StagingDir
@@ -64,8 +69,6 @@ class _JobRecord:
     state: JobState = JobState.QUEUED
     backend: str = ""
     result: Optional[JobResult] = None
-    seq: int = 0
-    dispatch_seq: Optional[int] = None
 
 
 @dataclass
@@ -85,24 +88,17 @@ class Service:
     Routing is a rule, not a part: with both an ``eager`` and a ``pool``
     backend, cluster runs and wide (3+ device) nodes are forked on the
     pool while small single-node runs stay in-process; otherwise every
-    job goes to the first (normally the only) backend.
+    job goes to the first (normally the only) backend.  ``weights`` are
+    the tenants' fair-share weights for the queue the service builds.
     """
 
     def __init__(self,
-                 backends: "dict[str, AbstractBackend] | None" = None,
-                 queue: Optional[JobQueue] = None,
-                 staging: "StagingDir | str | None" = None,
-                 metrics: Optional[CounterRegistry] = None):
-        self.metrics = metrics if metrics is not None else CounterRegistry()
-        self.backends = dict(backends) if backends else \
-            {"eager": EagerBackend()}
-        for name, backend in self.backends.items():
-            backend.name = name
-        self.queue = queue if queue is not None else JobQueue()
-        if self.queue.metrics is None:
-            # Adopted queues report into the service's registry, so the
-            # fair-share counters land in the same snapshot.
-            self.queue.metrics = self.metrics
+                 backends: "dict[str, Backend] | None" = None,
+                 weights: "dict[str, float] | None" = None,
+                 staging: "StagingDir | str | None" = None):
+        self.metrics = CounterRegistry()
+        self.backends = dict(backends) if backends else {"eager": Backend()}
+        self.queue = JobQueue(weights, metrics=self.metrics)
         self._tmpdir = None
         if staging is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-svc-")
@@ -114,30 +110,29 @@ class Service:
         #: and never evicted: it holds one payload per distinct request of
         #: a service that already keeps every job's result.
         self._cache: "dict[str, _CacheEntry]" = {}
-        self._seq = 0
-        self._dispatch_seq = 0
+        #: job ids in the order they were popped off the queue.
+        self._dispatched: "list[str]" = []
 
     @classmethod
     def local(cls, workers: int = 0,
-              staging: "StagingDir | str | None" = None,
-              **kwargs) -> "Service":
+              staging: "StagingDir | str | None" = None) -> "Service":
         """An eager-only service, or eager + ``workers``-slot pool."""
-        backends: dict[str, AbstractBackend] = {"eager": EagerBackend()}
+        backends = {"eager": Backend()}
         if workers > 0:
-            backends["pool"] = PoolBackend(workers=workers)
-        return cls(backends=backends, staging=staging, **kwargs)
+            backends["pool"] = Backend(workers)
+        return cls(backends=backends, staging=staging)
 
     # -- submission -------------------------------------------------------
     def submit(self, request: JobRequest,
                job_id: Optional[str] = None) -> str:
         """Enqueue a request; returns its job id immediately."""
         if job_id is None:
-            job_id = f"job-{self._seq:04d}-{request.tenant}-{request.app}"
+            job_id = (f"job-{len(self._jobs):04d}-{request.tenant}-"
+                      f"{request.app}")
         if job_id in self._jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
         record = _JobRecord(request=request, key=request.content_key(),
-                            submitted_at=time.perf_counter(), seq=self._seq)
-        self._seq += 1
+                            submitted_at=time.perf_counter())
         self._jobs[job_id] = record
         self.staging.write_request(job_id, request)
         self.staging.write_status(job_id, JobState.QUEUED,
@@ -159,15 +154,12 @@ class Service:
         full, but only ever from the head of the queue.
         """
         progressed = 0
-        for backend in self.backends.values():
+        for name, backend in self.backends.items():
             for job_id in backend.active():
-                record = self._jobs.get(job_id)
-                if record is None or record.state is not JobState.RUNNING:
-                    continue
                 outcome = backend.poll(job_id)
                 if outcome is not None:
-                    progressed += self._settle(job_id, record, outcome,
-                                               backend)
+                    progressed += self._settle(job_id, self._jobs[job_id],
+                                               outcome, name)
         while self.queue:
             job_id, request = self.queue.peek()
             record = self._jobs[job_id]
@@ -175,22 +167,21 @@ class Service:
             if entry is None:
                 if "pool" in self.backends and "eager" in self.backends:
                     heavy = request.machine == "cluster" or request.count >= 3
-                    backend = self.backends["pool" if heavy else "eager"]
+                    name = "pool" if heavy else "eager"
                 else:
-                    backend = next(iter(self.backends.values()))
-                if backend.free_slots() <= 0:
+                    name = next(iter(self.backends))
+                if self.backends[name].free_slots() <= 0:
                     break
             popped_id, request = self.queue.pop()
             assert popped_id == job_id
             record.state = JobState.RUNNING
-            record.dispatch_seq = self._dispatch_seq
-            self._dispatch_seq += 1
+            self._dispatched.append(job_id)
             record.dispatched_at = time.perf_counter()
             progressed += 1
             if entry is None:                      # miss: execute it
                 if record.key is not None:
                     self._cache[record.key] = _CacheEntry(leader=job_id)
-                self._start(job_id, record, backend)
+                self._start(job_id, record, name)
                 continue
             record.backend = "cache"
             if entry.payload is None:              # join the execution
@@ -201,7 +192,8 @@ class Service:
                 entry.followers.append(job_id)
                 self.staging.write_status(job_id, JobState.RUNNING,
                                           backend=record.backend,
-                                          tenant=request.tenant)
+                                          tenant=request.tenant,
+                                          worker=os.getpid())
             else:                                  # hit: finished already
                 self._finish(job_id, record, ("ok", entry.payload),
                              cached_from=entry.leader)
@@ -210,19 +202,18 @@ class Service:
             sum(len(b.active()) for b in self.backends.values()))
         return progressed
 
-    def _start(self, job_id: str, record: _JobRecord,
-               backend: AbstractBackend) -> None:
+    def _start(self, job_id: str, record: _JobRecord, backend: str) -> None:
         """Begin one execution of ``record``'s request on ``backend``."""
-        record.backend = backend.name
-        self.staging.write_status(job_id, JobState.RUNNING,
-                                  backend=backend.name,
-                                  tenant=record.request.tenant)
-        self.metrics.inc(f"service.backend.{backend.name}.dispatched")
+        record.backend = backend
+        self.staging.write_status(job_id, JobState.RUNNING, backend=backend,
+                                  tenant=record.request.tenant,
+                                  worker=os.getpid())
+        self.metrics.inc(f"service.backend.{backend}.dispatched")
         self.metrics.inc("service.cache.misses")
-        backend.start(job_id, record.request)
+        self.backends[backend].start(job_id, record.request)
 
     def _settle(self, job_id: str, record: _JobRecord, outcome,
-                backend: AbstractBackend) -> int:
+                backend: str) -> int:
         """Finish a job ``backend`` executed and whatever waited on it;
         returns the number of state transitions."""
         self._finish(job_id, record, outcome)
@@ -323,19 +314,18 @@ class Service:
         self.pump()
         return self.state(job_id)
 
-    def stream_status(self, job_id: str, poll_interval: float = 0.01,
-                      timeout: Optional[float] = None
+    def stream_status(self, job_id: str, timeout: Optional[float] = None
                       ) -> "Iterator[JobState]":
         """Yield the job's state now and on every change, pumping between
-        polls, until it reaches a terminal state (which is yielded)."""
+        waits, until it reaches a terminal state (which is yielded)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         last = self.state(job_id)
         yield last
         while not last.terminal:
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(f"job {job_id} still {last.value}")
             if self.pump() == 0:
-                time.sleep(poll_interval)
+                self._block(deadline)
             state = self.state(job_id)
             if state is not last:
                 last = state
@@ -353,10 +343,24 @@ class Service:
         deadline = None if timeout is None else time.monotonic() + timeout
         while self.queue or any(
                 r.state is JobState.RUNNING for r in self._jobs.values()):
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError("service did not drain in time")
             if self.pump() == 0:
-                time.sleep(0.005)
+                self._block(deadline)
+
+    def _block(self, deadline: Optional[float]) -> None:
+        """After a pump that changed nothing, wait until a forked job
+        writes to its pipe or ``deadline`` passes.  In-process jobs finish
+        inside ``start``: with no pipe, nothing running can ever finish."""
+        fds = [fd for backend in self.backends.values()
+               for fd in backend.fds()]
+        if not fds:
+            stuck = [job_id for job_id, record in self._jobs.items()
+                     if record.state is JobState.RUNNING]
+            raise RuntimeError(f"no process to wait on for running jobs "
+                               f"{', '.join(stuck)}")
+        select.select(fds, [], [], None if deadline is None
+                      else max(0.0, deadline - time.monotonic()))
 
     def result(self, job_id: str) -> JobResult:
         record = self._record(job_id)
@@ -372,9 +376,7 @@ class Service:
 
     def dispatch_order(self) -> "list[str]":
         """Job ids in the order they reached a backend (fairness probe)."""
-        started = [(r.dispatch_seq, jid) for jid, r in self._jobs.items()
-                   if r.dispatch_seq is not None]
-        return [jid for _, jid in sorted(started)]
+        return list(self._dispatched)
 
     def __contains__(self, job_id: str) -> bool:
         return job_id in self._jobs

@@ -4,9 +4,10 @@ Five subcommands cover the job lifecycle without a daemon (the staging
 directory *is* the queue — i-VRESSE bartender's file-staging shape):
 
 * ``submit``    — stage a request as ``queued``; prints the job id.
-* ``worker``    — drain every queued job in the staging dir through a
-  local service (eager or fork-isolated pool backends); ``--watch``
-  keeps scanning for new submissions.
+* ``worker``    — drain every queued job in the staging dir, and every
+  ``running`` one whose worker process is gone, through a local service
+  (in-process or one fork per job); ``--watch`` keeps scanning for new
+  submissions.
 * ``status``    — print a job's ``status.json``.
 * ``artifacts`` — list (or ``--fetch`` one of) a job's staged artifacts.
 * ``demo``      — put a mixed-tenant batch of nine functional jobs
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import uuid
@@ -36,10 +38,9 @@ from typing import Optional
 
 from ..runtime.config import SCHEDULERS, RuntimeConfig
 from .api import Service
-from .backends import EagerBackend, PoolBackend
+from .backends import Backend
 from .job import (APPS, MACHINES, VERSIONS, JobRequest, JobResult,
                   JobState)
-from .queue import JobQueue
 from .staging import StagingDir
 
 __all__ = ["main"]
@@ -58,20 +59,6 @@ def _parse_size(text: Optional[str]) -> Optional[dict]:
     return out
 
 
-def _parse_weights(text: Optional[str]) -> "dict[str, float]":
-    """``"alice=2,bob=1"`` → ``{"alice": 2.0, "bob": 1.0}``."""
-    if not text:
-        return {}
-    out = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        if not _:
-            raise SystemExit(f"bad --weights entry {part!r} "
-                             f"(want tenant=weight)")
-        out[key.strip()] = float(value)
-    return out
-
-
 def _request_from_args(args) -> JobRequest:
     if args.request:
         with open(args.request) as fh:
@@ -86,15 +73,6 @@ def _request_from_args(args) -> JobRequest:
         scheduler=args.scheduler, sanitize=args.sanitize,
         collect_trace=not args.no_trace, tenant=args.tenant,
         priority=args.priority, cost=args.cost)
-
-
-def _build_service(staging: str, pool: int,
-                   weights: "dict[str, float]") -> Service:
-    backends = ({"pool": PoolBackend(workers=pool)} if pool > 0
-                else {"eager": EagerBackend()})
-    return Service(backends=backends,
-                   queue=None if not weights else JobQueue(weights=weights),
-                   staging=StagingDir(staging))
 
 
 def cmd_submit(args) -> int:
@@ -139,8 +117,21 @@ def _staged_status(staging: StagingDir, job_id: str) -> dict:
         return {"state": JobState.FAILED.value}
 
 
+def _worker_gone(status: dict) -> bool:
+    """Whether the process a ``running`` status names as its ``worker``
+    has exited (staging is one host's directory; signal 0 sends nothing)."""
+    try:
+        os.kill(status["worker"], 0)
+    except ProcessLookupError:
+        return True
+    except (LookupError, TypeError, OSError, OverflowError):
+        pass                        # no pid, or another user's live process
+    return False
+
+
 def _drain_pass(svc: Service, staging: StagingDir) -> int:
-    """Adopt every still-queued staged job; returns how many were new.
+    """Adopt every still-queued staged job, and every ``running`` one
+    whose worker process is gone (killed mid-job); returns how many.
 
     A ``request.json`` that does not decode into a valid
     :class:`JobRequest` (truncated JSON, unknown app, a field of a newer
@@ -152,7 +143,9 @@ def _drain_pass(svc: Service, staging: StagingDir) -> int:
         if job_id in svc:
             continue
         status = _staged_status(staging, job_id)
-        if status.get("state") != JobState.QUEUED.value:
+        state = status.get("state")
+        if state != JobState.QUEUED.value and not (
+                state == JobState.RUNNING.value and _worker_gone(status)):
             continue
         try:
             request = staging.read_request(job_id)
@@ -167,8 +160,9 @@ def _drain_pass(svc: Service, staging: StagingDir) -> int:
 
 def cmd_worker(args) -> int:
     staging = StagingDir(args.staging)
-    with _build_service(args.staging, args.pool,
-                        _parse_weights(args.weights)) as svc:
+    with Service(backends={"pool" if args.pool else "eager":
+                           Backend(args.pool)},
+                 staging=staging) as svc:
         while True:
             adopted = _drain_pass(svc, staging)
             svc.run_until_idle()
@@ -227,8 +221,7 @@ def cmd_demo(args) -> int:
     print(f"submitting {len(batch)} functional jobs for "
           f"{len(weights)} tenants (weights {weights}) "
           f"onto a {args.workers}-worker fork-isolated pool…")
-    with Service(backends={"pool": PoolBackend(workers=args.workers)},
-                 queue=JobQueue(weights=weights),
+    with Service(backends={"pool": Backend(args.workers)}, weights=weights,
                  staging=args.staging) as svc:
         ids = [svc.submit(req) for req in batch]
         svc.run_until_idle(timeout=600)
@@ -308,8 +301,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_worker.add_argument("--pool", type=int, default=0, metavar="N",
                           help="run on an N-worker fork-isolated pool "
                                "(default: eager in-process)")
-    p_worker.add_argument("--weights", help='tenant weights, e.g. '
-                                            '"alice=2,bob=1"')
     p_worker.add_argument("--watch", type=float, default=None,
                           metavar="SECONDS",
                           help="keep scanning for new submissions every "

@@ -1,7 +1,7 @@
 """The process supervisor: one ``os.fork`` per isolated call, nothing else.
 
-Two consumers run simulations off-process — the service's
-:class:`~repro.service.backends.PoolBackend` (a process per job) and the
+Two consumers run simulations off-process — a forking
+:class:`~repro.service.backends.Backend` (a process per job) and the
 figure sweep :func:`repro.bench.sweep.run_points` (a process per point).
 Both hold :class:`IsolatedCall` handles with nothing in between — no
 worker pool, no thread, no queue — and this module's ``os.fork`` is the

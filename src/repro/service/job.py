@@ -72,23 +72,17 @@ def _defaults(cls) -> dict:
     return out
 
 
-def _event_to_dict(ev: FaultEvent) -> dict:
-    base = _defaults(FaultEvent)
-    doc = {"kind": ev.kind}
-    for f in fields(FaultEvent):
-        v = getattr(ev, f.name)
-        if f.name != "kind" and v != base[f.name]:
-            doc[f.name] = v
-    return doc
+def _diff(obj, always: "tuple[str, ...]" = ()) -> dict:
+    """The dataclass ``obj``'s fields named in ``always`` or differing
+    from their defaults, in field order."""
+    base = _defaults(type(obj))
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name in always or getattr(obj, f.name) != base[f.name]}
 
 
 def _plan_to_dict(plan: FaultPlan) -> dict:
-    base = _defaults(FaultPlan)
-    doc: dict = {"events": [_event_to_dict(ev) for ev in plan.events]}
-    for f in fields(FaultPlan):
-        v = getattr(plan, f.name)
-        if f.name != "events" and v != base[f.name]:
-            doc[f.name] = v
+    doc = _diff(plan, always=("events",))
+    doc["events"] = [_diff(ev, always=("kind",)) for ev in plan.events]
     return doc
 
 
@@ -99,17 +93,11 @@ def _plan_from_dict(doc: dict) -> FaultPlan:
 
 
 def _config_to_dict(config: RuntimeConfig) -> dict:
-    base = _defaults(RuntimeConfig)
-    doc = {}
-    for f in fields(RuntimeConfig):
-        v = getattr(config, f.name)
-        if v == base[f.name]:
-            continue
-        if f.name == "cache_policy":
-            v = v.value
-        elif f.name == "fault_plan":
-            v = _plan_to_dict(v)
-        doc[f.name] = v
+    doc = _diff(config)
+    if "cache_policy" in doc:
+        doc["cache_policy"] = doc["cache_policy"].value
+    if "fault_plan" in doc:
+        doc["fault_plan"] = _plan_to_dict(doc["fault_plan"])
     return doc
 
 
@@ -188,11 +176,6 @@ class JobRequest:
                 raise ValueError("sanitize requires a functional-mode "
                                  "config (bodies must actually run)")
 
-    @property
-    def label(self) -> str:
-        return f"{self.tenant}/{self.app}-{self.version}@" \
-               f"{self.machine}x{self.count}"
-
     def resolved_config(self) -> RuntimeConfig:
         """The effective :class:`RuntimeConfig` after overrides."""
         config = self.config or RuntimeConfig()
@@ -225,17 +208,11 @@ class JobRequest:
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
-        base = _defaults(JobRequest)
-        doc: dict = {"app": self.app}
-        for f in fields(JobRequest):
-            v = getattr(self, f.name)
-            if f.name == "app" or v == base[f.name]:
-                continue
-            if f.name == "config":
-                v = _config_to_dict(v)
-            elif f.name == "fault_plan":
-                v = _plan_to_dict(v)
-            doc[f.name] = v
+        doc = _diff(self, always=("app",))
+        if "config" in doc:
+            doc["config"] = _config_to_dict(doc["config"])
+        if "fault_plan" in doc:
+            doc["fault_plan"] = _plan_to_dict(doc["fault_plan"])
         return doc
 
     @classmethod
@@ -278,8 +255,8 @@ class JobResult:
     #: service's result cache served it (``backend == "cache"``).
     cached_from: Optional[str] = None
 
-    def to_dict(self, include_metrics: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "job_id": self.job_id,
             "state": self.state.value,
             "app": self.app,
@@ -294,9 +271,6 @@ class JobResult:
             "artifacts": self.artifacts,
             "cached_from": self.cached_from,
         }
-        if include_metrics:
-            doc["metrics"] = self.metrics
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "JobResult":

@@ -40,29 +40,27 @@ class JobQueue:
     """Strict-priority, tenant-weighted fair FIFO queue."""
 
     def __init__(self, weights: "dict[str, float] | None" = None,
-                 default_weight: float = 1.0,
                  metrics: Optional[CounterRegistry] = None):
-        if default_weight <= 0:
-            raise ValueError("default_weight must be positive")
         self._weights = dict(weights or {})
         for tenant, w in self._weights.items():
             if w <= 0:
                 raise ValueError(f"weight for {tenant!r} must be positive")
-        self._default_weight = default_weight
         #: (priority, tenant) -> FIFO of (job_id, request)
         self._queues: "dict[tuple[int, str], deque]" = {}
         self._vtime: "dict[str, float]" = {}
         self._vclock = 0.0
         self._len = 0
-        #: registry the ``service.*`` queue counters report into.  ``None``
-        #: means "not bound yet": a :class:`~repro.service.api.Service`
-        #: adopting this queue binds its own registry, so queue and
-        #: service counters land in one snapshot.
+        if metrics is None:
+            metrics = CounterRegistry()
+        #: registry the ``service.*`` queue counters report into: the
+        #: owning :class:`~repro.service.api.Service`'s, so queue and
+        #: service counters land in one snapshot; a bare queue's own.
         self.metrics = metrics
 
     # -- configuration ----------------------------------------------------
     def weight(self, tenant: str) -> float:
-        return self._weights.get(tenant, self._default_weight)
+        """A tenant's fair-share weight; 1 unless configured."""
+        return self._weights.get(tenant, 1.0)
 
     # -- queue operations -------------------------------------------------
     def push(self, job_id: str, request: JobRequest) -> None:
@@ -75,9 +73,8 @@ class JobQueue:
         key = (request.priority, tenant)
         self._queues.setdefault(key, deque()).append((job_id, request))
         self._len += 1
-        if self.metrics is not None:
-            self.metrics.inc(f"service.tenant.{tenant}.queued")
-            self.metrics.set_gauge("service.queue.depth", self._len)
+        self.metrics.inc(f"service.tenant.{tenant}.queued")
+        self.metrics.set_gauge("service.queue.depth", self._len)
 
     def _tenant_active(self, tenant: str) -> bool:
         return any(q for (_, t), q in self._queues.items() if t == tenant)
@@ -107,10 +104,9 @@ class JobQueue:
         # tag; its own clock advances by the job's weighted cost.
         self._vclock = self._vtime[tenant]
         self._vtime[tenant] += request.cost / self.weight(tenant)
-        if self.metrics is not None:
-            self.metrics.inc(f"service.tenant.{tenant}.dispatched")
-            self.metrics.inc("service.jobs_dispatched")
-            self.metrics.set_gauge("service.queue.depth", self._len)
+        self.metrics.inc(f"service.tenant.{tenant}.dispatched")
+        self.metrics.inc("service.jobs_dispatched")
+        self.metrics.set_gauge("service.queue.depth", self._len)
         return job_id, request
 
     # -- introspection ----------------------------------------------------

@@ -14,12 +14,13 @@ import shutil
 import signal
 import subprocess
 import time
+import types
 
 import pytest
 
 from repro.runtime.config import RuntimeConfig
-from repro.service import (EagerBackend, JobQueue, JobRequest, JobState,
-                           PoolBackend, Service)
+from repro.service import Backend, JobRequest, JobState, Service
+from repro.service import api
 from repro.service import backends as backends_mod
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -70,7 +71,7 @@ def test_routing_rule(tmp_path, backends, expected):
     """The whole of routing: one backend takes everything; ``eager`` +
     ``pool`` sends ``machine == "cluster" or count >= 3`` to the pool.
     The rule goes by backend *name*, so in-process backends stand in."""
-    with Service(backends={name: EagerBackend() for name in backends},
+    with Service(backends={name: Backend() for name in backends},
                  staging=tmp_path) as svc:
         ids = {shape: svc.submit(perf_request(**kwargs))
                for shape, kwargs in SHAPES.items()}
@@ -101,6 +102,39 @@ def test_stream_status_yields_each_transition(tmp_path):
     assert states[0] is JobState.QUEUED
     assert states[-1] is JobState.DONE
     assert [s for s in states if s.terminal] == [states[-1]]
+
+
+@needs_fork
+def test_stream_status_waits_on_the_job_pipe_until_its_deadline(
+        tmp_path, monkeypatch):
+    """No sleep and no busy loop: with a forked job running and nothing
+    else to do, ``stream_status`` blocks in ``select`` on that job's pipe
+    for the time left before its deadline.  The injected ``select`` wakes
+    every 0.25 s of an injected clock with nothing to read, so a 1 s
+    timeout is waits of 1, 0.75, 0.5 and 0.25 s, then ``TimeoutError``."""
+    monkeypatch.setattr(backends_mod, "execute_request",
+                        lambda request: time.sleep(60))
+    now, waits = [100.0], []
+
+    def select(rlist, wlist, xlist, timeout):
+        waits.append((list(rlist), timeout))
+        now[0] += min(timeout, 0.25)
+        return [], [], []
+
+    monkeypatch.setattr(api, "select", types.SimpleNamespace(select=select))
+    monkeypatch.setattr(api, "time", types.SimpleNamespace(
+        monotonic=lambda: now[0], perf_counter=time.perf_counter))
+    with Service(backends={"pool": Backend(workers=1)},
+                 staging=tmp_path) as svc:
+        states = svc.stream_status(svc.submit(perf_request()), timeout=1.0)
+        assert next(states) is JobState.QUEUED
+        assert next(states) is JobState.RUNNING
+        fds = svc.backends["pool"].fds()
+        with pytest.raises(TimeoutError, match="still running"):
+            next(states)
+    assert len(fds) == 1
+    assert waits == [(fds, 1.0), (fds, 0.75), (fds, 0.5), (fds, 0.25)]
+    assert now[0] == 101.0
 
 
 def test_artifact_bundle_complete(tmp_path):
@@ -163,8 +197,8 @@ def test_mixed_tenant_batch_fair_share_on_pool(tmp_path):
     batch = [JobRequest(app=app, config=PERF, tenant=tenant)
              for tenant in ("alice", "bob", "carol") for app in apps]
     assert len(batch) >= 8
-    with Service(backends={"pool": PoolBackend(workers=2)},
-                 queue=JobQueue(weights={"alice": 2.0}),
+    with Service(backends={"pool": Backend(workers=2)},
+                 weights={"alice": 2.0},
                  staging=tmp_path) as svc:
         ids = [svc.submit(req) for req in batch]
         svc.run_until_idle(timeout=300)
@@ -216,7 +250,7 @@ def test_worker_death_fails_job_and_queue_keeps_draining(tmp_path,
         return real(request)
 
     monkeypatch.setattr(backends_mod, "execute_request", fake)
-    with Service(backends={"pool": PoolBackend(workers=2)},
+    with Service(backends={"pool": Backend(workers=2)},
                  staging=tmp_path) as svc:
         crash = svc.submit(perf_request(tenant="doomed", size=doomed_size))
         good = [svc.submit(perf_request()) for _ in range(3)]
@@ -245,7 +279,7 @@ def test_killing_every_child_process_fails_only_the_running_job(
         return real(request)
 
     monkeypatch.setattr(backends_mod, "execute_request", fake)
-    with Service(backends={"pool": PoolBackend(workers=2)},
+    with Service(backends={"pool": Backend(workers=2)},
                  staging=tmp_path) as svc:
         victim = svc.submit(perf_request(size=slow_size))
         assert svc.poll(victim) is JobState.RUNNING
@@ -281,7 +315,7 @@ def test_failed_leader_promotes_first_follower(tmp_path, monkeypatch, how):
         return real(request)
 
     monkeypatch.setattr(backends_mod, "execute_request", fake)
-    with Service(backends={"pool": PoolBackend(workers=2)},
+    with Service(backends={"pool": Backend(workers=2)},
                  staging=tmp_path / "svc") as svc:
         ids = [svc.submit(perf_request(tenant=t))
                for t in ("alice", "bob", "carol", "dave")]

@@ -5,19 +5,22 @@ exception — that invariant is what lets one crashing job leave the
 queue draining (pinned end-to-end in test_api.py).
 """
 
+import ast
 import os
+import re
 import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.service import EagerBackend, JobRequest, PoolBackend
+from repro.service import Backend, JobRequest
 from repro.service import backends as backends_mod
 from repro.runtime.config import RuntimeConfig
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="PoolBackend requires POSIX fork")
+                                reason="forked jobs require POSIX fork")
 
 PERF = RuntimeConfig(functional=False)
 
@@ -28,7 +31,7 @@ def perf_request(**kwargs):
 
 
 def test_eager_backend_returns_ok_payload():
-    backend = EagerBackend()
+    backend = Backend()
     backend.start("j1", perf_request())
     assert backend.active() == ("j1",)
     kind, payload = backend.poll("j1")
@@ -42,36 +45,27 @@ def test_eager_backend_returns_ok_payload():
 
 
 def test_eager_backend_surfaces_job_error_as_outcome():
-    backend = EagerBackend()
+    backend = Backend()
     backend.start("bad", perf_request(run_kwargs={"nonsense": True}))
     kind, detail = backend.poll("bad")
     assert kind == "err"
     assert "TypeError" in detail or "nonsense" in detail
 
 
-def test_free_slots_and_describe():
-    backend = EagerBackend()
-    assert backend.free_slots() == 1
-    assert backend.describe() == {"name": "eager", "slots": 1}
-
-
 def test_slot_count_validated():
-    class Custom(backends_mod.AbstractBackend):
-        def start(self, job_id, request): ...
-        def poll(self, job_id): ...
-        def active(self): return ()
-
-    assert Custom(slots=3).free_slots() == 3
+    """In-process execution has one slot; forked execution one per
+    worker.  Counting slots forks nothing."""
+    assert Backend().free_slots() == 1
+    assert Backend(workers=3).free_slots() == 3
     with pytest.raises(ValueError):
-        Custom(slots=0)
+        Backend(workers=-1)
 
 
 @needs_fork
 def test_pool_backend_runs_jobs_and_reports_capacity():
-    with_close = PoolBackend(workers=2)
+    with_close = Backend(workers=2)
     try:
         assert with_close.free_slots() == 2
-        assert with_close.describe()["isolation"] == "fork-per-job"
         with_close.start("j1", perf_request())
         assert with_close.free_slots() == 1
         while (outcome := with_close.poll("j1")) is None:
@@ -85,7 +79,7 @@ def test_pool_backend_runs_jobs_and_reports_capacity():
 
 @needs_fork
 def test_pool_backend_surfaces_child_error_with_traceback():
-    backend = PoolBackend(workers=1)
+    backend = Backend(workers=1)
     try:
         backend.start("bad", perf_request(run_kwargs={"nonsense": True}))
         while (outcome := backend.poll("bad")) is None:
@@ -111,7 +105,7 @@ def test_pool_backend_surfaces_dead_job_process(monkeypatch):
     stand-in, SIGKILL as the OOM-killer's) becomes a failed outcome naming
     the wait status — never a hang, never a backend exception — and the
     backend runs the next job as if nothing had happened."""
-    backend = PoolBackend(workers=1)
+    backend = Backend(workers=1)
     try:
         for die, status in (
                 (lambda request: os._exit(42), "0x2a00"),
@@ -136,7 +130,7 @@ def test_pool_backend_is_processes_only_and_close_leaves_none(monkeypatch):
     is no child left to wait for — not even a zombie."""
     monkeypatch.setattr(backends_mod, "execute_request",
                         lambda request: time.sleep(60))
-    backend = PoolBackend(workers=2)
+    backend = Backend(workers=2)
     try:
         backend.start("a", perf_request())
         backend.start("b", perf_request())
@@ -149,3 +143,26 @@ def test_pool_backend_is_processes_only_and_close_leaves_none(monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     backend.close()                               # idempotent
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def test_one_backend_class_and_one_sleep():
+    """The design budget: ``backends.py`` defines one class, the only
+    ``time.sleep`` in the service is ``worker --watch``'s interval (every
+    other wait is a ``select`` on job pipes), and the three backend
+    classes this one replaced are gone, with no alias left behind."""
+    service = REPO / "src" / "repro" / "service"
+    tree = ast.parse((service / "backends.py").read_text())
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)] == ["Backend"]
+    sleeps = [line for path in sorted(service.glob("*.py"))
+              for line in path.read_text().splitlines()
+              if re.search(r"time\.sleep", line)]
+    assert sleeps == ["            time.sleep(args.watch)"]
+    gone = re.compile("|".join(prefix + "Backend"
+                               for prefix in ("Abstract", "Eager", "Pool")))
+    for top in ("src", "tests"):
+        for path in (REPO / top).rglob("*.py"):
+            assert not gone.search(path.read_text()), path

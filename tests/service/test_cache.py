@@ -10,14 +10,16 @@ and counters that are exact whatever the backends' timing.
 import dataclasses
 import json
 import os
+import time
+import types
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultEvent, FaultPlan
 from repro.runtime.config import RuntimeConfig
-from repro.service import (EagerBackend, JobQueue, JobRequest, JobState,
-                           PoolBackend, Service, StagingDir)
+from repro.service import Backend, JobRequest, JobState, Service, StagingDir
+from repro.service import api
 from repro.service.job import SCHEDULING_FIELDS
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -97,9 +99,9 @@ def test_request_json_cannot_encode_has_no_key():
 # The service
 # ----------------------------------------------------------------------
 
-class HeldBackend(EagerBackend):
-    """An eager backend that executes a job only once the test releases
-    it — the timing of a pool, under the test's control."""
+class HeldBackend(Backend):
+    """An in-process backend that executes a job only once the test
+    releases it — the timing of a pool, under the test's control."""
 
     def __init__(self):
         super().__init__()
@@ -133,6 +135,28 @@ def finish(svc, backend, job_id):
     backend.release(job_id)
     svc.pump()
     assert svc.state(job_id).terminal
+
+
+def test_run_until_idle_with_no_process_to_wait_on_fails_at_once(
+        tmp_path, monkeypatch):
+    """A held job has no pipe and will not finish by itself: waiting for
+    it could only hang, so ``run_until_idle`` (no timeout) raises at once,
+    naming it — without a sleep or a ``select``."""
+    def no_wait(*args):
+        raise AssertionError("waited for a job that cannot finish")
+
+    monkeypatch.setattr(api, "select", types.SimpleNamespace(select=no_wait))
+    monkeypatch.setattr(api, "time", types.SimpleNamespace(
+        monotonic=no_wait, sleep=no_wait, perf_counter=time.perf_counter))
+    backend, svc = held_service(tmp_path)
+    with svc:
+        stuck = svc.submit(perf())
+        behind = svc.submit(perf(n=128))
+        with pytest.raises(RuntimeError, match=f"running jobs {stuck}$"):
+            svc.run_until_idle()
+        assert svc.state(behind) is JobState.QUEUED
+        finish(svc, backend, stuck)
+        assert svc.state(behind) is JobState.RUNNING
 
 
 def test_join_then_hit_while_the_only_slot_is_busy(tmp_path):
@@ -317,13 +341,13 @@ def test_counters_and_results_do_not_depend_on_the_backends(tmp_path):
     """The nine-job batch has three distinct requests: 3 misses and 6
     hits, the same makespans and the same dispatch order whether the jobs
     run one at a time in-process or overlap on a pool."""
-    shapes = {"eager": lambda: {"eager": EagerBackend()},
-              "pool-1": lambda: {"pool": PoolBackend(workers=1)},
-              "pool-2": lambda: {"pool": PoolBackend(workers=2)}}
+    shapes = {"eager": lambda: {"eager": Backend()},
+              "pool-1": lambda: {"pool": Backend(workers=1)},
+              "pool-2": lambda: {"pool": Backend(workers=2)}}
     seen = {}
     for shape, backends in shapes.items():
         with Service(backends=backends(),
-                     queue=JobQueue(weights={"alice": 2.0}),
+                     weights={"alice": 2.0},
                      staging=tmp_path / shape) as svc:
             ids = [svc.submit(request) for request in nine_job_batch()]
             svc.run_until_idle(timeout=300)

@@ -2,12 +2,19 @@
 round trip, without a daemon (the staging directory is the queue)."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 import types
+from pathlib import Path
 
 import pytest
 
 from repro.service import cli
 from repro.service.cli import main
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def run(capsys, *argv):
@@ -188,3 +195,47 @@ def test_worker_watch_adopts_jobs_submitted_between_passes(tmp_path, capsys,
         assert out.count(f"{job_id}: done") == 1
         assert json.loads((staging / job_id / "status.json").read_text()
                           )["state"] == "done"
+
+
+#: ``worker`` whose every job runs for ten minutes: the process to kill.
+HANGING_WORKER = """\
+import sys, time
+from repro.service import backends, cli
+backends.execute_request = lambda request: time.sleep(600)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_killed_workers_running_job_is_adopted_by_the_next_worker(
+        tmp_path, capsys):
+    """A ``worker`` SIGKILLed mid-job leaves the job ``running``, naming
+    the dead process as its worker.  While that process lives, another
+    worker leaves the job alone; once it is gone (and reaped — a zombie
+    still holds its pid), the next worker re-adopts and finishes it."""
+    staging = tmp_path / "svc"
+    submit(capsys, staging, "--job-id", "orphan")
+    status_file = staging / "orphan" / "status.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    worker = subprocess.Popen(
+        [sys.executable, "-c", HANGING_WORKER, "worker", "--staging",
+         str(staging)], env=env)
+    try:
+        deadline = time.monotonic() + 120
+        while (status := json.loads(status_file.read_text())
+               )["state"] != "running":
+            assert worker.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        assert status["worker"] == worker.pid
+        code, out = run(capsys, "worker", "--staging", str(staging))
+        assert (code, out) == (0, "")                 # its worker is alive
+    finally:
+        worker.kill()
+        worker.wait(timeout=60)
+    code, out = run(capsys, "worker", "--staging", str(staging), "--strict")
+    assert (code, out) == (0, "orphan: done\n")
+    status = json.loads(status_file.read_text())
+    assert status["state"] == "done"
+    assert json.loads((staging / "orphan" / "result.json").read_text()
+                      )["makespan"] > 0

@@ -19,7 +19,7 @@ import pytest
 
 from repro.faults import FaultEvent, FaultPlan
 from repro.runtime.config import RuntimeConfig
-from repro.service import (JobRequest, PoolBackend, Service,
+from repro.service import (Backend, JobRequest, Service,
                            execute_request)
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -52,7 +52,7 @@ def run_all(svc: Service):
 def test_eager_and_pool_results_bit_identical(tmp_path):
     with Service(staging=tmp_path / "eager") as svc:
         eager = run_all(svc)
-    with Service(backends={"pool": PoolBackend(workers=2)},
+    with Service(backends={"pool": Backend(workers=2)},
                  staging=tmp_path / "pool") as svc:
         pooled = run_all(svc)
     for e, p in zip(eager, pooled):
@@ -78,7 +78,7 @@ PAYLOAD_REQUESTS = {
 
 
 def _pool_payload(request: JobRequest) -> dict:
-    backend = PoolBackend(workers=1)
+    backend = Backend(workers=1)
     try:
         backend.start("job", request)
         deadline = time.monotonic() + 120

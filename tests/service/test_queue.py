@@ -121,15 +121,13 @@ def test_queue_counters_report_into_bound_registry():
     assert snap["service.queue.depth"] == 1
 
 
-def test_unbound_queue_counts_nothing_and_does_not_crash():
+def test_bare_queue_counts_into_a_private_registry():
     q = JobQueue()
-    assert q.metrics is None
     q.push("a", req())
     assert q.pop()[0] == "a"
+    assert q.metrics.snapshot()["service.jobs_dispatched"] == 1
 
 
 def test_invalid_weights_rejected():
     with pytest.raises(ValueError):
         JobQueue(weights={"alice": 0.0})
-    with pytest.raises(ValueError):
-        JobQueue(default_weight=-1.0)
