@@ -21,7 +21,6 @@ from .report import render_table
 
 FIGURES = {f"fig{i}": getattr(figures, f"fig{i}") for i in range(5, 14)}
 FIGURES["fig-dm"] = figures.fig_datamove
-FIGURES["fig-sched"] = figures.fig_sched
 FIGURES["fig-irr"] = figures.fig_irr
 
 

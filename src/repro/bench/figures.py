@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..apps import cholesky, matmul, nbody, perlin, stream
+from ..apps import matmul, nbody, perlin, stream
 from ..runtime import config as runtime_config
 from ..runtime.config import RuntimeConfig
 from .harness import CLUSTER_BEST, FigureResult
 from .sweep import PointSpec, run_points
 
 __all__ = ["fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-           "fig12", "fig13", "fig_datamove", "fig_sched", "fig_irr",
+           "fig12", "fig13", "fig_datamove", "fig_irr",
            "MULTI_GPU_COUNTS", "CLUSTER_NODE_COUNTS", "DATAMOVE_FLAGS",
-           "DATAMOVE_POINTS", "SCHED_POLICIES", "SCHED_POINTS",
-           "IRR_POINTS"]
+           "DATAMOVE_POINTS", "SCHED_POLICIES", "IRR_POINTS"]
 
 MULTI_GPU_COUNTS = (1, 2, 4)
 CLUSTER_NODE_COUNTS = (1, 2, 4, 8)
@@ -392,89 +391,6 @@ def fig_datamove(parallel: int = 0,
     return result
 
 
-# ---------------------------------------------------------------------------
-# Scheduling policies (paper tier vs adaptive tier)
-# ---------------------------------------------------------------------------
-
-#: every policy ``make_scheduler`` knows, paper tier first.
-SCHED_POLICIES = runtime_config.SCHEDULERS
-
-#: the points the policy ablation runs on: the Cholesky DAG on both
-#: machine shapes (where ordering dominates), plus a regular figure
-#: workload (matmul) as the control where locality dominates.
-SCHED_POINTS = ("cholesky-mgpu", "cholesky-cluster", "matmul-mgpu")
-
-
-def _sched_base(point: str) -> dict:
-    if point == "cholesky-mgpu":
-        # Runs under write-through — the paper's conservative cache mode.
-        return dict(app="cholesky", machine="multi_gpu", count=4,
-                    size=cholesky.PAPER_CHOLESKY, run_kwargs={},
-                    cfg=dict(functional=False, overlap=True, prefetch=True,
-                             cache_policy="wt"))
-    if point == "cholesky-cluster":
-        cfg = {k: v for k, v in CLUSTER_BEST.items() if k != "scheduler"}
-        # 8 nodes: width-limited, so placement (not raw FIFO spreading)
-        # decides the makespan — the regime the policy tier targets.
-        return dict(app="cholesky", machine="cluster", count=8,
-                    size=cholesky.PAPER_CHOLESKY, run_kwargs={},
-                    cfg=dict(cfg, presend=2))
-    return dict(app="matmul", machine="multi_gpu", count=4,
-                size=matmul.PAPER_MATMUL, run_kwargs={},
-                cfg=dict(functional=False, overlap=True, prefetch=True))
-
-
-def fig_sched_points() -> "list[PointSpec]":
-    points = []
-    for policy in SCHED_POLICIES:
-        for point in SCHED_POINTS:
-            base = _sched_base(point)
-            cfg = dict(base["cfg"], scheduler=policy)
-            if policy == "adaptive":
-                # Only the adaptive rows recover write-through (the
-                # datamove monitor), so every other row runs as configured.
-                cfg["adaptive_datamove"] = True
-            points.append(PointSpec(
-                figure="fig-sched", series=policy, x=point,
-                app=base["app"], machine=base["machine"],
-                count=base["count"], size=base["size"],
-                config=RuntimeConfig(**cfg),
-                run_kwargs=base["run_kwargs"],
-                want_metrics=(point == "cholesky-mgpu")))
-    return points
-
-
-def fig_sched(parallel: int = 0,
-              scheduler: "str | None" = None) -> FigureResult:
-    """Scheduling-policy ablation: paper tier vs the adaptive tier.
-
-    Series are makespans (lower is better) per policy.  ``scheduler`` is
-    accepted for CLI uniformity but ignored — this figure *is* the
-    scheduler sweep.
-    """
-    result = FigureResult(figure="Figure SCHED",
-                          title="Scheduling policies, task-graph points",
-                          x_label="point", xs=list(SCHED_POINTS),
-                          unit="s (makespan)")
-    points = fig_sched_points()
-    values = run_points(points, parallel=parallel)
-    for spec, val in zip(points, values):
-        result.series.setdefault(spec.series, []).append(val["makespan"])
-        if spec.want_metrics and val["metrics"]:
-            result.attach_metrics(f"{spec.series}/{spec.x}",
-                                  val["metrics"])
-    paper = SCHED_POLICIES[:3]
-    for i, point in enumerate(SCHED_POINTS):
-        best_paper = min(paper, key=lambda p: result.series[p][i])
-        best_new = min(SCHED_POLICIES[3:],
-                       key=lambda p: result.series[p][i])
-        b, n = result.series[best_paper][i], result.series[best_new][i]
-        result.notes.append(
-            f"{point}: best paper {best_paper} {b:.3f}s, best new "
-            f"{best_new} {n:.3f}s ({(b - n) / b:+.1%} makespan reduction)")
-    return result
-
-
 def fig13(n_bodies: int = 20_000, parallel: int = 0,
           scheduler: "str | None" = None) -> FigureResult:
     """Cluster N-Body: OmpSs vs MPI+CUDA under all-to-all exchange.
@@ -495,6 +411,9 @@ def fig13(n_bodies: int = 20_000, parallel: int = 0,
 # ---------------------------------------------------------------------------
 # Figure IRR: the irregular apps (ROADMAP item 3) under every policy
 # ---------------------------------------------------------------------------
+
+#: every policy ``make_scheduler`` knows, paper tier first.
+SCHED_POLICIES = runtime_config.SCHEDULERS
 
 IRR_POINTS = ("jacobi-mgpu", "jacobi-cluster",
               "spreduce-mgpu", "spreduce-cluster")

@@ -182,10 +182,6 @@ class CoherenceEngine:
             return True
         policy = self.config.cache_policy
         dm = self.datamove
-        if dm is not None and dm.write_mode is not None:
-            # The recovery monitor switched write modes mid-run (see
-            # DataMover.note_commit); later commits honor the override.
-            policy = dm.write_mode
         if policy is CachePolicy.WRITE_THROUGH:
             # Propagate every write to host memory immediately — unless the
             # version is already dead (a live task will overwrite it and

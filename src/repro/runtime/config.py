@@ -2,7 +2,7 @@
 
 Every option corresponds to a configuration dimension in Section IV:
 
-* ``cache_policy`` — nocache / wt / wb (Figs. 5-8);
+* ``cache_policy`` — nocache / wt / wb (Figs. 5-8), fixed for the run;
 * ``scheduler`` — bf / default (dependencies) / affinity (Figs. 5-6), rows
   of the scheduler's policy table (``repro.runtime.scheduler.POLICIES``);
 * ``overlap`` — transfer/compute overlap via CUDA streams + pinned staging
@@ -75,13 +75,6 @@ class RuntimeConfig:
     #: break cache-eviction LRU ties by re-fetch cost (nbytes divided by
     #: the source link bandwidth): cheap-to-refetch regions evict first.
     cost_aware_eviction: bool = False
-    #: recover a write-through run from write-back pressure, under any
-    #: scheduling policy: the DataMover's commit-time monitor switches the
-    #: commit write mode to write-back, one way, once write-backs keep
-    #: growing while the transfer links are saturated.  Constructs a
-    #: DataMover even when the other flags are off; inert unless
-    #: ``cache_policy`` is write-through.
-    adaptive_datamove: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "cache_policy",
@@ -131,6 +124,4 @@ class RuntimeConfig:
             parts.append(f"pd{self.presend_depth}")
         if self.cost_aware_eviction:
             parts.append("cae")
-        if self.adaptive_datamove:
-            parts.append("adm")
         return "-".join(parts)

@@ -1,7 +1,7 @@
 """The data-movement optimisation layer (``RuntimeConfig`` datamove flags).
 
 The paper's headline results come from *hiding* data movement: the software
-cache, master-to-slave presend, and transfer/compute overlap.  Four
+cache, master-to-slave presend, and transfer/compute overlap.  Three
 mechanisms sit on top of the baseline protocol, each gated by its own
 ``RuntimeConfig`` flag and each a no-op when disabled (with every flag off
 the runtime constructs no :class:`DataMover` at all, so the event stream —
@@ -28,42 +28,21 @@ and therefore every golden makespan — is bit-identical):
   source link bandwidth, plus the write-back a dirty victim would cost);
   the cache evicts cheapest-to-refetch first within a widened LRU window.
 
-* **write-through recovery** (``adaptive_datamove``) — a monitor evaluated
-  every ``WINDOW`` commits (:meth:`DataMover.note_commit`).  On a run
-  configured write-through it switches the commit write mode to write-back,
-  one way, after ``HYSTERESIS`` consecutive windows in which the caches'
-  write-backs grew while the transfer links were busy at least
-  ``BUSY_HIGH`` of the window — eager per-commit device->host copies then
-  stop competing with the fetch traffic.  The scheduling policy plays no
-  part: the monitor reads the caches and links directly.
-
 Everything here is bookkeeping: no method schedules a simulated event.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
-from ..memory.cache import CachePolicy
 from ..memory.region import Region, RegionKey
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..memory.cache import CacheEntry, SoftwareCache
-    from ..memory.space import AddressSpace
     from .runtime import Runtime
     from .task import Task
 
 __all__ = ["DataMover", "LivenessTracker"]
-
-#: commits between two evaluations of the write-through recovery monitor.
-WINDOW = 24
-
-#: consecutive pressured windows before the monitor switches to write-back.
-HYSTERESIS = 2
-
-#: summed link busy seconds per simulated second of a window at or above
-#: which growing write-back traffic counts as pressure.
-BUSY_HIGH = 0.5
 
 
 class LivenessTracker:
@@ -197,44 +176,20 @@ class LivenessTracker:
 
 
 class DataMover:
-    """What the runtime consults when liveness is tracked (``wb_elision``,
-    ``cost_aware_eviction`` or ``adaptive_datamove``): the tracker, the
-    elision decision over it, the commit write mode with the monitor that
-    recovers a write-through run from write-back pressure, and the eviction
-    cost function.  It is a probe subscriber (:mod:`repro.runtime.probes`):
-    the task lifecycle points feed :attr:`liveness`, and every ``commit``
-    also reaches :meth:`note_commit`."""
+    """What the runtime consults when liveness is tracked (``wb_elision``
+    or ``cost_aware_eviction``): the tracker, the elision decision over it
+    and the eviction cost function.  It is a probe subscriber
+    (:mod:`repro.runtime.probes`): the task lifecycle points feed
+    :attr:`liveness`."""
 
     def __init__(self, rt: "Runtime"):
         self.rt = rt
-        cfg = rt.config
         #: elide write-backs of dead versions (``wb_elision``; fixed for
         #: the run).
-        self.elision = cfg.wb_elision
-        #: runtime override of the configured cache write policy.  ``None``
-        #: means "as configured"; the recovery monitor sets it to
-        #: write-back.  Consulted by :meth:`CoherenceEngine.commit_outputs`
-        #: at every publish point, so a switch takes effect for all
-        #: subsequent commits.
-        self.write_mode: Optional[CachePolicy] = None
+        self.elision = rt.config.wb_elision
         self.liveness = LivenessTracker()
         self._c_elisions = rt.metrics.counter("datamove.writebacks_elided")
         self._c_elided_bytes = rt.metrics.counter("datamove.bytes_elided")
-        # -- write-through recovery monitor -----------------------------------
-        self._watch = (cfg.adaptive_datamove
-                       and cfg.cache_policy is CachePolicy.WRITE_THROUGH)
-        #: the machine's links, each once (GPUs behind one PCIe switch
-        #: share their links).
-        links = []
-        for node in rt.machine.nodes:
-            links += (node.membus, node.nic_tx, node.nic_rx)
-            for gpu in node.gpus:
-                links += (gpu.h2d, gpu.d2h)
-        self._links = [link for link in dict.fromkeys(links)
-                       if link is not None]
-        self._commits = 0
-        self._streak = 0
-        self._last = (0, 0.0, 0.0)  # write-backs, busy seconds, sim time
 
     # -- probe points ----------------------------------------------------
     def task_submitted(self, task: "Task", parent) -> None:
@@ -243,7 +198,6 @@ class DataMover:
 
     def commit(self, task: "Task", written) -> None:
         self.liveness.task_committed(task)
-        self.note_commit()
 
     def task_retired(self, task: "Task") -> None:
         self.liveness.task_finished(task)
@@ -256,50 +210,6 @@ class DataMover:
             task = task.parent
         assert getattr(task, "_liveness_entries", None) is not None, \
             "requeued task was already retired from liveness"
-
-    # -- commit write mode ---------------------------------------------------
-    def set_write_mode(self, policy: "CachePolicy | str") -> None:
-        """Override the cache write policy for every commit from now on.
-
-        Dirty entries created before the switch keep their state: a
-        write-through -> write-back switch simply stops eager commit
-        write-backs (eviction and flush still drain dirty data), and the
-        reverse resumes them.  Neither direction can lose data."""
-        self.write_mode = CachePolicy.parse(policy)
-        self.rt.metrics.inc("datamove.write_mode_switches")
-        self.rt.metrics.set_info("datamove.write_mode",
-                                 self.write_mode.value)
-
-    def signals(self) -> tuple[int, float]:
-        """The monitor's inputs: write-backs so far over every software
-        cache, and the summed busy seconds of the transfer links."""
-        return (sum(cache.writebacks for cache in self.rt.all_caches()),
-                sum(link.busy_seconds for link in self._links))
-
-    def note_commit(self) -> None:
-        """A commit passed its publish point: every ``WINDOW`` commits,
-        judge the window and, after ``HYSTERESIS`` pressured windows in a
-        row, switch a write-through run to write-back for good — going
-        back to eager writes would only recreate the saturation."""
-        if not self._watch:
-            return
-        self._commits += 1
-        if self._commits < WINDOW:
-            return
-        self._commits = 0
-        writebacks, busy = self.signals()
-        now = self.rt.env.now
-        w0, b0, t0 = self._last
-        self._last = (writebacks, busy, now)
-        if now <= t0:
-            return
-        if writebacks > w0 and (busy - b0) / (now - t0) >= BUSY_HIGH:
-            self._streak += 1
-            if self._streak >= HYSTERESIS:
-                self._watch = False
-                self.set_write_mode(CachePolicy.WRITE_BACK)
-        else:
-            self._streak = 0
 
     # -- write-back elision ----------------------------------------------
     def may_elide_writeback(self, region: Region) -> bool:

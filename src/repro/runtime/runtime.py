@@ -252,8 +252,7 @@ class Runtime:
         cfg = self.config
         self.datamove: Optional[DataMover] = (
             DataMover(self)
-            if (cfg.wb_elision or cfg.cost_aware_eviction
-                or cfg.adaptive_datamove) else None)
+            if cfg.wb_elision or cfg.cost_aware_eviction else None)
         if cfg.cost_aware_eviction:
             for cache in self._caches.values():
                 cache.victim_cost_fn = self.datamove.make_cost_fn(cache)

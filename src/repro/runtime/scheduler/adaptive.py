@@ -25,9 +25,8 @@ adopts the new row and re-places the tasks (in ``tid`` order) — nothing is
 lost, which the chaos suite exercises under faults.
 
 The controller reads only scheduler-side signals and its own registry; the
-cache write policy is not its business.  Recovering a write-through run
-from write-back pressure belongs to the data-movement layer's monitor
-(docs/DATAMOVE.md, "Write-through recovery") and works under any policy.
+cache write policy is not its business (it is fixed for the run, see
+docs/DATAMOVE.md, "No run-time write-mode switch").
 """
 
 from __future__ import annotations

@@ -45,11 +45,11 @@ def _cluster(**overrides) -> RuntimeConfig:
     return RuntimeConfig(**params)
 
 
-def _cholesky_mgpu(policy: str, sched: str, **extra) -> float:
-    """The fan-in DAG that separates the locality-placing policies: steals,
-    priority order and (under ``adaptive``) a mid-run policy switch."""
+def _cholesky_mgpu(policy: str, sched: str) -> float:
+    """The fan-in DAG that separates the locality-placing policies: steals
+    and priority order."""
     config = RuntimeConfig(functional=False, overlap=True, prefetch=True,
-                           cache_policy=policy, scheduler=sched, **extra)
+                           cache_policy=policy, scheduler=sched)
     return cholesky.run_ompss(fresh_multi_gpu(4), _CH, config=config).makespan
 
 
@@ -132,10 +132,6 @@ SCENARIOS = {
     # -- the policies the paper goldens above never select ------------------
     "cholesky-4gpu-wb-cp": lambda: _cholesky_mgpu("wb", "cp"),
     "cholesky-4gpu-wt-ws": lambda: _cholesky_mgpu("wt", "ws"),
-    # one policy switch (affinity -> cp) and the datamove monitor's
-    # wt -> wb write-mode switch
-    "cholesky-4gpu-wt-adaptive-adm": lambda: _cholesky_mgpu(
-        "wt", "adaptive", adaptive_datamove=True),
     # a dozen policy switches with the prestage lookahead (peek_for) armed
     "cholesky-4node-adaptive-ps2-pd2": lambda: cholesky.run_ompss(
         fresh_cluster(4), _CH,

@@ -7,7 +7,7 @@ from repro.bench.__main__ import FIGURES, main
 
 def test_figures_registry_complete():
     assert set(FIGURES) == ({f"fig{i}" for i in range(5, 14)}
-                            | {"fig-dm", "fig-sched", "fig-irr"})
+                            | {"fig-dm", "fig-irr"})
 
 
 def test_cli_table1(capsys):

@@ -38,10 +38,6 @@ GOLDEN_MAKESPANS = {
     # scheduler package before it was folded into one policy-table core.
     'cholesky-4gpu-wb-cp': 0.13562707909928187,
     'cholesky-4gpu-wt-ws': 0.19241645836451254,
-    # re-recorded when write-through recovery moved from the adaptive
-    # scheduler's evaluation window to a per-commit monitor in datamove.py
-    # (was 0.14442592173783708).
-    'cholesky-4gpu-wt-adaptive-adm': 0.1461969170106651,
     'cholesky-4node-adaptive-ps2-pd2': 0.3921041331244046,
     'nested-4node-default': 0.020316992978374006,
     # static datamove flags: recorded before the datamove tier was cut to

@@ -134,13 +134,13 @@ def test_info_instrument_last_write_wins():
 
 def test_info_appears_in_snapshot_and_respects_kinds():
     reg = CounterRegistry()
-    reg.set_info("datamove.write_mode", "wb")
+    reg.set_info("scheduler.policy", "affinity")
     reg.inc("tasks.total")
     snap = reg.snapshot()
-    assert snap["datamove.write_mode"] == "wb"
+    assert snap["scheduler.policy"] == "affinity"
     assert snap["tasks.total"] == 1
     # An info name cannot be reused as another instrument kind.
     with pytest.raises(ValueError):
-        reg.counter("datamove.write_mode")
+        reg.counter("scheduler.policy")
     with pytest.raises(ValueError):
         reg.set_info("tasks.total", "oops")

@@ -62,7 +62,7 @@ def test_task_overhead_validation():
 def test_knob_count():
     """ROADMAP aim 2 counts knobs; a new field has to be argued for there
     (two existing callers needing different values), not slipped in."""
-    assert len(dataclasses.fields(RuntimeConfig)) == 17
+    assert len(dataclasses.fields(RuntimeConfig)) == 16
 
 
 def test_with_replaces_fields():

@@ -12,7 +12,6 @@ import pytest
 from repro.cuda import KernelSpec
 from repro.hardware import build_gpu_cluster, build_multi_gpu_node
 from repro.runtime import Access, Direction, Runtime, RuntimeConfig, Task
-from repro.runtime import datamove
 from repro.runtime.datamove import DataMover, LivenessTracker
 from repro.sim import Environment
 
@@ -56,12 +55,11 @@ def test_all_flags_default_off():
     assert not cfg.wb_elision
     assert cfg.presend_depth == 0
     assert not cfg.cost_aware_eviction
-    assert not cfg.adaptive_datamove
 
 
 @pytest.mark.parametrize("flag", [
     dict(wb_elision=True), dict(presend_depth=2),
-    dict(cost_aware_eviction=True), dict(adaptive_datamove=True),
+    dict(cost_aware_eviction=True),
 ])
 def test_any_flag_enables_datamove(flag):
     """A ``DataMover`` exists exactly when a flag needs version liveness.
@@ -474,163 +472,6 @@ def test_prestage_fires_under_every_policy(policy):
     assert prestages > 0
 
 
-# ---------------------------------------------------------------------------
-# Write-through recovery: the commit-time write-mode monitor
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def forced_switch(monkeypatch):
-    """Make the monitor fire on any run with write-back traffic: every
-    commit is a window and any link activity counts as saturation (the
-    hysteresis stays, so two pressured windows in a row are still
-    needed).  At the real constants no TEST-size app run switches."""
-    monkeypatch.setattr(datamove, "WINDOW", 1)
-    monkeypatch.setattr(datamove, "BUSY_HIGH", 0.0)
-
-
-def _scripted(dm, script):
-    """Feed the monitor one window per (write-backs, busy seconds, dt)."""
-    env = dm.rt.env
-    for writebacks, busy, dt in script:
-        dm.signals = lambda w=writebacks, b=busy: (w, b)
-        env.run(until=env.now + dt)
-        dm.note_commit()
-
-
-def _monitor(cache_policy="wt", **flags):
-    flags.setdefault("adaptive_datamove", True)
-    return make_rt("gpu1", cache_policy=cache_policy, **flags).datamove
-
-
-@pytest.mark.parametrize("app", ["cholesky", "stream"])
-@pytest.mark.parametrize("machine", ["gpu2", "cluster2"])
-@pytest.mark.parametrize("policy", ["affinity", "cp", "adaptive"])
-def test_forced_write_mode_switch_keeps_apps_bit_identical(
-        app, machine, policy, forced_switch, monkeypatch):
-    """A write-through run switched to write-back mid-run computes exactly
-    what the serial program computes, under any policy and machine."""
-    import numpy as np
-    from repro.apps import cholesky, stream
-    from repro.bench.harness import fresh_cluster, fresh_multi_gpu
-    switched_at = []
-    set_mode = DataMover.set_write_mode
-
-    def recording(self, policy):
-        switched_at.append(self.rt.env.now)
-        set_mode(self, policy)
-
-    monkeypatch.setattr(DataMover, "set_write_mode", recording)
-    mod, size = ((cholesky, cholesky.TEST_CHOLESKY) if app == "cholesky"
-                 else (stream, stream.TEST_STREAM))
-    hw = fresh_multi_gpu(2) if machine == "gpu2" else fresh_cluster(2)
-    cfg = RuntimeConfig(functional=True, cache_policy="wt",
-                        scheduler=policy, adaptive_datamove=True)
-    res = mod.run_ompss(hw, size, config=cfg, verify=True)
-    reference = mod.run_serial(size).output
-    assert set(res.output) == set(reference)
-    for key in reference:
-        assert np.array_equal(res.output[key], reference[key]), key
-    assert res.metrics["datamove.write_mode"] == "wb"
-    assert res.metrics["datamove.write_mode_switches"] == 1
-    # The switch lands mid-run: later commits run under write-back.
-    assert len(switched_at) == 1 and switched_at[0] < res.makespan
-
-
-def test_forced_write_mode_switch_sweep_matches_oracle(forced_switch,
-                                                       runtimes):
-    """50 dagfuzz seeds, write-through + ``adaptive_datamove`` with the
-    switch forced, profiles / policies / machines / the other datamove
-    flags rotating: every run matches the sequential oracle."""
-    from repro.dagfuzz import PROFILES, check_workload, generate
-    profiles = list(PROFILES)
-    switched = 0
-    for seed in range(50):
-        spec = generate(seed, profiles[seed % len(profiles)])
-        flags = (dict(wb_elision=True, cost_aware_eviction=True,
-                      presend_depth=1) if seed % 2 else {})
-        cfg = RuntimeConfig(functional=True, cache_policy="wt",
-                            scheduler=("affinity", "cp", "adaptive")[seed % 3],
-                            adaptive_datamove=True, **flags)
-        machine = ("gpu1", "gpu2", "gpu4", "cluster2")[seed % 4]
-        res = check_workload(spec, machine=machine, config=cfg)
-        assert res.ok, (seed, res.describe())
-        switched += runtimes[-1].datamove.write_mode is not None
-    # Runs with (almost) no device write-backs have nothing to recover;
-    # the rest switch (35 of the 50 when this was written).
-    assert switched > 25
-
-
-def test_write_mode_monitor_needs_consecutive_pressured_windows(monkeypatch):
-    dm = _monitor()
-    monkeypatch.setattr(datamove, "WINDOW", 1)
-    assert datamove.HYSTERESIS == 2
-    # pressured, calm (no new write-back), pressured, calm (links idle)
-    _scripted(dm, [(1, 1.0, 1.0), (1, 2.0, 1.0), (2, 3.0, 1.0),
-                   (3, 3.0, 1.0)])
-    assert dm.write_mode is None
-    _scripted(dm, [(4, 4.0, 1.0)])
-    assert dm.write_mode is None
-    _scripted(dm, [(5, 5.0, 1.0)])                 # second in a row
-    assert dm.write_mode.value == "wb"
-    assert dm.rt.metrics.info("datamove.write_mode") == "wb"
-
-
-def test_write_mode_monitor_is_one_way(monkeypatch):
-    dm = _monitor()
-    monkeypatch.setattr(datamove, "WINDOW", 1)
-    _scripted(dm, [(1, 1.0, 1.0), (2, 2.0, 1.0)])
-    assert dm.write_mode.value == "wb"
-    # Calm windows never revert it, pressured ones never re-switch.
-    _scripted(dm, [(2, 2.0, 1.0)] * 3 + [(9, 9.0, 1.0)] * 3)
-    assert dm.write_mode.value == "wb"
-    assert dm.rt.metrics.value("datamove.write_mode_switches") == 1
-
-
-def test_write_mode_monitor_counts_commits_per_window():
-    dm = _monitor()
-    pressured = [(i, float(i), 1.0) for i in range(1, 2 * datamove.WINDOW)]
-    _scripted(dm, pressured)                       # one commit short
-    assert dm.write_mode is None
-    _scripted(dm, [(99, 99.0, 1.0)])
-    assert dm.write_mode.value == "wb"
-
-
-@pytest.mark.parametrize("setup", [
-    dict(cache_policy="wb"), dict(cache_policy="nocache"),
-    dict(cache_policy="wt", adaptive_datamove=False, wb_elision=True),
-])
-def test_write_mode_monitor_inert_unless_configured_write_through(
-        setup, monkeypatch):
-    dm = _monitor(**setup)
-    monkeypatch.setattr(datamove, "WINDOW", 1)
-    _scripted(dm, [(i, float(i), 1.0) for i in range(1, 10)])
-    assert dm.write_mode is None
-    assert dm.rt.metrics.info("datamove.write_mode") is None
-
-
-def test_write_mode_monitor_signals_equal_the_registry_scan(runtimes):
-    """The monitor reads caches and links directly; at the end of a
-    4-GPU write-through Cholesky run its two signals equal the registry
-    name scan the adaptive scheduler used to do."""
-    from repro.apps import cholesky
-    cfg = RuntimeConfig(functional=False, overlap=True, prefetch=True,
-                        cache_policy="wt", scheduler="affinity",
-                        adaptive_datamove=True)
-    cholesky.run_ompss(build_multi_gpu_node(Environment(), num_gpus=4),
-                       cholesky.CholeskySize(n=8192, bs=512), config=cfg)
-    rt = runtimes[-1]
-    m = rt.metrics
-    pressure = sum(c.value for name, c in m._counters.items()
-                   if name.startswith("cache.")
-                   and name.endswith((".writebacks", ".writebacks_elided")))
-    pressure += m.value("datamove.writebacks_elided", 0)
-    busy = sum(g.value for name, g in m._gauges.items()
-               if name.endswith(".busy_seconds"))
-    assert pressure > 0 and busy > 0
-    assert rt.datamove.signals() == (pressure, busy)
-    assert m.info("datamove.write_mode") == "wb"
-
-
 def test_scheduler_package_knows_nothing_of_data_movement():
     """Design budget: scheduling does not steer data movement, and only
     the metrics package reads the registry's private tables."""
@@ -639,8 +480,7 @@ def test_scheduler_package_knows_nothing_of_data_movement():
 
     import repro
     src = Path(repro.__file__).parent
-    coupling = re.compile(r"attach_runtime|\b_rt\b|adaptive_datamove"
-                          r"|\.datamove\b|CachePolicy")
+    coupling = re.compile(r"attach_runtime|\b_rt\b|\.datamove\b|CachePolicy")
     for path in sorted((src / "runtime" / "scheduler").glob("*.py")):
         hits = [ln for ln in path.read_text().splitlines()
                 if coupling.search(ln)]
@@ -652,3 +492,22 @@ def test_scheduler_package_knows_nothing_of_data_movement():
         hits = [ln for ln in path.read_text().splitlines()
                 if private.search(ln)]
         assert not hits, (str(path.relative_to(src)), hits)
+
+
+def test_commit_write_policy_is_fixed_for_the_run():
+    """Design budget: commits follow the configured ``cache_policy`` for
+    the whole run, as in the paper — no flag, override or monitor switches
+    it mid-run (docs/DATAMOVE.md, "No run-time write-mode switch")."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    gone = re.compile(
+        r"adaptive_datamove|set_write_mode|write_mode|note_commit|BUSY_HIGH")
+    for top in ("src/repro", "benchmarks/perf", ".github"):
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in (".py", ".yml", ".json"):
+                continue
+            hits = [ln for ln in path.read_text().splitlines()
+                    if gone.search(ln)]
+            assert not hits, (str(path.relative_to(root)), hits)

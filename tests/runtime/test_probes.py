@@ -1,6 +1,5 @@
 """The probe seam: binding, the one ambient stack, the JSON-lines recorder."""
 
-import dataclasses
 import io
 import json
 import re
@@ -109,4 +108,3 @@ def test_optional_subsystems_are_not_threaded_through_the_core():
     stacks = [p for p in SRC.rglob("*.py")
               if re.search(r"^_(ACTIVE|INSTALLED)\b", p.read_text(), re.M)]
     assert stacks == [SRC / "runtime" / "probes.py"]
-    assert len(dataclasses.fields(RuntimeConfig)) == 17

@@ -70,10 +70,8 @@ def test_policy_table_is_total():
     assert tuple(POLICIES) + ("adaptive",) == SCHEDULERS
     assert all(name == policy.name for name, policy in POLICIES.items())
     # Sweeps derive their policy lists from the table, not by retyping it.
-    from benchmarks.perf import sched_bench
     from repro.bench import figures
     assert figures.SCHED_POLICIES is SCHEDULERS
-    assert sched_bench.PAPER_TIER + sched_bench.NEW_TIER == SCHEDULERS
     # A policy is a row, never a class: the one subclass is the controller.
     assert Scheduler.__subclasses__() == [AdaptiveScheduler]
 
