@@ -1,5 +1,5 @@
-"""Wall-clock microbenchmarks for the runtime's hot data structures.
+"""Simulated-time benchmarks of the data-movement and fault layers.
 
-Run ``PYTHONPATH=src python benchmarks/perf/core_bench.py`` to produce
-``BENCH_core.json``.  See docs/PERFORMANCE.md for how to read it.
+``comm_bench.py`` holds every makespan to the checked-in ``BENCH_comm.json``;
+``faults_bench.py`` writes ``BENCH_faults.json``.  See docs/PERFORMANCE.md.
 """

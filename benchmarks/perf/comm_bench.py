@@ -8,7 +8,7 @@ counters that explain them.  The headline number is the geometric-mean
 makespan reduction of ``all`` over ``baseline`` across the points; the
 checked-in ``BENCH_comm.json`` pins it and docs/DATAMOVE.md quotes it.
 
-Unlike the wall-clock suites next door, everything here is virtual time:
+Everything here is virtual time, as in ``faults_bench.py`` next door:
 the numbers are machine-independent and exactly reproducible, so the gate
 can compare against the checked-in results with zero tolerance noise.
 

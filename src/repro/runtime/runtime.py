@@ -10,7 +10,6 @@ paper's hierarchical design.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -304,9 +303,6 @@ class Runtime:
         self._c_submitted = self.metrics.counter("runtime.tasks_submitted")
         self._c_finished = self.metrics.counter("runtime.tasks_finished")
         self._g_live = self.metrics.gauge("runtime.tasks_live")
-        #: cumulative wall-clock spent inside run_main (engine throughput
-        #: denominator; see :meth:`run_main`).
-        self._wall_seconds = 0.0
         self._started = False
 
     # ------------------------------------------------------------------
@@ -455,30 +451,19 @@ class Runtime:
         """Execute a main program (a generator using submit/taskwait) to
         completion; returns the simulated makespan in seconds.
 
-        Engine throughput is recorded in the metrics registry under
-        ``engine.events_processed``, ``engine.wall_seconds`` and
-        ``engine.events_per_wall_second`` (gauges, cumulative over every
-        ``run_main`` call on this runtime) — the number reported by
-        ``BENCH_core.json`` and the CI perf gate.
+        The engine's event count is recorded in the metrics registry as the
+        ``engine.events_processed`` gauge (cumulative over every
+        ``run_main`` call on this runtime).
         """
         self.start()
         start = self.env.now
-        events_before = self.env.events_processed
-        wall_start = time.perf_counter()
         proc = self.env.process(main_generator)
         self.env.run(until=proc)
-        wall = time.perf_counter() - wall_start
-        events = self.env.events_processed - events_before
-        self._wall_seconds += wall
         m = self.metrics
         for cache in self._caches.values():
             m.set_gauge(f"cache.{cache.space.name}.hit_rate",
                         cache.hit_rate)
         m.set_gauge("engine.events_processed", self.env.events_processed)
-        m.set_gauge("engine.wall_seconds", self._wall_seconds)
-        if self._wall_seconds > 0:
-            m.set_gauge("engine.events_per_wall_second",
-                        self.env.events_processed / self._wall_seconds)
         return self.env.now - start
 
     # ------------------------------------------------------------------

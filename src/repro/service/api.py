@@ -246,8 +246,6 @@ class Service:
             record.state = JobState.DONE
             # Copies, because the payload may be the cache's: no result
             # aliases it, so no caller can edit another job's numbers.
-            # The ``engine.*`` gauges of a cached result are the executing
-            # job's wall-clock observations, not this job's.
             result = JobResult(
                 job_id=job_id, state=JobState.DONE, app=request.app,
                 version=request.version, tenant=request.tenant,

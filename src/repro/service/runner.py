@@ -11,8 +11,7 @@ executing process ran before — the pool forks each job from the service
 process as it is at dispatch, and gives a job its own process so that it
 can crash or be killed alone, not to change its numbers.  The service's
 result cache rests on the same property, in its full form — the whole
-payload repeats, the wall-clock ``engine.*`` gauges excepted
-(``tests/service/test_determinism.py``).
+payload repeats (``tests/service/test_determinism.py``).
 
 The payload carries the artifact-bundle raw material::
 

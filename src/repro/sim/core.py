@@ -196,7 +196,7 @@ class Environment:
         self._imm: tuple[deque, deque, deque] = (deque(), deque(), deque())
         self._seq = 0
         #: total events processed by step()/run() over this environment's
-        #: lifetime — the numerator of ``sim_events_per_wall_second``.
+        #: lifetime (the runtime's ``engine.events_processed`` gauge).
         self.events_processed = 0
         self.active_process = None  # set by Process while running
 

@@ -36,8 +36,8 @@ def test_fig13_structure():
 def test_fig_datamove_points_structure():
     """The datamove figure's grid: baseline and datamove series over the
     two comm-bound points, every point carrying its counter snapshot (the
-    mechanism table is the figure's point).  Running the full points is a
-    benchmark job (benchmarks/perf/comm_bench.py), not a unit test."""
+    mechanism table is the figure's point).  Running the full points is the
+    CI ``bench`` job's (benchmarks/perf/comm_bench.py), not a unit test."""
     from repro.bench.figures import (DATAMOVE_FLAGS, DATAMOVE_POINTS,
                                      fig_datamove_points)
     points = fig_datamove_points()

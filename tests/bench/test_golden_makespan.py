@@ -68,12 +68,9 @@ class _Snapshots:
         self.runtimes.append(runtime)
 
     def taken(self):
-        # Wall-clock gauges differ between any two runs; the sanitizer's own
-        # counters exist only when it is subscribed.
+        # The sanitizer's own counters exist only when it is subscribed.
         return [{k: v for k, v in rt.metrics.snapshot().items()
-                 if not k.startswith(("engine.wall_seconds",
-                                      "engine.events_per_wall_second",
-                                      "sanitizer."))}
+                 if not k.startswith("sanitizer.")}
                 for rt in self.runtimes]
 
 

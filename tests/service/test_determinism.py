@@ -3,9 +3,8 @@
 A simulation depends only on its :class:`JobRequest` (machines, tracer
 and sanitizer are built fresh per run; the pool's fork isolation is
 defensive, not semantic), so the same request must produce the same
-makespan, metric and mechanism counters whichever backend runs it.
-Only ``engine.*`` gauges — wall-clock observations of this host — may
-differ, exactly as ``tests/bench/test_sweep.py`` pins for figure sweeps.
+makespan, metric and counter snapshot whichever backend runs it, exactly
+as ``tests/bench/test_sweep.py`` pins for figure sweeps.
 
 The service's result cache rests on the stronger form pinned last: the
 *whole payload* of a request (trace text, findings, stdout and counters
@@ -37,12 +36,6 @@ REQUESTS = [
 ]
 
 
-def _simulated(metrics: dict) -> dict:
-    """Counter snapshot minus the wall-clock ``engine.*`` gauges."""
-    return {k: v for k, v in metrics.items()
-            if not k.startswith("engine.")}
-
-
 def run_all(svc: Service):
     ids = [svc.submit(req) for req in REQUESTS]
     svc.run_until_idle(timeout=300)
@@ -60,7 +53,7 @@ def test_eager_and_pool_results_bit_identical(tmp_path):
         assert e.makespan == p.makespan          # bit-identical float
         assert e.metric == p.metric
         assert e.findings == p.findings
-        assert _simulated(e.metrics) == _simulated(p.metrics)
+        assert e.metrics == p.metrics
 
 
 #: One request per payload ingredient: the Chrome trace (a traced perf
@@ -101,10 +94,5 @@ def test_payload_repeats_in_process_and_on_the_pool(name):
     assert first["trace"] and first["metrics"]    # nothing vacuous below
     if request.fault_plan is not None:
         assert first["metrics"]["faults.tasks_reexecuted"] > 0
-    for other in (again, pooled):
-        assert set(other) == set(first)
-        for field in first:
-            if field == "metrics":
-                assert _simulated(other[field]) == _simulated(first[field])
-            else:
-                assert other[field] == first[field], field
+    assert again == first
+    assert pooled == first
