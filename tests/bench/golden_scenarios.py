@@ -7,20 +7,32 @@ queues/caches/dependency graph; any data-structure swap in the runtime must
 keep them bit-identical (the structures may get faster, but never reorder
 simulated events).
 
+Each scenario's whole counter record is pinned too: ``golden_snapshots.json``
+holds, per scenario, the list of ``rt.metrics.snapshot()`` of every runtime
+it builds (keys sorted), and ``test_every_subscriber_on_keeps_makespan_and_
+counters`` compares it whole, printing a key-level diff on a mismatch.
+
 Run ``PYTHONPATH=src python -m tests.bench.golden_scenarios`` to (re)print
-the golden dict — only do that when a change *intentionally* alters
-simulated-time behaviour, and say so in the commit message.
+the golden makespan dict and rewrite ``golden_snapshots.json``.  The re-pin
+rule: only a change that *intentionally* moves simulated time or a counter
+re-pins, it re-pins exactly the goldens it moves, and it lists the moved
+keys (and makespans) in CHANGES.md and the commit message.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from repro.apps import cholesky, matmul, nbody, perlin, stream
 from repro.bench.harness import CLUSTER_BEST, fresh_cluster, fresh_multi_gpu
 from repro.cuda import KernelSpec
-from repro.runtime import Access, Direction, Runtime, Task
+from repro.runtime import Access, Direction, Runtime, Task, probes
 from repro.runtime.config import RuntimeConfig
 
-__all__ = ["SCENARIOS"]
+__all__ = ["SCENARIOS", "SNAPSHOTS_PATH", "Snapshots", "snapshot_diff"]
+
+SNAPSHOTS_PATH = Path(__file__).with_name("golden_snapshots.json")
 
 # Big enough that queues/caches/graph see real churn (hundreds of tasks,
 # evictions, steals), small enough that the whole table runs in seconds.
@@ -156,8 +168,50 @@ SCENARIOS = {
 }
 
 
+class Snapshots:
+    """A subscriber to no point: keeps each runtime built while installed."""
+
+    def __init__(self):
+        self.runtimes = []
+
+    def attach(self, runtime):
+        self.runtimes.append(runtime)
+
+    def taken(self) -> list:
+        """Each runtime's snapshot in the pin file's form (a JSON round
+        trip), minus the sanitizer's own counters, which exist only when
+        it is subscribed."""
+        return json.loads(json.dumps(
+            [{k: v for k, v in rt.metrics.snapshot().items()
+              if not k.startswith("sanitizer.")} for rt in self.runtimes]))
+
+
+def snapshot_diff(pinned: list, taken: list) -> str:
+    """Key-level diff of two snapshot lists: added, removed and changed
+    keys (changed ones with both values), per runtime."""
+    lines = []
+    if len(pinned) != len(taken):
+        lines.append(f"runtimes: pinned {len(pinned)}, now {len(taken)}")
+    for i, (old, new) in enumerate(zip(pinned, taken)):
+        for key in sorted(new.keys() - old.keys()):
+            lines.append(f"runtime {i}: added {key} = {new[key]!r}")
+        for key in sorted(old.keys() - new.keys()):
+            lines.append(f"runtime {i}: removed {key} = {old[key]!r}")
+        for key in sorted(old.keys() & new.keys()):
+            if old[key] != new[key]:
+                lines.append(f"runtime {i}: changed {key}: pinned "
+                             f"{old[key]!r}, now {new[key]!r}")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
+    pins = {}
     print("GOLDEN_MAKESPANS = {")
     for name, run in SCENARIOS.items():
-        print(f"    {name!r}: {run()!r},")
+        with probes.install(Snapshots()) as plain:
+            makespan = run()
+        pins[name] = plain.taken()
+        print(f"    {name!r}: {makespan!r},")
     print("}")
+    SNAPSHOTS_PATH.write_text(
+        json.dumps(pins, indent=1, sort_keys=True) + "\n")

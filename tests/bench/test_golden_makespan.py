@@ -13,13 +13,15 @@ re-recording procedure).
 """
 
 import io
+import json
 
 import pytest
 
 from repro.runtime import probes, trace
 from repro.sanitizer import install as install_sanitizer
 
-from .golden_scenarios import SCENARIOS
+from .golden_scenarios import (SCENARIOS, SNAPSHOTS_PATH, Snapshots,
+                               snapshot_diff)
 
 GOLDEN_MAKESPANS = {
     'matmul-2gpu-nocache-bf': 0.058139312264394456,
@@ -46,9 +48,12 @@ GOLDEN_MAKESPANS = {
     'matmul-4node-mtos-ps0-pd4': 0.024063540278838363,
 }
 
+#: every scenario's counter snapshots, one per runtime it builds
+PINNED_SNAPSHOTS = json.loads(SNAPSHOTS_PATH.read_text())
+
 
 def test_scenario_table_and_goldens_agree():
-    assert set(SCENARIOS) == set(GOLDEN_MAKESPANS)
+    assert set(SCENARIOS) == set(GOLDEN_MAKESPANS) == set(PINNED_SNAPSHOTS)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -58,31 +63,18 @@ def test_makespan_is_bit_identical(name):
     assert SCENARIOS[name]() == GOLDEN_MAKESPANS[name]
 
 
-class _Snapshots:
-    """A subscriber to no point: keeps each runtime built while installed."""
-
-    def __init__(self):
-        self.runtimes = []
-
-    def attach(self, runtime):
-        self.runtimes.append(runtime)
-
-    def taken(self):
-        # The sanitizer's own counters exist only when it is subscribed.
-        return [{k: v for k, v in rt.metrics.snapshot().items()
-                 if not k.startswith("sanitizer.")}
-                for rt in self.runtimes]
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_subscriber_on_keeps_makespan_and_counters(name):
-    with probes.install(_Snapshots()) as plain:
+    with probes.install(Snapshots()) as plain:
         SCENARIOS[name]()
     stream = io.StringIO()
-    with probes.install(_Snapshots()) as watched, \
+    with probes.install(Snapshots()) as watched, \
             trace.install() as tracer, install_sanitizer(), \
             probes.install(probes.JsonLinesRecorder(stream)):
         makespan = SCENARIOS[name]()
     assert makespan == GOLDEN_MAKESPANS[name]
-    assert plain.runtimes and watched.taken() == plain.taken()
+    taken = plain.taken()
+    assert taken == PINNED_SNAPSHOTS[name], \
+        snapshot_diff(PINNED_SNAPSHOTS[name], taken)
+    assert plain.runtimes and watched.taken() == taken
     assert tracer.events and stream.getvalue()
