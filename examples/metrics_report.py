@@ -29,7 +29,7 @@ def main():
     machine = build_multi_gpu_node(Environment(), num_gpus=2)
     prog = Program(machine,
                    RuntimeConfig(scheduler="affinity", functional=False),
-                   tracer=tracer)
+                   subscribers=(tracer,))
 
     a = prog.array("A", size.elements)
     b = prog.array("B", size.elements)

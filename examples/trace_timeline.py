@@ -13,7 +13,7 @@ from pathlib import Path
 
 from repro.apps.matmul import MatmulSize, run_ompss
 from repro.hardware import build_multi_gpu_node
-from repro.runtime import Runtime, RuntimeConfig, Tracer
+from repro.runtime import RuntimeConfig, Tracer
 from repro.sim import Environment
 
 
@@ -28,7 +28,7 @@ def main():
     machine = build_multi_gpu_node(env, num_gpus=2)
     prog = Program(machine,
                    RuntimeConfig(scheduler="affinity", functional=False),
-                   tracer=tracer)
+                   subscribers=(tracer,))
 
     a = prog.array("A", size.elements)
     b = prog.array("B", size.elements)

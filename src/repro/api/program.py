@@ -30,15 +30,14 @@ class Program:
     def __init__(self, machine: Optional[Machine] = None,
                  config: Optional[RuntimeConfig] = None,
                  env: Optional[Environment] = None,
-                 tracer=None, sanitizer=None):
+                 subscribers=()):
         if machine is None:
             env = env or Environment()
             machine = build_multi_gpu_node(env, num_gpus=1)
         self.env = machine.env
         self.machine = machine
         self.config = config or RuntimeConfig()
-        self.rt = Runtime(machine, self.config, tracer=tracer,
-                          sanitizer=sanitizer)
+        self.rt = Runtime(machine, self.config, subscribers=subscribers)
         self._makespan: Optional[float] = None
 
     # -- data ----------------------------------------------------------------

@@ -155,7 +155,8 @@ def run_workload(spec: WorkloadSpec, machine: str = "gpu2",
     if not config.functional:
         raise ValueError("dagfuzz workloads need functional mode")
     env = Environment()
-    rt = Runtime(build_machine(env, machine), config, sanitizer=sanitizer)
+    rt = Runtime(build_machine(env, machine), config,
+                 subscribers=(sanitizer,))
 
     objects = [rt.register_array(
         f"o{i}", spec.object_elements(i),

@@ -17,8 +17,8 @@ its config carries a non-empty plan.  It plays two roles:
 
 Everything the engine does is observable: each fault and recovery action
 lands in :attr:`FaultEngine.timeline`, in ``faults.*`` counters of the
-metrics registry, and (when a tracer is attached) as zero-length
-``fault`` spans on the Chrome timeline.
+metrics registry, and at the ``fault`` probe point, where a subscribed
+tracer draws it as a zero-length span on the Chrome timeline.
 """
 
 from __future__ import annotations
@@ -97,10 +97,8 @@ class FaultEngine:
         now = self.env.now
         self.timeline.append((now, kind, detail))
         self.metrics.inc(f"faults.{kind}")
-        tracer = self.rt.tracer
-        if tracer is not None:
-            tracer.record("fault", f"{kind}:{detail}" if detail else kind,
-                          "faults", now, now)
+        for fn in self.rt.probes.fault:
+            fn(kind, detail, now)
 
     def timeline_digest(self) -> str:
         """Stable hash of the fault/recovery timeline (determinism tests)."""

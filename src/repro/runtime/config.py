@@ -45,9 +45,6 @@ class RuntimeConfig:
     #: fraction of GPU memory usable by the software cache (the rest models
     #: CUDA context/code overheads).
     gpu_cache_fraction: float = 0.9
-    #: SMP worker threads per node; 0 means one per core not otherwise
-    #: reserved for GPU-manager or communication duty.
-    smp_workers: int = 0
     #: relative kernel-duration variability (deterministic pseudo-noise);
     #: models real launch-to-launch variance so schedules do not lock-step.
     kernel_jitter: float = 0.03
@@ -88,8 +85,6 @@ class RuntimeConfig:
             raise ValueError("presend window cannot be negative")
         if not 0 < self.gpu_cache_fraction <= 1:
             raise ValueError("gpu_cache_fraction must be in (0, 1]")
-        if self.smp_workers < 0:
-            raise ValueError("smp_workers cannot be negative")
         if not 0 <= self.kernel_jitter < 1:
             raise ValueError("kernel_jitter must be in [0, 1)")
         if self.task_overhead < 0:

@@ -22,7 +22,7 @@ __all__ = ["POINTS", "INTERCEPTORS", "Probes", "JsonLinesRecorder",
 POINTS = ("task_submitted", "task_started", "task_finished", "task_retired",
           "dep_arc", "transfer_issued", "transfer_done", "kernel_done",
           "am_sent", "am_handled", "commit", "evict", "dispatch",
-          "taskwait", "host_read")
+          "taskwait", "host_read", "fault", "finding")
 INTERCEPTORS = ("watch_args", "kernel_should_abort", "link_slowdown",
                 "am_outcome")
 

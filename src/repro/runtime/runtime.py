@@ -66,7 +66,7 @@ class Image:
         # Execution places.  Each GPU claims a manager thread; on a cluster
         # master one more core serves communication; the rest run SMP tasks.
         reserved = len(node.gpus) + (1 if (is_master and rt.is_cluster) else 0)
-        n_smp = rt.config.smp_workers or max(1, node.spec.cpu.cores - reserved)
+        n_smp = max(1, node.spec.cpu.cores - reserved)
         self.smp_workers = [SMPWorker(self, i) for i in range(n_smp)]
         self.gpu_managers = []
         for gpu in node.gpus:
@@ -209,7 +209,7 @@ class Runtime:
     def __init__(self, machine: Machine,
                  config: Optional[RuntimeConfig] = None,
                  kernel_registry: Optional[KernelRegistry] = None,
-                 tracer=None, sanitizer=None):
+                 subscribers=()):
         self.machine = machine
         self.env: Environment = machine.env
         self.config = config or RuntimeConfig()
@@ -266,13 +266,10 @@ class Runtime:
             if plan is not None and not plan.is_empty else None)
 
         # -- the probe seam (repro.runtime.probes) ---------------------------
-        #: the Tracer among the subscribers (set by its ``attach``), for
-        #: the fault engine and the sanitizer, which report into it.
-        self.tracer = None
         #: every point and interceptor, bound once: the installed
-        #: subscribers, ``tracer`` / ``sanitizer`` and the runtime's own
+        #: subscribers, the ``subscribers`` argument, and the runtime's own
         #: liveness tracker and fault engine.
-        self.probes = probes.bind(self, tracer, sanitizer, self.datamove,
+        self.probes = probes.bind(self, *subscribers, self.datamove,
                                   self.faults)
         self.coherence = CoherenceEngine(self)
         self.graph = DependencyGraph(on_arc=self.probes.dep_arc)

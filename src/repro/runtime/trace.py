@@ -15,7 +15,7 @@ executes it)::
 
     from repro.runtime import Tracer
 
-    tracer = Tracer()                      # pass to Runtime(..., tracer=...)
+    tracer = Tracer()                      # a probe subscriber, see below
     tracer.record("task", "k0", "gpu:0:0", start=0.0, end=1.0)
     tracer.record("stage", "flush", "gpu:0:0", start=2.0, end=3.0)
     assert tracer.utilization("gpu:0:0", makespan=4.0) == 0.5
@@ -23,12 +23,14 @@ executes it)::
     prv = tracer.to_paraver()              # Paraver .prv text
     json_text = tracer.to_chrome()         # chrome://tracing JSON
 
-In a real run the runtime records the spans: a Tracer is a probe
-subscriber (:mod:`repro.runtime.probes`).  Build the runtime as
-``Runtime(machine, config, tracer=tracer)`` (or inside :func:`install`) and
-export after ``run_main`` (see ``examples/metrics_report.py``).  Recording
-is passive, so a traced run's simulated timestamps are bit-identical to an
-untraced one.
+In a real run the spans come from probe points: a Tracer is a plain
+subscriber (:mod:`repro.runtime.probes`) whose point methods each append
+one span — the fault engine's ``fault`` and the sanitizer's ``finding``
+included, as zero-width spans on the ``faults`` / ``sanitizer`` places.
+Build the runtime as ``Runtime(machine, config, subscribers=(tracer,))``
+(or inside :func:`install`) and export after ``run_main`` (see
+``examples/metrics_report.py``).  Recording is passive, so a traced run's
+simulated timestamps are bit-identical to an untraced one.
 """
 
 from __future__ import annotations
@@ -81,9 +83,6 @@ class Tracer:
                                       nbytes))
 
     # -- probe points (each appends its span directly) -------------------
-    def attach(self, runtime) -> None:
-        runtime.tracer = self
-
     def task_finished(self, task, place, start: float, end: float) -> None:
         self.events.append(TraceEvent("task", task.name, place.place_name,
                                       start, end))
@@ -100,6 +99,14 @@ class Tracer:
     def dispatch(self, task, node: int, start: float, end: float) -> None:
         self.events.append(TraceEvent("message", f"run:{task.name}",
                                       f"ctl:0->{node}", start, end))
+
+    def fault(self, kind: str, detail: str, at: float) -> None:
+        name = f"{kind}:{detail}" if detail else kind
+        self.events.append(TraceEvent("fault", name, "faults", at, at))
+
+    def finding(self, kind: str, task: str, obj: str, at: float) -> None:
+        self.events.append(TraceEvent("sanitizer", f"{kind}:{task}/{obj}",
+                                      "sanitizer", at, at))
 
     # -- queries ----------------------------------------------------------
     def by_category(self, category: str) -> list[TraceEvent]:
@@ -218,7 +225,7 @@ class Tracer:
 def install(tracer: "Tracer | None" = None):
     """Context manager: runtimes built inside record into ``tracer`` (a
     fresh one by default), yielded — :func:`repro.runtime.probes.install`
-    for callers that cannot pass ``tracer=`` through::
+    for callers that never see the ``Runtime`` they run::
 
         from repro.runtime import trace
 

@@ -415,7 +415,8 @@ class Sanitizer:
         return self._findings
 
     def _publish(self, findings: list[Finding]) -> None:
-        """Mirror findings into the metrics registry and the trace."""
+        """Mirror findings into the metrics registry and the ``finding``
+        probe point."""
         if self.rt is None:
             return
         total = 0
@@ -423,12 +424,10 @@ class Sanitizer:
             self.rt.metrics.inc(f"sanitizer.findings.{f.kind}", f.count)
             total += f.count
         self.rt.metrics.set_gauge("sanitizer.findings", total)
-        tracer = self.rt.tracer
-        if tracer is not None:
-            for f in findings:
-                at = f.time if f.time is not None else self.rt.env.now
-                tracer.record("sanitizer", f"{f.kind}:{f.task}/{f.obj}",
-                              "sanitizer", at, at)
+        for f in findings:
+            at = f.time if f.time is not None else self.rt.env.now
+            for fn in self.rt.probes.finding:
+                fn(f.kind, f.task, f.obj, at)
 
     def _validate(self) -> list[Finding]:
         sink: dict[tuple, Finding] = {}

@@ -28,7 +28,6 @@ import contextlib
 import io
 
 from ..runtime import trace as trace_mod
-from ..runtime.trace import Tracer
 from .job import JobRequest
 
 __all__ = ["app_module", "build_size", "execute_request"]
@@ -62,12 +61,11 @@ def execute_request(request: JobRequest) -> dict:
     backend's contract (:mod:`repro.service.backends`)."""
     from ..bench.harness import run_app
     size = build_size(request.app, request.size)
-    tracer = Tracer() if request.collect_trace else None
     out = io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(contextlib.redirect_stdout(out))
-        if tracer is not None:
-            stack.enter_context(trace_mod.install(tracer))
+        tracer = (stack.enter_context(trace_mod.install())
+                  if request.collect_trace else None)
         san = None
         if request.sanitize:
             from ..sanitizer import install as install_sanitizer

@@ -65,7 +65,7 @@ def test_stats_counters():
 
 def test_program_tracer_wiring():
     tracer = Tracer()
-    prog = make_program(tracer=tracer)
+    prog = make_program(subscribers=(tracer,))
     a = prog.array("a", 16, init=np.zeros(16, dtype=np.float32))
 
     def main():

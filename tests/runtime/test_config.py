@@ -1,6 +1,7 @@
 """Tests for RuntimeConfig validation and helpers."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -42,11 +43,6 @@ def test_gpu_cache_fraction_bounds():
     RuntimeConfig(gpu_cache_fraction=1.0)  # boundary ok
 
 
-def test_smp_workers_validation():
-    with pytest.raises(ValueError):
-        RuntimeConfig(smp_workers=-1)
-
-
 def test_jitter_bounds():
     with pytest.raises(ValueError):
         RuntimeConfig(kernel_jitter=1.0)
@@ -59,10 +55,38 @@ def test_task_overhead_validation():
         RuntimeConfig(task_overhead=-1e-6)
 
 
-def test_knob_count():
+_FIGURES = "src/repro/bench/figures.py"
+_COMM_BENCH = "benchmarks/perf/comm_bench.py"
+
+#: every knob -> (the file that sets it to a non-default value, its kind)
+KNOBS = {
+    "cache_policy": (_FIGURES, "figure dimension"),
+    "scheduler": (_FIGURES, "figure dimension"),
+    "overlap": (_FIGURES, "figure dimension"),
+    "prefetch": (_FIGURES, "figure dimension"),
+    "presend": (_FIGURES, "figure dimension"),
+    "slave_to_slave": (_FIGURES, "figure dimension"),
+    "functional": (_FIGURES, "figure dimension"),
+    "wb_elision": (_COMM_BENCH, "comm-bench row"),
+    "cost_aware_eviction": (_COMM_BENCH, "comm-bench row"),
+    "gpu_cache_fraction": (_COMM_BENCH, "comm-bench row"),
+    "presend_depth": (_COMM_BENCH, "comm-bench row"),
+    "steal": ("benchmarks/test_ablation_runtime_knobs.py", "ablation"),
+    "fault_plan": ("benchmarks/perf/faults_bench.py", "fault benchmark"),
+    # model parameters: only tests move them off their calibrated values
+    "kernel_jitter": ("tests/faults/test_recovery.py", "model parameter"),
+    "task_overhead": ("tests/faults/test_recovery.py", "model parameter"),
+}
+
+
+def test_knob_table_covers_every_field():
     """ROADMAP aim 2 counts knobs; a new field has to be argued for there
-    (two existing callers needing different values), not slipped in."""
-    assert len(dataclasses.fields(RuntimeConfig)) == 16
+    (two existing callers needing different values), not slipped in, and
+    it enters this table with the file that sets it."""
+    assert set(KNOBS) == {f.name for f in dataclasses.fields(RuntimeConfig)}
+    root = Path(__file__).resolve().parents[2]
+    for name, (path, _kind) in KNOBS.items():
+        assert name in (root / path).read_text(), (name, path)
 
 
 def test_with_replaces_fields():

@@ -1,9 +1,10 @@
 """Tests for image construction: worker counts, core reservations."""
 
-import pytest
+from dataclasses import replace
 
-from repro.hardware import build_gpu_cluster, build_multi_gpu_node
-from repro.runtime import Runtime, RuntimeConfig
+from repro.hardware import (MULTI_GPU_NODE, build_gpu_cluster,
+                            build_multi_gpu_node)
+from repro.runtime import Runtime
 from repro.sim import Environment
 
 
@@ -29,18 +30,17 @@ def test_cluster_master_also_reserves_comm_core():
 
 
 def test_explicit_smp_worker_count_overrides():
-    env = Environment()
-    rt = Runtime(build_multi_gpu_node(env, num_gpus=4),
-                 RuntimeConfig(smp_workers=2))
+    # The worker count follows the node's cores: 6 cores, 4 managers -> 2.
+    spec = replace(MULTI_GPU_NODE, cpu=replace(MULTI_GPU_NODE.cpu, cores=6))
+    rt = Runtime(build_multi_gpu_node(Environment(), num_gpus=4, spec=spec))
     assert len(rt.master_image.smp_workers) == 2
 
 
 def test_at_least_one_smp_worker():
     env = Environment()
     # Hypothetical node where GPUs would consume all cores: clamp to 1.
-    from repro.hardware import MULTI_GPU_NODE, Node
+    from repro.hardware import Node
     from repro.hardware.cluster import Machine
-    from dataclasses import replace
 
     spec = replace(MULTI_GPU_NODE,
                    cpu=replace(MULTI_GPU_NODE.cpu, cores=2))

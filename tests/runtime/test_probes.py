@@ -1,5 +1,6 @@
 """The probe seam: binding, the one ambient stack, the JSON-lines recorder."""
 
+import inspect
 import io
 import json
 import re
@@ -9,8 +10,11 @@ import numpy as np
 
 import repro
 from repro import Program, task
+from repro.cuda import KernelSpec
+from repro.faults import FaultEvent, FaultPlan
 from repro.hardware import build_multi_gpu_node
-from repro.runtime import RuntimeConfig, probes, trace
+from repro.runtime import (Access, Direction, Runtime, RuntimeConfig, Task,
+                           Tracer, probes, trace)
 from repro.sanitizer import install as install_sanitizer
 from repro.sim import Environment
 
@@ -66,10 +70,10 @@ def test_subscriber_is_attached_once_and_bound_by_method_name():
 def test_installs_nest_and_unwind():
     with trace.install() as tracer, install_sanitizer() as san:
         prog, y = _chain()
-        assert prog.rt.tracer is tracer
+        assert tracer.task_finished in prog.rt.probes.task_finished
     assert san.findings() == [] and tracer.by_category("task")
     assert np.array_equal(y.np, np.full(16, 3, dtype=np.float32))
-    assert _chain()[0].rt.tracer is None
+    assert _chain()[0].rt.probes.task_finished == ()
 
 
 def test_recorder_dump_rebuilds_a_chains_arcs():
@@ -90,6 +94,33 @@ def test_recorder_dump_rebuilds_a_chains_arcs():
     assert [ln["t"] for ln in lines] == sorted(ln["t"] for ln in lines)
 
 
+def test_fault_notes_reach_subscribers_through_the_fault_point():
+    plan = FaultPlan(events=(FaultEvent(kind="kernel_abort", nth=2),))
+    kernel = KernelSpec(name="k", cost=lambda spec: 1e-3)
+    tracer, stream = Tracer(), io.StringIO()
+    with probes.install(probes.JsonLinesRecorder(stream)):
+        rt = Runtime(build_multi_gpu_node(Environment(), num_gpus=1),
+                     RuntimeConfig(functional=False, fault_plan=plan),
+                     subscribers=(tracer,))
+    objs = [rt.register_array(f"x{i}", 64) for i in range(4)]
+
+    def main():
+        for i, obj in enumerate(objs):
+            rt.submit(Task(name=f"t{i}", device="cuda", kernel=kernel,
+                           accesses=(Access(obj.whole, Direction.INOUT),)))
+        yield from rt.taskwait()
+
+    rt.run_main(main())
+    timeline = rt.faults.timeline
+    assert timeline
+    assert [(e.name, e.start, e.end) for e in tracer.by_category("fault")] \
+        == [(f"{kind}:{detail}" if detail else kind, at, at)
+            for at, kind, detail in timeline]
+    lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert [ln["args"] for ln in lines if ln["point"] == "fault"] \
+        == [[kind, detail, at] for at, kind, detail in timeline]
+
+
 # ----------------------------------------------------------- design budget
 
 SRC = Path(repro.__file__).parent
@@ -108,3 +139,16 @@ def test_optional_subsystems_are_not_threaded_through_the_core():
     stacks = [p for p in SRC.rglob("*.py")
               if re.search(r"^_(ACTIVE|INSTALLED)\b", p.read_text(), re.M)]
     assert stacks == [SRC / "runtime" / "probes.py"]
+
+
+def test_tools_are_subscribers_only():
+    for cls in (Runtime, Program):
+        params = inspect.signature(cls).parameters
+        assert "subscribers" in params
+        assert not {"tracer", "sanitizer"} & set(params)
+    reads = [f"{path}: {line.strip()}" for path in sorted(SRC.rglob("*.py"))
+             for line in path.read_text().splitlines()
+             if re.search(r"\.tracer\b", line)]
+    assert reads == []
+    assert not hasattr(Tracer, "attach")
+    assert {"fault", "finding"} <= set(probes.POINTS)

@@ -25,7 +25,7 @@ def traced_run(machine="gpu2", tasks=8, kernel_time=1e-3, **cfg):
     tracer = Tracer()
     defaults = dict(functional=False, kernel_jitter=0, task_overhead=0)
     defaults.update(cfg)
-    rt = Runtime(m, RuntimeConfig(**defaults), tracer=tracer)
+    rt = Runtime(m, RuntimeConfig(**defaults), subscribers=(tracer,))
     kernel = KernelSpec(name="k", cost=lambda spec: kernel_time)
     task_list = []
     for i in range(tasks):
@@ -126,4 +126,4 @@ def test_paraver_export_format():
 def test_tracing_disabled_by_default():
     env = Environment()
     rt = Runtime(build_multi_gpu_node(env, num_gpus=1))
-    assert rt.tracer is None
+    assert rt.probes.task_finished == () and rt.probes.fault == ()

@@ -1,9 +1,11 @@
 """Unit tests for SMP workers and argument resolution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.hardware import build_multi_gpu_node
+from repro.hardware import MULTI_GPU_NODE, build_multi_gpu_node
 from repro.memory import DataObject, HostSpace
 from repro.runtime import Access, Direction, Runtime, RuntimeConfig, Task
 from repro.runtime.worker import resolve_args
@@ -51,11 +53,16 @@ def test_resolve_args_unlisted_region_rejected():
         resolve_args(task, space)
 
 
+def _one_gpu_node(cores):
+    spec = replace(MULTI_GPU_NODE, cpu=replace(MULTI_GPU_NODE.cpu,
+                                               cores=cores))
+    return build_multi_gpu_node(Environment(), num_gpus=1, spec=spec)
+
+
 def test_smp_workers_execute_concurrently_up_to_core_count():
-    env = Environment()
-    rt = Runtime(build_multi_gpu_node(env, num_gpus=1),
+    rt = Runtime(_one_gpu_node(cores=5),     # 1 manager + 4 SMP workers
                  RuntimeConfig(kernel_jitter=0, task_overhead=0,
-                               smp_workers=4, functional=False))
+                               functional=False))
     obj = rt.register_array("x", 64)
     tasks = [Task(name=f"t{i}", device="smp", smp_cost=1.0,
                   accesses=(Access(obj.region(i * 8, 8), Direction.OUT),))
@@ -72,10 +79,8 @@ def test_smp_workers_execute_concurrently_up_to_core_count():
 
 
 def test_worker_counts_tasks():
-    env = Environment()
-    rt = Runtime(build_multi_gpu_node(env, num_gpus=1),
-                 RuntimeConfig(kernel_jitter=0, task_overhead=0,
-                               smp_workers=1))
+    rt = Runtime(_one_gpu_node(cores=2),     # 1 manager + 1 SMP worker
+                 RuntimeConfig(kernel_jitter=0, task_overhead=0))
     obj = rt.register_array("x", 8)
 
     def body(buf):

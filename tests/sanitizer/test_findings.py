@@ -97,7 +97,7 @@ def test_findings_publish_to_metrics_and_tracer():
     tracer = Tracer()
     with install() as san:
         machine = build_multi_gpu_node(Environment(), num_gpus=1)
-        prog = Program(machine, RuntimeConfig(), tracer=tracer)
+        prog = Program(machine, RuntimeConfig(), subscribers=(tracer,))
         a = prog.array("a", 16)
 
         def main():

@@ -143,6 +143,8 @@ def test_worker_fails_malformed_requests_and_keeps_draining(tmp_path, capsys,
         "g-removed-field": (json.dumps({"app": "matmul", "config": {
             "functional": False, "adaptive_datamove": True}}), queued,
             "bad request.json: TypeError"),
+        "h-removed-field": (json.dumps({"app": "matmul", "config": {
+            "smp_workers": 2}}), queued, "bad request.json: TypeError"),
     }
     in_flight = {"f-no-status-yet": (good_request, None, None)}
     for job_id, (request, status, _) in {**bad, **in_flight}.items():
@@ -169,8 +171,10 @@ def test_worker_fails_malformed_requests_and_keeps_draining(tmp_path, capsys,
         assert status["error"].startswith(error)
         assert len(status["error"].splitlines()) == 1
         assert out.count(f"{job_id}: failed") == 1
-    assert "adaptive_datamove" in json.loads(
-        (staging / "g-removed-field" / "status.json").read_text())["error"]
+    for job_id, field in (("g-removed-field", "adaptive_datamove"),
+                          ("h-removed-field", "smp_workers")):
+        assert field in json.loads(
+            (staging / job_id / "status.json").read_text())["error"]
     assert sorted(p.name for p in (staging / "f-no-status-yet").iterdir()) \
         == ["request.json"]
     assert "f-no-status-yet" not in out
