@@ -44,13 +44,15 @@ NBODY_STRESS = nbody.NBodySize(n=20_000_000, blocks=16, iters=10)
 
 def _assemble(result: FigureResult,
               points: "list[PointSpec]", parallel: int,
-              scheduler: "str | None" = None) -> FigureResult:
+              scheduler: "str | None" = None, value: str = "metric",
+              per_point: bool = False) -> FigureResult:
     """Run a figure's points (serial or fanned out) and fill its series.
 
     Points arrive grouped by series, each series in x order, so appending
-    metrics in spec order rebuilds exactly the lists the serial loops
-    produced.  Points flagged ``want_metrics`` (the largest x of selected
-    series) attach their counter snapshot, as before.
+    each point's ``value`` (``"metric"`` or ``"makespan"``) in spec order
+    rebuilds the series lists.  Points flagged ``want_metrics`` attach
+    their counter snapshot under the series name, or under
+    ``series/x`` when ``per_point``.
 
     ``scheduler`` (the ``--scheduler`` CLI flag) overrides the policy on
     every OmpSs point of the figure, leaving the rest of each point's
@@ -62,9 +64,11 @@ def _assemble(result: FigureResult,
                   for spec in points]
     values = run_points(points, parallel=parallel)
     for spec, val in zip(points, values):
-        result.series.setdefault(spec.series, []).append(val["metric"])
-        if spec.want_metrics and val["metrics"]:
-            result.attach_metrics(spec.series, val["metrics"])
+        result.series.setdefault(spec.series, []).append(val[value])
+        if spec.want_metrics:
+            result.attach_metrics(
+                f"{spec.series}/{spec.x}" if per_point else spec.series,
+                val["metrics"])
     return result
 
 
@@ -372,17 +376,8 @@ def fig_datamove(parallel: int = 0,
                           title="Data-movement layer, comm-bound points",
                           x_label="point", xs=list(DATAMOVE_POINTS),
                           unit="s (makespan)")
-    points = fig_datamove_points()
-    if scheduler is not None:
-        result.notes.append(f"scheduler override: {scheduler}")
-        points = [dataclasses.replace(spec, scheduler=scheduler)
-                  for spec in points]
-    values = run_points(points, parallel=parallel)
-    for spec, val in zip(points, values):
-        result.series.setdefault(spec.series, []).append(val["makespan"])
-        if spec.want_metrics and val["metrics"]:
-            result.attach_metrics(f"{spec.series}/{spec.x}",
-                                  val["metrics"])
+    _assemble(result, fig_datamove_points(), parallel, scheduler=scheduler,
+              value="makespan", per_point=True)
     base, opt = result.series["baseline"], result.series["datamove"]
     for point, b, o in zip(DATAMOVE_POINTS, base, opt):
         result.notes.append(
@@ -459,13 +454,8 @@ def fig_irr(parallel: int = 0,
                           title="Irregular apps, all scheduling policies",
                           x_label="point", xs=list(IRR_POINTS),
                           unit="s (makespan)")
-    points = fig_irr_points()
-    values = run_points(points, parallel=parallel)
-    for spec, val in zip(points, values):
-        result.series.setdefault(spec.series, []).append(val["makespan"])
-        if spec.want_metrics and val["metrics"]:
-            result.attach_metrics(f"{spec.series}/{spec.x}",
-                                  val["metrics"])
+    _assemble(result, fig_irr_points(), parallel, value="makespan",
+              per_point=True)
     for i, point in enumerate(IRR_POINTS):
         best = min(SCHED_POLICIES, key=lambda p: result.series[p][i])
         result.notes.append(

@@ -110,10 +110,12 @@ def fresh_cluster(num_nodes: int) -> Machine:
 def run_app(app: str, version: str, machine: str, count: int, size,
             config: "RuntimeConfig | None", run_kwargs: dict):
     """``repro.apps.<app>.run_<version>`` on a fresh ``machine`` of ``count``
-    GPUs / nodes: the one place a declarative run (a figure's ``PointSpec``,
-    a service ``JobRequest``) becomes a call.  The app package is imported
-    here, so a process pays only for the apps it runs; ``config`` reaches
-    OmpSs versions only — the baselines run in performance mode.
+    GPUs / nodes: the one place a declarative run (a service ``JobRequest``,
+    a figure's ``PointSpec`` included) becomes a call, reached through
+    :func:`repro.service.runner.execute_request`.  The app package is
+    imported here, so a process pays only for the apps it runs;
+    ``config`` reaches OmpSs versions only — the baselines run in
+    performance mode.
     """
     built = (fresh_multi_gpu if machine == "multi_gpu"
              else fresh_cluster)(count)

@@ -1,34 +1,19 @@
 """Parallel figure sweeps: fan independent figure points out across cores.
 
-A figure (see :mod:`repro.bench.figures`) is a grid of *points* — one
-(app, version, machine, configuration) simulation each, sharing nothing
-with its neighbours.  The sweep runner exploits that: each point is a
-picklable :class:`PointSpec`, executed by the module-level :func:`run_point`
-either in-process (serial, the default) or in a forked process of its own.
+A figure (:mod:`repro.bench.figures`) is a grid of independent *points*.
+A point is a :class:`PointSpec`: a service
+:class:`~repro.service.job.JobRequest` plus its place in the figure, so
+:func:`run_point` is the service's executor,
+:func:`~repro.service.runner.execute_request`.
 
-Isolation and determinism
--------------------------
-With ``parallel=N`` every point runs in its own process, **forked from
-the pre-sweep process** (the parent runs no point itself) and supervised
-directly by :func:`run_points` through
-:class:`repro.service.isolation.IsolatedCall` — the supervisor behind
-the service's forking :class:`~repro.service.backends.Backend`, with no
-worker pool and no thread in between; at most N are alive at a time.
-So module-level counters (stream ids, cache use clocks) are identical
-for every point and one point can never observe another's state.  A
-simulation is itself deterministic given its spec, so a sweep's output is
-bit-identical whatever ``parallel`` is — ``tests/bench/test_sweep.py``
-pins serial vs parallel equality.  (Forked children never re-import
-``__main__``, unlike spawned ones, so the runner is safe to call from
-scripts, pytest, and the REPL alike.)
-
-Crash surfacing
----------------
-A point that raises, or a point process that *dies* (segfault,
-``os._exit``, OOM-kill — pipe EOF plus its wait status), surfaces as
-:class:`SweepPointError` naming the point instead of hanging the sweep:
-the first failing point in spec order is raised, after every point still
-running has been killed and reaped.
+:func:`run_points` is a client of one
+:class:`~repro.service.backends.Backend`: ``parallel=0`` runs points
+in-process, ``parallel=N`` forks each from the pre-sweep process, at most
+N alive at a time.  A simulation is deterministic given its spec, so the
+output is bit-identical whatever ``parallel`` is.  A point that raises,
+or whose process dies, surfaces as :class:`SweepPointError` naming it:
+the first failing point in spec order, after every point still running
+has been killed and reaped.
 
 Usage::
 
@@ -38,42 +23,31 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import select
-import traceback
-from dataclasses import dataclass, field
-from typing import Optional
 
-from ..runtime.config import RuntimeConfig
-from ..service.isolation import IsolatedCall
-from .harness import run_app
+from ..service.backends import Backend
+from ..service.job import JobRequest
+from ..service.runner import execute_request
 
 __all__ = ["PointSpec", "SweepPointError", "run_point", "run_points"]
 
 
-@dataclass(frozen=True)
-class PointSpec:
-    """One figure point: everything a worker needs to reproduce the run.
-
-    Specs carry only picklable values (strings, numbers, frozen size
-    dataclasses, a :class:`RuntimeConfig`) — never live machines, programs
-    or environments, which is what keeps a point process-portable.
-    """
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class PointSpec(JobRequest):
+    """One figure point: a run (the :class:`JobRequest` fields; ``size``
+    may be given as the app's Size dataclass) and its place in a figure."""
 
     figure: str                       #: owning figure, e.g. ``"fig5"``
     series: str                       #: series label within the figure
-    x: "int | float"                  #: x-axis value (GPUs or nodes)
-    app: str                          #: matmul | stream | perlin | nbody
-    version: str = "ompss"            #: ompss | mpi_cuda
-    machine: str = "multi_gpu"        #: multi_gpu | cluster
-    count: int = 1                    #: GPU count or node count
-    size: object = None               #: the app's frozen Size dataclass
-    config: Optional[RuntimeConfig] = None   #: OmpSs runtime configuration
-    run_kwargs: dict = field(default_factory=dict)  #: init=, flush=, ...
-    want_metrics: bool = False        #: return the full counter snapshot
-    #: scheduling-policy override (``--scheduler`` CLI flag): replaces the
-    #: config's scheduler for OmpSs runs, leaving the rest of the point's
-    #: configuration untouched.  ``None`` means "as configured".
-    scheduler: Optional[str] = None
+    x: "int | float | str"            #: x-axis value (GPUs, nodes, point)
+    want_metrics: bool = False        #: the figure reports its counters
+    collect_trace: bool = False       #: figures read no trace
+
+    def __post_init__(self):
+        if dataclasses.is_dataclass(self.size):
+            object.__setattr__(self, "size", dataclasses.asdict(self.size))
+        super().__post_init__()
 
     @property
     def label(self) -> str:
@@ -90,59 +64,32 @@ class SweepPointError(RuntimeError):
 
 
 def run_point(spec: PointSpec) -> dict:
-    """Execute one figure point; returns a small, picklable result dict.
-
-    Depends only on the spec (machines and programs are built fresh), so a
-    forked child computes the same answer as an in-process call.
-    """
-    config = spec.config
-    if spec.scheduler is not None:
-        config = (config or RuntimeConfig()).with_(scheduler=spec.scheduler)
-    res = run_app(spec.app, spec.version, spec.machine, spec.count,
-                  spec.size, config, spec.run_kwargs)
-    return {
-        "metric": res.metric,
-        "makespan": res.makespan,
-        "metrics": res.metrics if spec.want_metrics else None,
-    }
+    """Execute one figure point: :func:`execute_request`'s payload."""
+    return execute_request(spec)
 
 
 def run_points(specs: "list[PointSpec]", parallel: int = 0) -> "list[dict]":
-    """Run every spec; results come back in spec order.
-
-    ``parallel <= 1`` runs in-process.  Otherwise every point gets its own
-    forked process, at most ``parallel`` alive at a time (module docstring);
-    ``run_point`` is resolved at each fork, so tests can monkeypatch it.
-    """
-    if parallel <= 1:
-        out = []
-        for spec in specs:
-            try:
-                out.append(run_point(spec))
-            except Exception:
-                raise SweepPointError(spec, f"\n{traceback.format_exc()}")
-        return out
-
-    handles: "list[IsolatedCall]" = []        # handles[i] runs specs[i]
+    """Run every spec on ``Backend(parallel)``; results in spec order."""
+    backend = Backend(parallel)
+    outcomes: "dict[int, tuple[str, object]]" = {}
+    started = 0
     out = []
     try:
         for i, spec in enumerate(specs):
-            # Until point i is in: drain whoever has written, start points
-            # (in spec order) up to the limit, sleep on the running pipes.
-            while True:
-                running = [h for h in handles if not h.poll()]
-                while len(handles) < len(specs) and len(running) < parallel:
-                    handles.append(
-                        IsolatedCall(run_point, specs[len(handles)]))
-                    running.append(handles[-1])
-                if handles[i] not in running:
-                    break
-                select.select(running, [], [])
-            kind, value = handles[i].outcome()
+            while i not in outcomes:
+                while started < len(specs) and backend.free_slots():
+                    backend.start(str(started), specs[started])
+                    started += 1
+                for job in backend.active():
+                    outcome = backend.poll(job)
+                    if outcome is not None:
+                        outcomes[int(job)] = outcome
+                if i not in outcomes:
+                    select.select(backend.fds(), [], [])
+            kind, value = outcomes.pop(i)
             if kind == "err":
                 raise SweepPointError(spec, f"\n{value}")
             out.append(value)
         return out
     finally:
-        for handle in handles:
-            handle.kill()                     # a no-op for a finished point
+        backend.close()

@@ -19,10 +19,11 @@ Layers (docs/SERVICE.md is the guide):
 * :mod:`repro.service.staging`   — the per-job artifact bundle on disk;
 * :mod:`repro.service.runner`    — the "run request → result payload" seam;
 * :mod:`repro.service.isolation` — the process supervisor: one fork per
-  job, and per point of a figure sweep (:mod:`repro.bench.sweep`);
+  job;
 * :mod:`repro.service.queue`     — priorities + weighted fair queueing;
 * :mod:`repro.service.backends`  — ``Backend(workers)``: in-process
-  (``workers=0``) or one fork per job;
+  (``workers=0``) or one fork per job; the figure sweep
+  (:mod:`repro.bench.sweep`) is a client too;
 * :mod:`repro.service.api`       — the :class:`Service` submit/poll/
   stream/fetch façade;
 * ``python -m repro.service``    — submit / status / artifacts / worker /

@@ -19,13 +19,15 @@ results and counters, not a backend object; it has no slots to wait for.
   reference, and the determinism oracle for forked execution.
 * ``N >= 1`` — up to N jobs at a time, each in its own process **forked
   from the service process at dispatch**
-  (:class:`repro.service.isolation.IsolatedCall`, the supervisor the
-  figure-sweep runner uses too; ``execute_request`` is resolved through
-  this module then, so tests can monkeypatch it): no worker pool, no
-  thread.  ``poll`` drains the job's pipe — a job only finishes by being
-  polled — and ``close`` kills and reaps whatever is still running.  A
-  job process that dies is that job's failure, naming the wait status,
-  and nothing else's.
+  (:class:`repro.service.isolation.IsolatedCall`; ``execute_request``
+  is resolved through this module then, so tests can monkeypatch it): no
+  worker pool, no thread.  ``poll`` drains the job's pipe — a job only
+  finishes by being polled — and ``close`` kills and reaps whatever is
+  still running.  A job process that dies is that job's failure, naming
+  the wait status, and nothing else's.
+
+The service and the figure sweep (:func:`repro.bench.sweep.run_points`)
+are this class's two clients.
 """
 
 from __future__ import annotations

@@ -76,8 +76,11 @@ def _request_from_args(args) -> JobRequest:
 
 
 def cmd_submit(args) -> int:
+    try:
+        request = _request_from_args(args)
+    except (ValueError, TypeError) as exc:       # JSONDecodeError included
+        raise SystemExit(f"bad request: {exc}")
     staging = StagingDir(args.staging)
-    request = _request_from_args(args)
     job_id = args.job_id or \
         f"{request.tenant}-{request.app}-{uuid.uuid4().hex[:8]}"
     staging.write_request(job_id, request)

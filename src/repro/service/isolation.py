@@ -1,11 +1,12 @@
 """The process supervisor: one ``os.fork`` per isolated call, nothing else.
 
-Two consumers run simulations off-process — a forking
-:class:`~repro.service.backends.Backend` (a process per job) and the
-figure sweep :func:`repro.bench.sweep.run_points` (a process per point).
-Both hold :class:`IsolatedCall` handles with nothing in between — no
-worker pool, no thread, no queue — and this module's ``os.fork`` is the
-only place under ``src/`` a process is made.
+Two holders run calls off-process: a forking
+:class:`~repro.service.backends.Backend` (a process per job — the service
+and the figure sweep :func:`repro.bench.sweep.run_points` are its
+clients) and the blocking :func:`call_isolated`.  Both hold
+:class:`IsolatedCall` handles with nothing in between — no worker pool,
+no thread, no queue — and this module's ``os.fork`` is the only place
+under ``src/`` a process is made.
 
 An :class:`IsolatedCall` forks at construction.  The child inherits the
 caller's state copy-on-write as of that moment (so ``fn`` need not be

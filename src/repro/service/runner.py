@@ -3,13 +3,14 @@
 :func:`execute_request` turns one :class:`~repro.service.job.JobRequest`
 into one picklable payload dict, building everything live — machine,
 config, tracer, sanitizer — from the declarative description (the
-description → call step itself is :func:`repro.bench.harness.run_app`,
-shared with the figure sweeps' ``run_point``).  Every backend funnels
-through this function, which is what makes eager and pool execution
-bit-identical: a simulation depends only on its request, not on what the
-executing process ran before — the pool forks each job from the service
-process as it is at dispatch, and gives a job its own process so that it
-can crash or be killed alone, not to change its numbers.  The service's
+description → call step itself is :func:`repro.bench.harness.run_app`).
+A figure sweep's point is a request too, so ``run_point`` is this
+function.  Every backend funnels through this function, which is what
+makes eager and pool execution bit-identical: a simulation depends only
+on its request, not on what the executing process ran before — the pool
+forks each job from the service process as it is at dispatch, and gives
+a job its own process so that it can crash or be killed alone, not to
+change its numbers.  The service's
 result cache rests on the same property, in its full form — the whole
 payload repeats (``tests/service/test_determinism.py``).
 

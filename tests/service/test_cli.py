@@ -102,10 +102,22 @@ def test_worker_skips_already_terminal_jobs(tmp_path, capsys):
     assert job_id not in out
 
 
-def test_submit_rejects_malformed_size(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["submit", "--staging", str(tmp_path), "--app", "matmul",
-              "--size", "n256"])
+@pytest.mark.parametrize("argv", [
+    ["--app", "matmul", "--size", "n256"],
+    ["--app", "matmul", "--size", "n=abc"],
+    ["--app", "matmul", "--count", "0"],
+    ["--request", "truncated.json"],
+], ids=["size-no-equals", "size-not-int", "count-zero", "truncated-request"])
+def test_submit_rejects_malformed_size(tmp_path, capsys, argv):
+    """Malformed input ends ``submit`` with one line, staging nothing."""
+    (tmp_path / "truncated.json").write_text('{"app": "matm')
+    staging = tmp_path / "svc"
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg
+            for arg in argv]
+    with pytest.raises(SystemExit, match="^bad ") as excinfo:
+        main(["submit", "--staging", str(staging), *argv])
+    assert "\n" not in str(excinfo.value)
+    assert not staging.exists()
 
 
 def test_missing_artifact_names_available_ones(tmp_path, capsys):
