@@ -19,15 +19,20 @@ Results land in ``BENCH_faults.json``.  Usage::
     PYTHONPATH=src python benchmarks/perf/faults_bench.py            # full
     PYTHONPATH=src python benchmarks/perf/faults_bench.py --smoke    # CI
     PYTHONPATH=src python benchmarks/perf/faults_bench.py --out path.json
+    PYTHONPATH=src python benchmarks/perf/faults_bench.py --check    # gate
 
 Smoke mode shrinks the problem sizes; it validates the suite, not the
-numbers.
+numbers.  ``--check`` runs the full suite (under a second) and fails unless
+its report equals the checked-in ``BENCH_faults.json`` with ``==``: every
+number here is simulated time or a count, exactly reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 
 from repro.apps import matmul
 from repro.bench.harness import fresh_cluster, fresh_multi_gpu
@@ -35,6 +40,8 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.runtime.config import RuntimeConfig
 
 SCHEMA = "repro.bench.faults/v1"
+RESULT_PATH = os.path.normpath(os.path.join(
+    os.path.dirname(__file__), "..", "..", "BENCH_faults.json"))
 
 
 def _mgpu_run(size, plan):
@@ -133,13 +140,37 @@ def run_suite(smoke: bool = False) -> dict:
     }
 
 
+def differences(want, got, path=""):
+    """(path, want, got) for every leaf where two reports differ."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got), key=str):
+            yield from differences(want.get(key), got.get(key),
+                                   f"{path}.{key}" if path else str(key))
+    elif (isinstance(want, list) and isinstance(got, list)
+          and len(want) == len(got)):
+        for i, (w, g) in enumerate(zip(want, got)):
+            yield from differences(w, g, f"{path}[{i}]")
+    elif want != got:
+        yield path, want, got
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sizes; validates the suite, not the perf")
     parser.add_argument("--out", default="BENCH_faults.json",
                         help="output path (default: ./BENCH_faults.json)")
+    parser.add_argument("--check", action="store_true",
+                        help="gate: fail unless the full run equals the "
+                             "checked-in BENCH_faults.json exactly")
     args = parser.parse_args(argv)
+    if args.check and args.smoke:
+        parser.error("--check compares the full run; drop --smoke")
+    pinned = None
+    if args.check:
+        # Read before this run can write over it.
+        with open(RESULT_PATH) as fh:
+            pinned = json.load(fh)
     report = run_suite(smoke=args.smoke)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
@@ -159,6 +190,13 @@ def main(argv=None) -> int:
           f"{(gl['single_gpu_makespan'] / gl['baseline_makespan'] - 1) * 100:.1f}%), "
           f"{gl['tasks_reexecuted']} tasks re-executed")
     print(f"wrote {args.out}")
+    if pinned is not None:
+        diffs = list(differences(pinned, report))
+        for where, want, got in diffs:
+            print(f"FAIL: {where} is {got!r}, the checked-in "
+                  f"BENCH_faults.json has {want!r}", file=sys.stderr)
+        if diffs:
+            return 1
     return 0
 
 

@@ -140,7 +140,7 @@ def run_mpi_cuda(machine: Machine, size: MatmulSize,
     return AppResult(
         name="matmul", version="mpi_cuda", makespan=elapsed,
         metric=gflops(size, elapsed), metric_unit="GFLOP/s",
-        stats={"messages": world.messages_sent if world else 0,
-               "net_bytes": world.bytes_sent if world else 0},
+        stats={"messages": env.metrics.value("mpi.messages"),
+               "net_bytes": env.metrics.value("mpi.bytes")},
         output=output,
     )

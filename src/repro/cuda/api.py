@@ -87,11 +87,6 @@ class CudaContext:
             )
         self.mem_allocated += nbytes
 
-    def free(self, nbytes: int) -> None:
-        self.mem_allocated -= nbytes
-        if self.mem_allocated < 0:
-            raise CudaError("device memory accounting went negative")
-
     def malloc_host(self, nbytes: int) -> Event:
         """cudaMallocHost: lease page-locked memory from the startup pool."""
         return self.pinned_pool.acquire(nbytes)

@@ -27,10 +27,6 @@ class CudaEvent:
         self.completed_at: Optional[float] = None
 
     @property
-    def recorded(self) -> bool:
-        return self._completion is not None
-
-    @property
     def complete(self) -> bool:
         return self.completed_at is not None
 

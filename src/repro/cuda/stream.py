@@ -50,10 +50,6 @@ class Stream:
         #: a failed tail poisoned every successor).
         self._poison: Optional[BaseException] = None
 
-    @property
-    def ops_enqueued(self) -> int:
-        return self._c_ops.value
-
     def enqueue(self, operation: Callable[[], "object"]) -> Event:
         """Append ``operation`` (a generator factory) to the stream.
 

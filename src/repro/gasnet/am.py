@@ -37,7 +37,6 @@ class Endpoint:
         #: idempotency-token dedup table (fault mode): token -> handler
         #: result, or an Event while the first delivery is still running.
         self.seen_tokens: dict[int, Any] = {}
-        self.duplicates_suppressed = 0
 
     def register(self, name: str, handler: Callable) -> None:
         """Register ``handler(src, *args)``; may be a generator (process)."""
@@ -64,8 +63,7 @@ class AMLayer:
         self.endpoints = [Endpoint(node.index)
                           for node in network.nodes]
         #: the environment's registry, which the layer counts into under
-        #: ``am.*`` with per-link ``am.link.<src>-><dst>.*``; ``short_sent``
-        #: / ``long_sent`` / ``bytes_sent`` are views of its counters.
+        #: ``am.*`` with per-link ``am.link.<src>-><dst>.*``.
         self.metrics = env.metrics
         #: the ``am_sent`` / ``am_handled`` probes and ``am_outcome``
         #: interceptors a runtime binds; a bound outcome switches every
@@ -80,18 +78,6 @@ class AMLayer:
 
     def endpoint(self, node_index: int) -> Endpoint:
         return self.endpoints[node_index]
-
-    @property
-    def short_sent(self) -> int:
-        return self.metrics.value("am.short_sent")
-
-    @property
-    def long_sent(self) -> int:
-        return self.metrics.value("am.long_sent")
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.metrics.value("am.bytes_sent")
 
     def request(self, src: int, dst: int, handler: str, *args: Any,
                 payload_bytes: int = 0, priority: int = 0) -> Event:
@@ -162,7 +148,7 @@ class AMLayer:
             delivery = self.env.process(self._attempt(
                 token, src, dst, handler, args, nbytes, priority, outcome))
             watchdog = self.env.timeout(plan.am_timeout)
-            fired = yield delivery | watchdog
+            fired = yield self.env.any_of((delivery, watchdog))
             if delivery in fired:
                 return fired[delivery]
             # The attempt (or its acknowledgement) was lost: back off.
@@ -196,7 +182,6 @@ class AMLayer:
             # A resend of a request already delivered (its ack was lost):
             # do not run the handler again — that is the duplicate-delivery
             # hazard — return the first delivery's result instead.
-            endpoint.duplicates_suppressed += 1
             self.metrics.inc("am.duplicates_suppressed")
             entry = endpoint.seen_tokens[token]
             if isinstance(entry, Event):

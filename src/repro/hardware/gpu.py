@@ -57,16 +57,6 @@ class GPUDevice:
         self.failed = False
 
     @property
-    def kernels_launched(self) -> int:
-        return self._c_kernels.value
-
-    @property
-    def busy_time(self) -> float:
-        """Seconds the compute engine ran kernels (launch overhead
-        included)."""
-        return self._c_busy.value
-
-    @property
     def mem_capacity(self) -> int:
         return self.spec.mem_capacity
 

@@ -45,19 +45,6 @@ class Link:
         self._c_transfers = metrics.counter(f"{prefix}.transfers")
         self._g_busy = metrics.gauge(f"{prefix}.busy_seconds")
 
-    @property
-    def bytes_moved(self) -> int:
-        return self._c_bytes.value
-
-    @property
-    def transfer_count(self) -> int:
-        return self._c_transfers.value
-
-    @property
-    def busy_seconds(self) -> float:
-        """Cumulative seconds the link was held, latency term included."""
-        return self._g_busy.value
-
     def occupancy(self, nbytes: int) -> float:
         """Time the link is held for an ``nbytes`` transfer."""
         if nbytes < 0:
@@ -81,11 +68,3 @@ class Link:
             hold = self.occupancy(nbytes)
             yield self.env.timeout(hold)
         self.account(nbytes, hold)
-
-    @property
-    def busy(self) -> bool:
-        return self._lanes.count > 0
-
-    @property
-    def queue_len(self) -> int:
-        return self._lanes.queue_len

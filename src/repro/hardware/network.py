@@ -29,10 +29,6 @@ class Network:
         #: fault engine's degradation windows): each scales the wire time.
         self.slowdowns = ()
 
-    @property
-    def bytes_moved(self) -> int:
-        return self._c_bytes.value
-
     def wire_time(self, nbytes: int) -> float:
         return self.nic.latency + nbytes / self.nic.bandwidth
 

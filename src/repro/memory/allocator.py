@@ -61,14 +61,6 @@ class BytePool:
         self._grant()
         return ev
 
-    def try_acquire(self, nbytes: int) -> "PoolLease | None":
-        """Non-blocking acquire; None if it would wait."""
-        if self._waiters or nbytes > self.bytes_free:
-            return None
-        self.bytes_used += nbytes
-        self.peak_usage = max(self.peak_usage, self.bytes_used)
-        return PoolLease(self, nbytes)
-
     def _release(self, nbytes: int) -> None:
         self.bytes_used -= nbytes
         assert self.bytes_used >= 0, "pool accounting went negative"

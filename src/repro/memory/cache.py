@@ -120,23 +120,6 @@ class SoftwareCache:
         self.metrics.set_gauge(f"{self._mprefix}.bytes_used",
                                self.bytes_used)
 
-    # -- statistics (views of the registry's counters) ---------------------
-    @property
-    def hits(self) -> int:
-        return self._c_hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._c_misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self.metrics.value(f"{self._mprefix}.evictions")
-
-    @property
-    def writebacks(self) -> int:
-        return self.metrics.value(f"{self._mprefix}.writebacks")
-
     # -- queries ---------------------------------------------------------
     def has(self, region: Region) -> bool:
         return region.key in self._entries
@@ -149,9 +132,6 @@ class SoftwareCache:
 
     def dirty_entries(self) -> list[CacheEntry]:
         return [self._entries[k] for k in self._dirty]
-
-    def resident_regions(self) -> list[Region]:
-        return [e.region for e in self._entries.values()]
 
     @property
     def bytes_free(self) -> int:

@@ -7,15 +7,13 @@ presend sweeps on how much data movement overlaps computation.  Spans (see
 *how often* and *how much*: cache hits per device, bytes per physical link,
 kernel launches, presend dispatches, steals.
 
-Four instrument kinds cover the runtime's needs:
+Three instrument kinds cover the runtime's needs:
 
 * :class:`Counter` — a monotonically increasing count (hits, bytes, sends);
 * :class:`Gauge` — a level that moves both ways, with a high-water mark
   (bytes resident in a cache, outstanding presends);
 * :class:`Histogram` — a distribution summary (count/total/min/max/mean)
-  for observed values such as task durations;
-* scoped timers — context managers feeding a histogram from a clock
-  (the simulation clock when the registry belongs to a runtime).
+  for observed values such as task durations.
 
 Instruments are created lazily by name, so call sites never need
 registration boilerplate::
@@ -23,9 +21,7 @@ registration boilerplate::
     metrics = CounterRegistry()
     metrics.inc("cache.gpu:0:0.hits")
     metrics.observe("tasks.cuda.duration", 1.5e-3)
-    with metrics.timer("startup"):
-        ...
-    print(metrics.to_json())
+    print(metrics.value("cache.gpu:0:0.hits"))
 
 Names are dotted paths (``subsystem.instance.what``); ``snapshot()``
 flattens everything into one JSON-friendly dict keyed by those names.
@@ -33,9 +29,7 @@ flattens everything into one JSON-friendly dict keyed by those names.
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "CounterRegistry"]
 
@@ -115,35 +109,10 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:g}>"
 
 
-class _ScopedTimer:
-    """Context manager observing its enter->exit duration into a histogram."""
-
-    __slots__ = ("_hist", "_clock", "_start")
-
-    def __init__(self, hist: Histogram, clock: Callable[[], float]):
-        self._hist = hist
-        self._clock = clock
-        self._start = 0.0
-
-    def __enter__(self) -> "_ScopedTimer":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._hist.observe(self._clock() - self._start)
-
-
 class CounterRegistry:
-    """Lazily-created named instruments plus snapshot/export.
+    """Lazily-created named instruments plus snapshot/export."""
 
-    ``clock`` supplies the time source for :meth:`timer`; a runtime passes
-    its simulation clock (``lambda: env.now``) so scoped timers measure
-    simulated seconds.  Without one, wall-clock ``time.perf_counter`` is
-    used.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._clock = clock or time.perf_counter
+    def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -207,11 +176,6 @@ class CounterRegistry:
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
-    def timer(self, name: str) -> _ScopedTimer:
-        """Scoped timer: ``with metrics.timer("phase"): ...`` observes the
-        block's duration into histogram ``name``."""
-        return _ScopedTimer(self.histogram(name), self._clock)
-
     # -- queries ------------------------------------------------------------
     def value(self, name: str, default: "int | float" = 0) -> "int | float":
         """Current value of a counter or gauge (``default`` if absent)."""
@@ -226,11 +190,6 @@ class CounterRegistry:
     def names(self) -> list[str]:
         return sorted([*self._counters, *self._gauges, *self._histograms,
                        *self._infos])
-
-    def with_prefix(self, prefix: str) -> "dict[str, int | float | dict]":
-        """Snapshot restricted to names starting with ``prefix``."""
-        return {k: v for k, v in self.snapshot().items()
-                if k.startswith(prefix)}
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)
@@ -261,13 +220,3 @@ class CounterRegistry:
         for name in sorted(self._infos):
             snap[name] = self._infos[name]
         return snap
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def reset(self) -> None:
-        """Forget every instrument (fresh-run helper for sweeps)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._infos.clear()

@@ -2,9 +2,10 @@
 
 Ranks are simulated processes, one per cluster node.  The subset implemented
 is what SUMMA matmul, STREAM, Perlin and N-Body need: blocking Send/Recv,
-Bcast, Allgather, Barrier, plus non-blocking Isend/Irecv.  All transfers run
-over the same :class:`~repro.hardware.network.Network` as the OmpSs runtime,
-so the comparison is apples-to-apples.
+Bcast and Barrier.  All transfers run over the same
+:class:`~repro.hardware.network.Network` as the OmpSs runtime, so the
+comparison is apples-to-apples; every send counts into the environment's
+registry as ``mpi.messages`` / ``mpi.bytes``.
 
 The API follows mpi4py conventions (capitalized = buffer-style with explicit
 byte counts); communication carries both simulated wire time and, in
@@ -13,8 +14,8 @@ functional mode, the actual NumPy payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any
 
 from ..hardware.network import Network
 from ..sim import Environment, Event, Store
@@ -39,17 +40,6 @@ class Communicator:
         self.world = world
         self.rank = rank
 
-    # -- mpi4py-style accessors ------------------------------------------
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.world.size
-
-    @property
-    def env(self) -> Environment:
-        return self.world.env
-
     # -- point to point -----------------------------------------------------
     def Send(self, payload: Any, nbytes: int, dest: int, tag: int = 0):
         """Process generator: blocking send.
@@ -59,25 +49,10 @@ class Communicator:
         """
         yield self.world._send(self.rank, dest, tag, payload, nbytes)
 
-    def Isend(self, payload: Any, nbytes: int, dest: int, tag: int = 0) -> Event:
-        """Non-blocking send; returns a request event (wait for completion)."""
-        return self.world._send(self.rank, dest, tag, payload, nbytes)
-
     def Recv(self, source: int, tag: int = 0):
         """Process generator: blocking receive; returns the payload."""
         msg = yield self.world._recv(self.rank, source, tag)
         return msg.payload
-
-    def Irecv(self, source: int, tag: int = 0) -> Event:
-        """Non-blocking receive; the event's value is the payload."""
-        ev = Event(self.env)
-
-        def waiter():
-            msg = yield self.world._recv(self.rank, source, tag)
-            ev.succeed(msg.payload)
-
-        self.env.process(waiter())
-        return ev
 
     # -- collectives -----------------------------------------------------------
     def Barrier(self):
@@ -95,31 +70,8 @@ class Communicator:
         msg = yield self.world._recv(self.rank, root, _BCAST_TAG)
         return msg.payload
 
-    def Allgather(self, payload: Any, nbytes: int) -> "Any":
-        """Process generator: every rank contributes; returns list of all
-        contributions indexed by rank (ring algorithm wire pattern)."""
-        size = self.world.size
-        result: list[Any] = [None] * size
-        result[self.rank] = payload
-        if size == 1:
-            return result
-        # Ring: size-1 steps; each step send to right, receive from left.
-        right = (self.rank + 1) % size
-        left = (self.rank - 1) % size
-        current = payload
-        current_owner = self.rank
-        for _step in range(size - 1):
-            send_req = self.Isend(current, nbytes, right, tag=_GATHER_TAG)
-            msg = yield self.world._recv(self.rank, left, _GATHER_TAG)
-            yield send_req
-            current = msg.payload
-            current_owner = (current_owner - 1) % size
-            result[current_owner] = current
-        return result
-
 
 _BCAST_TAG = -2
-_GATHER_TAG = -3
 
 
 class MPIWorld:
@@ -131,8 +83,6 @@ class MPIWorld:
         self.size = len(network.nodes)
         self._mailboxes: dict[tuple[int, int, int], Store] = {}
         self._barrier_waiters: list[Event] = []
-        self.messages_sent = 0
-        self.bytes_sent = 0
 
     def comm(self, rank: int) -> Communicator:
         if not 0 <= rank < self.size:
@@ -152,8 +102,8 @@ class MPIWorld:
               nbytes: int) -> Event:
         if not 0 <= dst < self.size:
             raise ValueError(f"bad destination rank {dst}")
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
+        self.env.metrics.inc("mpi.messages")
+        self.env.metrics.inc("mpi.bytes", nbytes)
         msg = _Message(src=src, tag=tag, payload=payload, nbytes=nbytes)
 
         def wire():

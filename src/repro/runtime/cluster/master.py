@@ -43,7 +43,6 @@ class NodeProxy:
         self.space = rt.host_space(node_index)
         self.cache = None
         self.outstanding = 0
-        self.tasks_dispatched = 0
         #: dispatched-but-unacknowledged tasks keyed by tid (Task equality
         #: recurses through successor lists, so identity keys only).
         self.inflight: dict[int, Task] = {}
@@ -64,7 +63,6 @@ class NodeProxy:
         """Dispatch bookkeeping: ``task`` now occupies one slot of this
         node's presend window."""
         self.outstanding += 1
-        self.tasks_dispatched += 1
         self.inflight[task.tid] = task
         task.node_index = self.node_index
         if self._c_dispatched is None:

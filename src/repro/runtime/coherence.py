@@ -60,16 +60,6 @@ class CoherenceEngine:
         self._c_transfers = metrics.counter("coherence.transfers")
         self._c_bytes = metrics.counter("coherence.bytes_transferred")
 
-    @property
-    def transfers(self) -> int:
-        """Physical transfer legs (``coherence.transfers``)."""
-        return self._c_transfers.value
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Bytes over those legs (``coherence.bytes_transferred``)."""
-        return self._c_bytes.value
-
     def _count_leg(self, link: str, nbytes: int) -> None:
         """One physical transfer leg: totals plus per-link accounting.
         ``link`` uses the tracer's place labels (``net:0->1``,

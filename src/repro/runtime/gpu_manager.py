@@ -73,11 +73,6 @@ class GPUManager:
         self._c_prefetch_staged = metrics.counter(
             f"{prefix}.prefetch.staged")
 
-    @property
-    def tasks_run(self) -> int:
-        """Tasks completed here (``gpu.<place>.tasks``)."""
-        return self._c_tasks.value
-
     def accepts(self, task: Task) -> bool:
         return task.device == "cuda" and self.alive
 

@@ -325,11 +325,6 @@ class Runtime:
     def all_caches(self) -> list[SoftwareCache]:
         return list(self._caches.values())
 
-    @property
-    def tasks_finished(self) -> int:
-        """Top-level tasks completed (``runtime.tasks_finished``)."""
-        return self._c_finished.value
-
     def gpu_manager_of(self, space: AddressSpace) -> GPUManager:
         return self._managers[id(space)]
 

@@ -76,11 +76,6 @@ class AdaptiveScheduler(Scheduler):
         self._want: Optional[str] = None
         self._want_streak = 0
 
-    @property
-    def switches(self) -> int:
-        """Policy switches (``scheduler.adaptive.switches``)."""
-        return self.metrics.value("scheduler.adaptive.switches")
-
     # -- protocol ---------------------------------------------------------
     def submit(self, task: Task) -> None:
         super().submit(task)

@@ -357,17 +357,6 @@ class Scheduler:
         """Count one steal operation."""
         self.metrics.inc("scheduler.steals")
 
-    @property
-    def stolen(self) -> int:
-        """Steal operations (``scheduler.steals``)."""
-        return self.metrics.value("scheduler.steals")
-
-    @property
-    def stolen_tasks(self) -> int:
-        """Tasks moved by ``ws`` batch steals (``scheduler.ws.stolen_tasks``;
-        every other steal rule moves one task per operation)."""
-        return self.metrics.value("scheduler.ws.stolen_tasks")
-
     # -- protocol ------------------------------------------------------------
     def submit(self, task: Task) -> None:
         """A task became ready: place it in some queue."""

@@ -74,11 +74,6 @@ class SMPWorker:
         self._c_tasks = self.rt.metrics.counter(
             f"worker.{self.place_name}.tasks")
 
-    @property
-    def tasks_run(self) -> int:
-        """Tasks completed here (``worker.<place>.tasks``)."""
-        return self._c_tasks.value
-
     def accepts(self, task: Task) -> bool:
         return task.device == "smp"
 

@@ -8,7 +8,6 @@ processes over one :class:`Environment`.
 from .core import (
     Environment,
     Event,
-    Interrupt,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -25,7 +24,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "Resource",
     "Request",
     "Store",

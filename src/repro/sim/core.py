@@ -35,7 +35,6 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
     "PRIORITY_URGENT",
@@ -58,14 +57,6 @@ class SimulationError(Exception):
 
 class StopSimulation(Exception):
     """Raised internally to end :meth:`Environment.run` early."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -133,13 +124,6 @@ class Event:
         self.env._schedule(self, priority)
         return self
 
-    # -- composition ----------------------------------------------------
-    def __and__(self, other: "Event") -> "Event":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Event":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
             "processed" if self._processed
@@ -183,11 +167,10 @@ class Environment:
     def __init__(self, initial_time: float = 0.0,
                  metrics: Optional[CounterRegistry] = None):
         self._now = float(initial_time)
-        #: the run's counter registry, timed on the simulated clock: the
-        #: hardware, the CUDA streams and the runtime built over this
-        #: environment all count into it.  Pass one to share it across runs.
-        self.metrics = (metrics if metrics is not None
-                        else CounterRegistry(clock=lambda: self._now))
+        #: the run's counter registry: the hardware, the CUDA streams and
+        #: the runtime built over this environment all count into it.
+        #: Pass one to share it across runs.
+        self.metrics = metrics if metrics is not None else CounterRegistry()
         #: timed events: a heap of (when, priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
         #: immediate lanes: per-priority FIFOs of (seq, event) scheduled at
@@ -195,10 +178,9 @@ class Environment:
         #: argument).
         self._imm: tuple[deque, deque, deque] = (deque(), deque(), deque())
         self._seq = 0
-        #: total events processed by step()/run() over this environment's
+        #: total events processed by run() over this environment's
         #: lifetime (the runtime's ``engine.events_processed`` gauge).
         self.events_processed = 0
-        self.active_process = None  # set by Process while running
 
     @property
     def now(self) -> float:
@@ -254,51 +236,6 @@ class Environment:
             heapq.heappush(self._queue,
                            (self._now + delay, priority, self._seq, event))
 
-    def _pop_next(self) -> Optional[Event]:
-        """Remove and return the globally next event (by time, priority,
-        sequence), advancing the clock to it; None when nothing is queued."""
-        imm0, imm1, imm2 = self._imm
-        lane = imm0 or imm1 or imm2
-        queue = self._queue
-        if lane:
-            lane_prio = 0 if lane is imm0 else 1 if lane is imm1 else 2
-            if queue:
-                when, prio, seq, _ev = queue[0]
-                # Heap events strictly later than now cannot precede a
-                # lane event (lane time == now); at the same instant the
-                # (priority, seq) tuple decides.
-                if when == self._now and (prio, seq) < (lane_prio, lane[0][0]):
-                    return heapq.heappop(queue)[3]
-            return lane.popleft()[1]
-        if queue:
-            when, _prio, _seq, event = heapq.heappop(queue)
-            self._now = when
-            return event
-        return None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._imm[0] or self._imm[1] or self._imm[2]:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the single next event (advancing the clock to it)."""
-        event = self._pop_next()
-        if event is None:
-            raise SimulationError("no more events")
-        self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # Nobody waited on a failed event: surface the error loudly
-            # instead of losing it.
-            raise event._value
-
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (an Event, a time, or queue exhaustion).
 
@@ -316,9 +253,9 @@ class Environment:
             if stop_at < self._now:
                 raise SimulationError("cannot run into the past")
 
-        # The hot loop below is step() inlined with local aliases: one
-        # Python frame per run instead of one per event, and a direct call
-        # for the overwhelmingly common single-callback event.  Immediate
+        # The one event loop, with local aliases: one Python frame per run
+        # instead of one per event, and a direct call for the
+        # overwhelmingly common single-callback event.  Immediate
         # lanes are drained before the heap may advance the clock; at equal
         # timestamps the (priority, seq) comparison against the heap top
         # keeps the total order identical to a single heap's.

@@ -5,14 +5,16 @@ must be an :class:`~repro.sim.core.Event`; the process sleeps until the event
 fires and is resumed with the event's value (or has the event's exception
 thrown into it).  A process is itself an event that triggers with the
 generator's return value, so processes can wait on each other.
+
+Nothing preempts a process: like the runtime threads it models, it runs
+until it yields and is woken only by the event it waits on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Generator
 
-from .core import (Event, Interrupt, PRIORITY_URGENT, SimulationError,
-                   _PENDING)
+from .core import Event, PRIORITY_URGENT, SimulationError, _PENDING
 
 __all__ = ["Process"]
 
@@ -20,9 +22,9 @@ __all__ = ["Process"]
 class Process(Event):
     """A running simulated activity (thread, engine, protocol handler...)."""
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "_name")
+    __slots__ = ("_generator", "_send", "_throw")
 
-    def __init__(self, env, generator: Generator, name: str = ""):
+    def __init__(self, env, generator: Generator):
         # One spawn per simulated activity: the slots are initialised
         # directly (as Timeout does) instead of through Event.__init__, and
         # binding the generator's methods doubles as the type check.
@@ -41,8 +43,6 @@ class Process(Event):
         self._processed = False
         self._defused = False
         self._generator = generator
-        self._target: Event | None = None
-        self._name = name
         # Kick off the process at the current instant, ahead of normal
         # events.  The bootstrap is born triggered-and-scheduled and lands
         # directly in the urgent immediate lane (same fast path as Timeout:
@@ -55,33 +55,8 @@ class Process(Event):
         env._seq += 1
         env._imm[PRIORITY_URGENT].append((env._seq, bootstrap))
 
-    @property
-    def name(self) -> str:
-        return self._name or getattr(self._generator, "__name__", "process")
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event.callbacks.append(self._resume)
-        event._value = Interrupt(cause)
-        event._ok = False
-        event._defused = True
-        # Detach from the event the process was waiting on, if any.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        self.env._schedule(event, PRIORITY_URGENT)
-
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self.env.active_process = self
         while True:
             try:
                 if event._ok:
@@ -90,20 +65,16 @@ class Process(Event):
                     event._defused = True
                     next_event = self._throw(event._value)
             except StopIteration as stop:
-                self.env.active_process = None
-                self._target = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.env.active_process = None
-                self._target = None
                 self.fail(exc)
                 return
 
             if not isinstance(next_event, Event):
-                self.env.active_process = None
+                name = getattr(self._generator, "__name__", "process")
                 exc = SimulationError(
-                    f"process {self.name!r} yielded a non-event: {next_event!r}"
+                    f"process {name!r} yielded a non-event: {next_event!r}"
                 )
                 try:
                     self._throw(exc)
@@ -115,8 +86,6 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event still pending: sleep until it fires.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
-                self.env.active_process = None
                 return
             # Event already processed: loop and resume immediately.
             event = next_event

@@ -40,10 +40,6 @@ class Request(Event):
     def __exit__(self, exc_type, exc, tb) -> None:
         self.resource.release(self)
 
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request."""
-        self.resource._cancel(self)
-
 
 class Resource:
     """A resource with ``capacity`` slots, granted in priority+FIFO order."""
@@ -89,6 +85,7 @@ class Resource:
         return req
 
     def release(self, request: Request) -> None:
+        """Free a held slot, or withdraw a request still waiting for one."""
         if request in self._users:
             self._users.remove(request)
             self._grant_next()

@@ -94,10 +94,8 @@ def test_device_malloc_accounting():
     _env, ctx = make_ctx()
     ctx.malloc(1000)
     assert ctx.mem_allocated == 1000
-    ctx.free(400)
-    assert ctx.mem_allocated == 600
-    with pytest.raises(CudaError):
-        ctx.free(10**12)
+    ctx.malloc(400)
+    assert ctx.mem_allocated == 1400
 
 
 def test_device_oom():

@@ -62,7 +62,7 @@ def test_event_on_empty_stream_fires_immediately():
     ev = CudaEvent(env).record(s)
     env.run()
     assert ev.completed_at == 0.0
-    assert ev.recorded and ev.complete
+    assert ev.complete
 
 
 def test_events_order_within_stream():

@@ -110,5 +110,5 @@ def test_ops_enqueued_counter():
     log = []
     for i in range(3):
         s.enqueue(timed_op(env, 1, log, i))
-    assert s.ops_enqueued == 3
+    assert env.metrics.value(f"cuda.stream.{s.name}.ops") == 3
     env.run()

@@ -130,7 +130,6 @@ def test_ack_drop_does_not_rerun_the_handler():
     rt.am.endpoints[1].register("ping", handler)
     assert send(rt, "ping", 21) == 42
     assert calls == [21]                      # executed exactly once
-    assert rt.am.endpoints[1].duplicates_suppressed == 1
     assert rt.metrics.value("am.duplicates_suppressed") == 1
 
 
@@ -156,7 +155,7 @@ def test_resend_racing_slow_generator_handler_waits_instead_of_rerunning():
     result = send(rt, "slow")
     assert state["runs"] == 1
     assert result == "run-1"
-    assert rt.am.endpoints[1].duplicates_suppressed >= 1
+    assert rt.metrics.value("am.duplicates_suppressed") >= 1
 
 
 def test_slow_handler_alone_triggers_watchdog_but_never_duplicates():

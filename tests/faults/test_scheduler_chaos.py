@@ -90,4 +90,4 @@ def test_gpu_loss_blacklists_worker_under_policy(policy):
     sched = rt.images[0].scheduler
     assert dead not in sched.workers
     assert id(dead) not in sched._local
-    assert rt.tasks_finished == 8
+    assert rt.metrics.value("runtime.tasks_finished") == 8

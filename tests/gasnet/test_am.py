@@ -24,8 +24,8 @@ def test_short_message_invokes_handler():
     env.process(proc())
     env.run()
     assert received == [(0, 42)]
-    assert am.short_sent == 1
-    assert am.bytes_sent == SHORT_SIZE
+    assert env.metrics.value("am.short_sent") == 1
+    assert env.metrics.value("am.bytes_sent") == SHORT_SIZE
 
 
 def test_handler_completion_event_waits_for_generator_handler():
@@ -61,7 +61,7 @@ def test_long_message_charges_payload_bytes():
     env.run()
     wire = m.network.nic.latency + 10**8 / m.network.nic.bandwidth
     assert env.now >= wire
-    assert am.long_sent == 1
+    assert env.metrics.value("am.long_sent") == 1
 
 
 def test_duplicate_handler_rejected():

@@ -45,8 +45,9 @@ def test_link_serializes_transfers():
     env.process(xfer("b"))
     env.run()
     assert done == [("a", 1.0), ("b", 2.0)]
-    assert link.bytes_moved == 2_000_000
-    assert link.transfer_count == 2
+    prefix = f"hardware.link.{link.name}"
+    assert env.metrics.value(f"{prefix}.bytes_moved") == 2_000_000
+    assert env.metrics.value(f"{prefix}.transfers") == 2
 
 
 def test_link_busy_time_includes_latency_term():
@@ -59,7 +60,8 @@ def test_link_busy_time_includes_latency_term():
         env.process(link.transfer(1000))      # 1 us of wire, 1 ms of latency
     env.run()
     expected = 10 * (1e-3 + 1000 / 1e9)
-    assert link.busy_seconds == pytest.approx(expected)
+    assert env.metrics.value(f"hardware.link.{link.name}.busy_seconds") \
+        == pytest.approx(expected)
     assert env.now == pytest.approx(expected)  # fully serialized: held 100%
 
 
@@ -69,7 +71,8 @@ def test_link_degraded_hold_time_is_accounted():
     link.degradation = 3.0
     env.process(link.transfer(1_000_000))
     env.run()
-    assert link.busy_seconds == pytest.approx(3.0 * (0.5 + 1.0))
+    assert env.metrics.value(f"hardware.link.{link.name}.busy_seconds") \
+        == pytest.approx(3.0 * (0.5 + 1.0))
 
 
 def test_link_counts_into_the_environment_registry():
@@ -78,7 +81,6 @@ def test_link_counts_into_the_environment_registry():
     registry = env.metrics
     env.process(link.transfer(2_000_000))
     env.run()
-    assert link.bytes_moved == 2_000_000 and link.transfer_count == 1
     assert registry.value("hardware.link.nic0.tx.bytes_moved") == 2_000_000
     assert registry.value("hardware.link.nic0.tx.transfers") == 1
     assert registry.value("hardware.link.nic0.tx.busy_seconds") \
@@ -117,8 +119,9 @@ def test_gpu_kernel_occupies_compute_engine():
     ovh = TESLA_S2050.kernel_launch_overhead
     assert done[0] == ("k1", pytest.approx(1.0 + ovh))
     assert done[1] == ("k2", pytest.approx(2.0 + 2 * ovh))
-    assert gpu.kernels_launched == 2
-    assert gpu.busy_time == pytest.approx(2.0 + 2 * ovh)
+    assert env.metrics.value(f"hardware.gpu.{gpu.name}.kernels") == 2
+    assert env.metrics.value(f"hardware.gpu.{gpu.name}.busy_seconds") \
+        == pytest.approx(2.0 + 2 * ovh)
 
 
 def test_gpu_rejects_negative_kernel_duration():
@@ -235,7 +238,7 @@ def test_network_transfer_time():
     env.run()
     expected = m.network.nic.latency + 10**9 / m.network.nic.bandwidth
     assert done == [pytest.approx(expected)]
-    assert m.network.bytes_moved == 10**9
+    assert m.metrics.value("hardware.network.bytes_moved") == 10**9
 
 
 def test_network_loopback_uses_host_memory():
@@ -249,7 +252,7 @@ def test_network_loopback_uses_host_memory():
     env.run()
     # Loopback is a memcpy, far faster than the wire.
     assert env.now < 10**9 / m.network.nic.bandwidth
-    assert m.network.bytes_moved == 0
+    assert m.metrics.value("hardware.network.bytes_moved") == 0
 
 
 def test_master_nic_is_contention_point():

@@ -91,20 +91,10 @@ def test_fifo_no_starvation_of_big_request():
     assert order == [("big", 10), ("small", 11)]
 
 
-def test_try_acquire():
-    env = Environment()
-    pool = BytePool(env, capacity=100)
-    lease = pool.try_acquire(50)
-    assert lease is not None
-    assert pool.try_acquire(60) is None
-    lease.release()
-    assert pool.try_acquire(60) is not None
-
-
 def test_double_release_is_noop():
     env = Environment()
     pool = BytePool(env, capacity=100)
-    lease = pool.try_acquire(50)
+    lease = pool.acquire(50).value    # granted at once: bytes are free
     lease.release()
     lease.release()
     assert pool.bytes_used == 0
@@ -113,8 +103,8 @@ def test_double_release_is_noop():
 def test_peak_usage_tracked():
     env = Environment()
     pool = BytePool(env, capacity=100)
-    a = pool.try_acquire(40)
-    b = pool.try_acquire(50)
+    a = pool.acquire(40).value
+    b = pool.acquire(50).value
     a.release()
     b.release()
     assert pool.peak_usage == 90

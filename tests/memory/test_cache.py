@@ -20,6 +20,10 @@ def make_cache(capacity=1000, policy="wb"):
     return SoftwareCache(space, capacity=capacity, policy=policy)
 
 
+def count(cache, what):
+    return cache.metrics.value(f"cache.{cache.space.name}.{what}")
+
+
 def obj_region(nbytes, name="x"):
     # float32 -> 4 bytes/element
     assert nbytes % 4 == 0
@@ -47,8 +51,8 @@ def test_miss_then_hit():
     assert not cache.lookup(r)
     cache.insert(r)
     assert cache.lookup(r)
-    assert cache.hits == 1
-    assert cache.misses == 1
+    assert count(cache, "hits") == 1
+    assert count(cache, "misses") == 1
 
 
 def test_insert_accounts_bytes():
@@ -117,7 +121,7 @@ def test_remove_frees_bytes_and_counts_eviction():
     cache.insert(r)
     cache.remove(r)
     assert cache.bytes_used == 0
-    assert cache.evictions == 1
+    assert count(cache, "evictions") == 1
     assert not cache.has(r)
 
 
@@ -153,9 +157,9 @@ def test_dirty_tracking_and_writeback_count():
     assert [e.region.key for e in cache.dirty_entries()] == [r.key]
     cache.mark_clean(r)
     assert cache.dirty_entries() == []
-    assert cache.writebacks == 1
+    assert count(cache, "writebacks") == 1
     cache.mark_clean(r)  # idempotent
-    assert cache.writebacks == 1
+    assert count(cache, "writebacks") == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -163,11 +167,12 @@ def test_dirty_tracking_and_writeback_count():
                       max_size=30))
 def test_bytes_used_matches_sum_of_entries(sizes):
     cache = make_cache(capacity=10**9)
-    for i, size in enumerate(sizes):
-        cache.insert(obj_region(size * 4, name=f"r{i}"))
+    regions = [obj_region(size * 4, name=f"r{i}")
+               for i, size in enumerate(sizes)]
+    for r in regions:
+        cache.insert(r)
     assert cache.bytes_used == sum(s * 4 for s in sizes)
-    assert cache.bytes_used == sum(e.nbytes for r in cache.resident_regions()
-                                   for e in [cache.get(r)])
+    assert cache.bytes_used == sum(cache.get(r).nbytes for r in regions)
 
 
 @settings(max_examples=50, deadline=None)

@@ -17,25 +17,6 @@ def make_world(size):
 
 
 @settings(max_examples=25, deadline=None)
-@given(size=st.integers(min_value=1, max_value=8),
-       nbytes=st.integers(min_value=1, max_value=10**6))
-def test_allgather_complete_and_ordered(size, nbytes):
-    env, world = make_world(size)
-    results = {}
-
-    def rank(r):
-        out = yield from world.comm(r).Allgather(("payload", r), nbytes)
-        results[r] = out
-
-    for r in range(size):
-        env.process(rank(r))
-    env.run()
-    expected = [("payload", r) for r in range(size)]
-    for r in range(size):
-        assert results[r] == expected
-
-
-@settings(max_examples=25, deadline=None)
 @given(size=st.integers(min_value=2, max_value=8),
        root=st.integers(min_value=0, max_value=7),
        nbytes=st.integers(min_value=1, max_value=10**6))

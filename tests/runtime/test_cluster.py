@@ -70,14 +70,19 @@ def test_remote_execution_updates_results():
         np.testing.assert_allclose(arr, 1.0)
 
 
+def dispatched(rt, proxy):
+    """Tasks the master shipped to ``proxy``'s node."""
+    return rt.metrics.value(f"cluster.node{proxy.node_index}.dispatched")
+
+
 def test_work_distributes_across_nodes():
     rt = make_rt(nodes=4, scheduler="affinity")
     tasks = independent_tasks(rt, 32)
     run_all(rt, tasks, noflush=True)
-    dispatched = sum(p.tasks_dispatched for p in rt.master_image.proxies)
-    assert dispatched >= 16, "most tasks should run on remote nodes"
+    per_node = [dispatched(rt, p) for p in rt.master_image.proxies]
+    assert sum(per_node) >= 16, "most tasks should run on remote nodes"
+    assert min(per_node) >= 4
     for proxy in rt.master_image.proxies:
-        assert proxy.tasks_dispatched >= 4
         assert proxy.outstanding == 0  # window fully drained
 
 
@@ -115,7 +120,7 @@ def test_remote_completion_notifies_master_graph():
              for i in range(5)]
     run_all(rt, chain)
     np.testing.assert_allclose(rt.read_array(obj), 5.0)
-    assert rt.tasks_finished == 5
+    assert rt.metrics.value("runtime.tasks_finished") == 5
 
 
 def test_smp_tasks_run_remotely_too():
@@ -143,8 +148,8 @@ def test_am_control_traffic_accounted():
     tasks = independent_tasks(rt, 4)
     run_all(rt, tasks, noflush=True)
     # At least one run_task + one task_done short message per remote task.
-    assert rt.am.short_sent >= 2 * sum(
-        p.tasks_dispatched for p in rt.master_image.proxies)
+    assert rt.metrics.value("am.short_sent") >= 2 * sum(
+        dispatched(rt, p) for p in rt.master_image.proxies)
 
 
 def test_cluster_functional_with_overlap_prefetch_presend():

@@ -90,7 +90,7 @@ def test_wb_reuse_skips_transfers():
     t2 = gpu_task(rt, "t2", Access(r, Direction.INOUT))
     run_tasks(rt, [t1, t2])
     # One initial fetch; the second task hits the cache.
-    assert rt.coherence.transfers == 1
+    assert rt.metrics.value("coherence.transfers") == 1
 
 
 def test_nocache_refetches_every_task():
@@ -100,7 +100,7 @@ def test_nocache_refetches_every_task():
     t2 = gpu_task(rt, "t2", Access(r, Direction.INOUT))
     run_tasks(rt, [t1, t2])
     # fetch + writeback, twice.
-    assert rt.coherence.transfers == 4
+    assert rt.metrics.value("coherence.transfers") == 4
 
 
 def test_concurrent_fetches_deduplicated():
@@ -111,7 +111,7 @@ def test_concurrent_fetches_deduplicated():
     t1 = gpu_task(rt, "r1", Access(r, Direction.IN))
     t2 = gpu_task(rt, "r2", Access(r, Direction.IN))
     run_tasks(rt, [t1, t2])
-    assert rt.coherence.transfers == 1
+    assert rt.metrics.value("coherence.transfers") == 1
 
 
 def test_eviction_writes_back_dirty_victim():
@@ -129,7 +129,7 @@ def test_eviction_writes_back_dirty_victim():
     assert rt.master_host in rt.directory.holders(r1)
     assert not cache.has(r1)
     assert cache.has(r2)
-    assert cache.evictions >= 1
+    assert rt.metrics.value(f"cache.{gpu_space.name}.evictions") >= 1
 
 
 def test_gpu_to_gpu_goes_through_host():
@@ -148,11 +148,11 @@ def test_gpu_to_gpu_goes_through_host():
     for victim in cache1.choose_victims(r.nbytes):
         pass
     cache1.insert(r)
-    before = rt.coherence.transfers
+    before = rt.metrics.value("coherence.transfers")
     rt.env.process(rt.coherence.fetch(r, gpu1_space))
     rt.env.run()
     # Two legs: gpu0 -> host, host -> gpu1; host becomes a holder too.
-    assert rt.coherence.transfers - before == 2
+    assert rt.metrics.value("coherence.transfers") - before == 2
     assert rt.master_host in rt.directory.holders(r)
     assert gpu1_space in rt.directory.holders(r)
 
@@ -160,10 +160,10 @@ def test_gpu_to_gpu_goes_through_host():
 def test_cluster_fetch_charges_network():
     rt = make_rt("cluster2", cache_policy="wb")
     r = region_of(rt, nbytes=1 << 20)
-    before = rt.am.bytes_sent
+    before = rt.metrics.value("am.bytes_sent")
     rt.env.process(rt.coherence.fetch(r, rt.host_space(1)))
     rt.env.run()
-    assert rt.am.bytes_sent - before >= r.nbytes
+    assert rt.metrics.value("am.bytes_sent") - before >= r.nbytes
     assert rt.host_space(1) in rt.directory.holders(r)
 
 

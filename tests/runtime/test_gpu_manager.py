@@ -78,7 +78,7 @@ def test_manager_counts_tasks():
     rt = make_rt()
     run_chainless_workload(rt, count=5, nbytes=4096)
     manager = rt.gpu_manager_of(rt.gpu_space(0, 0))
-    assert manager.tasks_run == 5
+    assert rt.metrics.value(f"gpu.{manager.place_name}.tasks") == 5
 
 
 def test_kernel_jitter_perturbs_durations_deterministically():

@@ -122,14 +122,14 @@ def test_remote_parent_decomposes_on_its_node():
     rt = make_rt("cluster2", scheduler="affinity")
     obj = rt.register_array("x", 64)
     parent = decomposing_task(rt, obj, nt=8, value=2.0)
-    before_short = rt.am.short_sent
+    before_short = rt.metrics.value("am.short_sent")
     run_all(rt, [parent])
     arr = rt.read_array(obj)
     for i in range(8):
         np.testing.assert_allclose(arr[i * 8:(i + 1) * 8], 2.0 + i)
     # Control traffic stays O(1) in the child count: one run_task + one
     # completion for the parent (plus data flush messages), not per child.
-    control = rt.am.short_sent - before_short
+    control = rt.metrics.value("am.short_sent") - before_short
     assert control <= 4
 
 
@@ -156,4 +156,4 @@ def test_empty_decomposition_is_fine():
     parent = Task(name="parent", device="smp", smp_cost=1e-5,
                   subtasks=lambda: [])
     run_all(rt, [parent])
-    assert rt.tasks_finished == 1
+    assert rt.metrics.value("runtime.tasks_finished") == 1

@@ -219,7 +219,7 @@ def test_affinity_stealing_within_node():
     sched.submit(t)
     # Placed on gpu0's queue, but gpu1 (same node) may steal it.
     assert sched.next_task(gpus[1]) is t
-    assert sched.stolen == 1
+    assert sched.metrics.value("scheduler.steals") == 1
 
 
 def test_affinity_steal_disabled():
@@ -371,8 +371,8 @@ def test_ws_steals_coldest_work_from_victim():
     # the owner would reach last), in readiness order, while gpu0 keeps
     # popping the front.
     assert sched.next_task(gpus[1]) is tasks[2]
-    assert sched.stolen == 1
-    assert sched.stolen_tasks == 2
+    assert sched.metrics.value("scheduler.steals") == 1
+    assert sched.metrics.value("scheduler.ws.stolen_tasks") == 2
     assert sched.next_task(gpus[1]) is tasks[3]   # rest of the loot
     assert sched.next_task(gpus[0]) is tasks[0]
 
@@ -451,7 +451,7 @@ def test_adaptive_switch_preserves_queued_tasks():
         sched.submit(t)
     sched._switch("cp")
     assert sched.policy is POLICIES["cp"]
-    assert sched.switches == 1
+    assert sched.metrics.value("scheduler.adaptive.switches") == 1
     got = set()
     while True:
         t = sched.next_task(gpus[0]) or sched.next_task(gpus[1])
@@ -508,7 +508,6 @@ def test_adaptive_steals_are_counted():
     t = cuda_task("t", Access(o.whole, Direction.IN))
     sched.submit(t)              # placed on gpu0 by locality
     assert sched.next_task(gpus[1]) is t
-    assert sched.stolen == 1
     assert metrics.value("scheduler.steals") == 1
 
 

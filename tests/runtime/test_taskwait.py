@@ -135,4 +135,4 @@ def test_tasks_after_taskwait_start_fresh_epoch():
 
     rt.run_main(main())
     np.testing.assert_allclose(rt.read_array(a), 2.0)
-    assert rt.tasks_finished == 2
+    assert rt.metrics.value("runtime.tasks_finished") == 2

@@ -94,4 +94,5 @@ def test_worker_counts_tasks():
         yield from rt.taskwait()
 
     rt.run_main(main())
-    assert rt.master_image.smp_workers[0].tasks_run == 3
+    worker = rt.master_image.smp_workers[0]
+    assert rt.metrics.value(f"worker.{worker.place_name}.tasks") == 3

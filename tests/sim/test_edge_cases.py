@@ -1,46 +1,6 @@
 """Edge cases of the simulation engine exercised by the runtime."""
 
-import pytest
-
-from repro.sim import (
-    Environment,
-    Event,
-    Interrupt,
-    Resource,
-    SimulationError,
-    Store,
-)
-
-
-def test_interrupt_while_waiting_on_resource():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(100)
-
-    def waiter():
-        req = res.request()
-        try:
-            yield req
-        except Interrupt:
-            req.cancel()
-            log.append(("interrupted", env.now))
-
-    def interrupter(target):
-        yield env.timeout(5)
-        target.interrupt()
-
-    env.process(holder())
-    w = env.process(waiter())
-    env.process(interrupter(w))
-    env.run(until=50)
-    assert log == [("interrupted", 5)]
-    # The cancelled request must not consume the slot when freed.
-    assert res.queue_len == 0
+from repro.sim import Environment, Store
 
 
 def test_process_immediately_returning_generator():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 def test_process_runs_to_completion():
@@ -118,73 +118,6 @@ def test_yielding_non_event_is_an_error():
     env.process(proc())
     with pytest.raises(SimulationError, match="non-event"):
         env.run()
-
-
-def test_interrupt_resumes_with_interrupt_exception():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def interrupter(target):
-        yield env.timeout(3)
-        target.interrupt(cause="wake up")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert log == [(3, "wake up")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    def late(target):
-        yield env.timeout(5)
-        with pytest.raises(SimulationError):
-            target.interrupt()
-
-    p = env.process(quick())
-    env.process(late(p))
-    env.run()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-    errors = []
-
-    def proc():
-        me = env.active_process
-        try:
-            me.interrupt()
-        except SimulationError:
-            errors.append("rejected")
-        yield env.timeout(0)
-
-    env.process(proc())
-    env.run()
-    assert errors == ["rejected"]
-
-
-def test_active_process_is_tracked():
-    env = Environment()
-    seen = []
-
-    def proc():
-        seen.append(env.active_process)
-        yield env.timeout(1)
-
-    p = env.process(proc())
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
 
 
 def test_many_processes_interleave_deterministically():

@@ -108,34 +108,55 @@ def test_resource_count_and_queue_len():
 
 
 def test_cancel_pending_request():
+    """A request withdrawn before its grant — by ``release(req)`` or by
+    leaving its ``with`` block — leaves the wait queue and never takes the
+    slot; the next waiter is granted when the holder frees it."""
     env = Environment()
     res = Resource(env, capacity=1)
     log = []
+    withdrawn = []
 
     def holder():
         with res.request() as req:
             yield req
             yield env.timeout(10)
 
-    def canceller():
+    def releaser():
         yield env.timeout(1)
         req = res.request()
+        assert res.queue_len == 1
         yield env.timeout(1)
-        req.cancel()
-        log.append("cancelled")
+        res.release(req)
+        assert res.queue_len == 0
+        withdrawn.append(req)
+        log.append("released")
 
-    def other():
+    def leaver():
         yield env.timeout(3)
         with res.request() as req:
+            assert res.queue_len == 1
+            yield env.timeout(1)
+        assert res.queue_len == 0
+        withdrawn.append(req)
+        log.append("left")
+
+    def other():
+        yield env.timeout(5)
+        with res.request() as req:
+            assert res.queue_len == 1
             yield req
             log.append(("other", env.now))
 
     env.process(holder())
-    env.process(canceller())
+    env.process(releaser())
+    env.process(leaver())
     env.process(other())
     env.run()
-    # After cancellation, "other" is the only waiter and gets the slot at t=10.
-    assert log == ["cancelled", ("other", 10)]
+    # With both withdrawn, "other" is the only waiter and gets the slot at
+    # t=10; neither withdrawn request was ever granted.
+    assert log == ["released", "left", ("other", 10)]
+    assert not any(req.triggered for req in withdrawn)
+    assert res.count == 0 and res.queue_len == 0
 
 
 def test_double_release_is_noop():
