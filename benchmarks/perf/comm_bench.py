@@ -1,12 +1,13 @@
 """Communication benchmark: the datamove layer on its comm-bound points.
 
 Runs the two communication-bound evaluation points the data-movement
-optimisation layer targets (see ``repro.bench.figures.DATAMOVE_POINTS``)
-in five configurations each — baseline, one per mechanism, and all three
-together — and records the *simulated* makespans plus the mechanism
-counters that explain them.  The headline number is the geometric-mean
-makespan reduction of ``all`` over ``baseline`` across the points; the
-checked-in ``BENCH_comm.json`` pins it and docs/DATAMOVE.md quotes it.
+optimisation layer targets (declared here and nowhere else, see
+``_points``) in five configurations each — baseline, one per mechanism,
+and all three together — and records the *simulated* makespans plus the
+mechanism counters that explain them.  The headline number is the
+geometric-mean makespan reduction of ``all`` over ``baseline`` across the
+points; the checked-in ``BENCH_comm.json`` pins it and docs/DATAMOVE.md
+quotes it.
 
 Everything here is virtual time, as in ``faults_bench.py`` next door:
 the numbers are machine-independent and exactly reproducible, so the gate
@@ -36,7 +37,6 @@ import os
 import sys
 
 from repro.apps import matmul, stream
-from repro.bench.figures import DATAMOVE_FLAGS
 from repro.bench.sweep import PointSpec, run_points
 from repro.runtime.config import RuntimeConfig
 
@@ -46,13 +46,15 @@ RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "..",
 #: the gate: all-mechanisms geomean makespan reduction must stay >= this.
 GEOMEAN_FLOOR = 0.15
 
-#: mechanism ablation: label -> the RuntimeConfig flags it turns on.
+#: mechanism ablation: label -> the RuntimeConfig flags it turns on
+#: (``presend_depth`` only acts on cluster runs; it is a documented no-op
+#: on a single node).
 MECHANISMS = {
     "baseline": {},
     "elision": dict(wb_elision=True),
     "prestage": dict(presend_depth=4),
     "cost-evict": dict(cost_aware_eviction=True),
-    "all": dict(DATAMOVE_FLAGS),
+    "all": dict(wb_elision=True, presend_depth=4, cost_aware_eviction=True),
 }
 
 _METRIC_KEYS = {

@@ -10,11 +10,11 @@ Paper claims reproduced here:
   almost doubling the performance".
 """
 
-from repro.bench import fig5
+from repro.bench import run_figure
 
 
 def test_fig5_matmul_multigpu(run_once):
-    result = run_once(fig5)
+    result = run_once(run_figure, "fig5")
     print()
     print(result.render())
 

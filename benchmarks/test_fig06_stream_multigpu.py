@@ -12,11 +12,11 @@ reports schedulers as interchangeable for STREAM.  The headline claim is
 checked on the default and affinity schedulers.
 """
 
-from repro.bench import fig6
+from repro.bench import run_figure
 
 
 def test_fig6_stream_multigpu(run_once):
-    result = run_once(fig6)
+    result = run_once(run_figure, "fig6")
     print()
     print(result.render())
 

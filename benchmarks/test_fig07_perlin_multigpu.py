@@ -6,11 +6,11 @@ always done, thus we can not achieve as good performance as the NoFlush
 version."
 """
 
-from repro.bench import fig7
+from repro.bench import run_figure
 
 
 def test_fig7_perlin_multigpu(run_once):
-    result = run_once(fig7)
+    result = run_once(run_figure, "fig7")
     print()
     print(result.render())
 

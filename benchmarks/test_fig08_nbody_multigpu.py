@@ -13,11 +13,11 @@ evictions are free); the decisive claim — no-cache beats the default
 write-back policy — is asserted.
 """
 
-from repro.bench import fig8
+from repro.bench import run_figure
 
 
 def test_fig8_nbody_multigpu(run_once):
-    result = run_once(fig8)
+    result = run_once(run_figure, "fig8")
     print()
     print(result.render())
 

@@ -11,11 +11,11 @@ Paper claims reproduced here:
   with Slave-to-Slave transfers."
 """
 
-from repro.bench import fig9
+from repro.bench import run_figure
 
 
 def test_fig9_matmul_cluster(run_once):
-    result = run_once(fig9, presends=(0, 4))
+    result = run_once(run_figure, "fig9", presends=(0, 4))
     print()
     print(result.render())
 

@@ -10,11 +10,11 @@ nodes SUMMA's 2D-blocked placement retains an edge over affinity's emergent
 placement.
 """
 
-from repro.bench import fig10
+from repro.bench import run_figure
 
 
 def test_fig10_matmul_vs_mpi(run_once):
-    result = run_once(fig10)
+    result = run_once(run_figure, "fig10")
     print()
     print(result.render())
 

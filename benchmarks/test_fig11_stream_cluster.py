@@ -5,11 +5,11 @@ transfers among the nodes of the cluster, thus it achieves a good
 performance using MPI+CUDA and OmpSs."
 """
 
-from repro.bench import fig11
+from repro.bench import run_figure
 
 
 def test_fig11_stream_cluster(run_once):
-    result = run_once(fig11)
+    result = run_once(run_figure, "fig11")
     print()
     print(result.render())
 

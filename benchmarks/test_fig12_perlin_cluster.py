@@ -6,11 +6,11 @@ version also faces these issues and achieves the same performance as the
 OmpSs version."  The NoFlush variant keeps frames on the GPUs and scales.
 """
 
-from repro.bench import fig12
+from repro.bench import run_figure
 
 
 def test_fig12_perlin_cluster(run_once):
-    result = run_once(fig12)
+    result = run_once(run_figure, "fig12")
     print()
     print(result.render())
 

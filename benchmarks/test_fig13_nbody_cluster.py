@@ -6,11 +6,11 @@ the one obtained by the MPI+CUDA, even though the OmpSs performs worse with
 almost no space to overlap communication and computation".
 """
 
-from repro.bench import fig13
+from repro.bench import run_figure
 
 
 def test_fig13_nbody_cluster(run_once):
-    result = run_once(fig13)
+    result = run_once(run_figure, "fig13")
     print()
     print(result.render())
 

@@ -3,8 +3,8 @@
 The figure-shape tests beside this file check only the orderings and
 ratios the paper claims, and the rendered tables round their values, so
 neither notices a figure number that moves a little.  This test does: it
-runs every point of ``fig5`` … ``fig13``, ``fig_datamove`` and ``fig_irr``
-(214 points, about 20 s on two forked workers) and compares each point's
+runs every point of every figure in ``repro.bench.figures.FIGURES``
+(210 points, about 20 s on two forked workers) and compares each point's
 ``[metric, makespan]`` with ``figure_points.json`` exactly.  Simulated
 time is deterministic, so any difference is a real change.
 
@@ -19,17 +19,15 @@ import json
 import os
 import sys
 
-from repro.bench import figures
+from repro.bench.figures import FIGURES, figure_points
 from repro.bench.sweep import run_points
 
 PIN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                    "figure_points.json")
-FIGURES = [f"fig{i}" for i in range(5, 14)] + ["fig_datamove", "fig_irr"]
 
 
 def all_points() -> list:
-    return [spec for name in FIGURES
-            for spec in getattr(figures, f"{name}_points")()]
+    return [spec for name in FIGURES for spec in figure_points(name)]
 
 
 def measure(points: list) -> dict:

@@ -1,24 +1,14 @@
 """Benchmark harness: regenerates every table and figure of the evaluation."""
 
-from .figures import (
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-)
+from .figures import FIGURES, run_figure
 from .harness import CLUSTER_BEST, FigureResult, fresh_cluster, fresh_multi_gpu
 from .loc import APP_VERSION_FILES, count_useful_lines, table1_rows
 from .report import render_series, render_table
 from .sweep import PointSpec, SweepPointError, run_point, run_points
 
 __all__ = [
-    "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-    "fig13",
+    "FIGURES",
+    "run_figure",
     "PointSpec",
     "SweepPointError",
     "run_point",

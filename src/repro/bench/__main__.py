@@ -1,7 +1,8 @@
 """Command-line figure regeneration: ``python -m repro.bench [targets...]``.
 
-Targets: ``fig5`` ... ``fig13``, ``table1``, or ``all``.  Each prints the
-same series/table the benchmark suite asserts against (EXPERIMENTS.md).
+Targets: every key of :data:`repro.bench.figures.FIGURES` (``fig5`` ...
+``fig13``, ``fig-irr``), ``table1``, or ``all``.  Each prints the same
+series/table the benchmark suite asserts against (EXPERIMENTS.md).
 
 ``--parallel N`` fans each figure's points out over ``N`` worker processes
 (one fresh process per point; see :mod:`repro.bench.sweep`).  Output is
@@ -15,13 +16,9 @@ import sys
 import time
 
 from ..runtime.config import SCHEDULERS
-from . import figures
+from .figures import FIGURES, run_figure
 from .loc import table1_rows
 from .report import render_table
-
-FIGURES = {f"fig{i}": getattr(figures, f"fig{i}") for i in range(5, 14)}
-FIGURES["fig-dm"] = figures.fig_datamove
-FIGURES["fig-irr"] = figures.fig_irr
 
 
 def print_table1() -> None:
@@ -72,11 +69,11 @@ def main(argv=None) -> int:
             print_table1()
             print()
             continue
-        fn = FIGURES.get(name)
-        if fn is None:
+        if name not in FIGURES:
             parser.error(f"unknown target {name!r}")
         start = time.time()
-        result = fn(parallel=args.parallel, scheduler=args.scheduler)
+        result = run_figure(name, parallel=args.parallel,
+                            scheduler=args.scheduler)
         print(result.render())
         print(f"[regenerated in {time.time() - start:.1f}s wall]\n")
     return 0

@@ -12,7 +12,7 @@ from ..sim import Environment
 from .report import render_series, render_table
 
 __all__ = ["FigureResult", "fresh_multi_gpu", "fresh_cluster", "run_app",
-           "PERF", "CLUSTER_BEST", "summarize_run"]
+           "CLUSTER_BEST", "summarize_run"]
 
 
 def summarize_run(snapshot: dict) -> dict:
@@ -45,9 +45,6 @@ def summarize_run(snapshot: dict) -> dict:
         "steals": snapshot.get("scheduler.steals", 0),
     }
 
-#: Performance-mode base configuration (benchmarks never move real data).
-PERF = RuntimeConfig(functional=False)
-
 #: "For the GPU cluster evaluation, we have used the best parameters for the
 #: cache and GPUs" (Section IV.B.2): write-back + affinity + GPU-level
 #: overlap and prefetch.
@@ -69,9 +66,6 @@ class FigureResult:
     #: per-config condensed metrics (label -> summarize_run dict), rendered
     #: as an extra table after the figure series.
     run_metrics: dict[str, dict] = field(default_factory=dict)
-
-    def add(self, name: str, values: list[float]) -> None:
-        self.series[name] = values
 
     def attach_metrics(self, name: str, snapshot: dict) -> None:
         """Record a run's counter snapshot (condensed) under ``name``."""

@@ -1,10 +1,9 @@
 """CUDA events: stream markers for synchronization and timing.
 
 ``record`` enqueues the event on a stream (it fires when all prior work on
-that stream completes); ``synchronize`` waits for it; ``elapsed`` gives the
-simulated time between two completed events — the idiom CUDA code uses to
-time kernels, and what the GPU manager's "synchronizing their execution"
-amounts to at the driver level.
+that stream completes, stamping ``completed_at``); ``synchronize`` waits
+for it — what the GPU manager's "synchronizing their execution" amounts
+to at the driver level.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ class CudaEvent:
         self._completion: Optional[Event] = None
         self.completed_at: Optional[float] = None
 
-    @property
-    def complete(self) -> bool:
-        return self.completed_at is not None
-
     def record(self, stream: Stream) -> "CudaEvent":
         """Enqueue this event on ``stream`` (cudaEventRecord)."""
 
@@ -46,9 +41,3 @@ class CudaEvent:
         if self._completion is None:
             raise RuntimeError(f"event {self.name!r} was never recorded")
         return self._completion
-
-    def elapsed(self, since: "CudaEvent") -> float:
-        """Seconds between two completed events (cudaEventElapsedTime)."""
-        if not self.complete or not since.complete:
-            raise RuntimeError("both events must have completed")
-        return self.completed_at - since.completed_at

@@ -102,7 +102,3 @@ class Stream:
         else:
             self._tail.callbacks.append(lambda _ev: done.succeed())
         return done
-
-    @property
-    def idle(self) -> bool:
-        return self._tail is None or self._tail.processed

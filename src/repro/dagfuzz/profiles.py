@@ -60,7 +60,7 @@ class FuzzProfile:
             raise ValueError("bad cost range")
 
 
-#: the registry the CLI / strategies select from.
+#: the registry the CLI selects from.
 PROFILES = {p.name: p for p in (
     # Balanced mix of everything except nesting.
     FuzzProfile(name="default"),

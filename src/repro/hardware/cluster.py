@@ -40,10 +40,6 @@ class Machine:
         return len(self.nodes)
 
     @property
-    def master(self) -> Node:
-        return self.nodes[0]
-
-    @property
     def is_cluster(self) -> bool:
         return len(self.nodes) > 1
 

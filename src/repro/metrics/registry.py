@@ -29,7 +29,7 @@ flattens everything into one JSON-friendly dict keyed by those names.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 __all__ = ["Counter", "Gauge", "Histogram", "CounterRegistry"]
 
@@ -155,9 +155,6 @@ class CounterRegistry:
         if name not in self._infos:
             self._check_fresh(name)
         self._infos[name] = str(value)
-
-    def info(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        return self._infos.get(name, default)
 
     # -- recording shortcuts ----------------------------------------------
     def inc(self, name: str, amount: "int | float" = 1) -> None:

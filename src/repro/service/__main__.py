@@ -1,5 +1,8 @@
+"""Entry point: ``python -m repro.service``."""
+
 import sys
 
 from .cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main())

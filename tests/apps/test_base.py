@@ -20,7 +20,7 @@ def test_make_contexts_multi_gpu():
     machine = build_multi_gpu_node(env, num_gpus=4)
     ctxs = make_contexts(machine)
     assert len(ctxs) == 4
-    assert all(ctx.node is machine.master for ctx in ctxs)
+    assert all(ctx.node is machine.nodes[0] for ctx in ctxs)
 
 
 def test_make_contexts_cluster_one_per_node():

@@ -39,7 +39,7 @@ def test_render_series():
 def test_figure_result_accessors():
     fr = FigureResult(figure="Figure 0", title="t", x_label="x",
                       xs=[1, 2], unit="u")
-    fr.add("s", [10.0, 20.0])
+    fr.series["s"] = [10.0, 20.0]
     assert fr.value("s", 2) == 20.0
     fr.notes.append("a note")
     rendered = fr.render()

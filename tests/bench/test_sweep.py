@@ -59,8 +59,8 @@ def test_results_come_back_in_spec_order():
 
 
 def test_figure_output_identical_serial_vs_parallel():
-    serial = figures.fig8()
-    fanned = figures.fig8(parallel=2)
+    serial = figures.run_figure("fig8")
+    fanned = figures.run_figure("fig8", parallel=2)
     assert serial.series == fanned.series
     assert serial.xs == fanned.xs
     assert serial.notes == fanned.notes
@@ -125,14 +125,18 @@ def test_first_failure_in_spec_order_is_raised_and_the_rest_killed(
 
 
 def test_every_figure_declares_points():
-    """Each figN has a figN_points() grid whose series cover the figure."""
-    for name in (f"fig{i}" for i in range(5, 14)):
-        points = getattr(figures, f"{name}_points")()
+    """Every ``FIGURES`` row declares a grid whose points carry the row's
+    key and whose series each run over exactly the row's ``xs``."""
+    for name, row in figures.FIGURES.items():
+        points = figures.figure_points(name)
         assert points, name
         assert all(isinstance(p, PointSpec) for p in points)
         assert all(p.figure == name for p in points)
-        # Grouped by series, each series in ascending x order (what
-        # _assemble relies on to rebuild the series lists).
+        # Grouped by series, each series over the row's xs in order (what
+        # run_figure relies on to rebuild the series lists); numeric xs
+        # ascend.
+        if all(isinstance(x, int) for x in row.xs):
+            assert list(row.xs) == sorted(row.xs), name
         seen = []
         for p in points:
             if not seen or seen[-1][0] != p.series:
@@ -142,7 +146,7 @@ def test_every_figure_declares_points():
         labels = [s for s, _xs in seen]
         assert len(labels) == len(set(labels)), f"{name}: series split up"
         for series, xs in seen:
-            assert xs == sorted(xs), f"{name}/{series}: x out of order"
+            assert xs == list(row.xs), f"{name}/{series}: x != the row's xs"
 
 
 def test_a_point_is_a_request_and_the_sweep_a_backend_client():

@@ -22,7 +22,7 @@ from repro.sim import Environment
 def make_ctx(env=None):
     env = env or Environment()
     machine = build_multi_gpu_node(env, num_gpus=1)
-    node = machine.master
+    node = machine.nodes[0]
     return env, CudaContext(env, node.gpus[0], node)
 
 

@@ -79,14 +79,16 @@ def test_synchronize_on_idle_stream_immediate():
 
 
 def test_idle_property():
+    """An idle stream (nothing enqueued, or all of it done) synchronizes
+    at once; a busy one only when its work finishes."""
     env = Environment()
     s = Stream(env)
-    assert s.idle
+    assert s.synchronize().triggered
     log = []
     s.enqueue(timed_op(env, 1, log, "x"))
-    assert not s.idle
+    assert not s.synchronize().triggered
     env.run()
-    assert s.idle
+    assert s.synchronize().triggered
 
 
 def test_op_enqueued_later_still_ordered_after_running_op():

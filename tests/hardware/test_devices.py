@@ -191,7 +191,7 @@ def test_multi_gpu_machine_shape():
     assert not m.is_cluster
     assert m.total_gpus == 4
     assert m.network is None
-    assert m.master.nic_tx is None
+    assert m.nodes[0].nic_tx is None
 
 
 def test_cluster_machine_shape():
@@ -207,7 +207,7 @@ def test_cluster_machine_shape():
 def test_node_cpu_cores_limit_concurrency():
     env = Environment()
     m = build_multi_gpu_node(env, num_gpus=1)
-    node = m.master
+    node = m.nodes[0]
     done = []
 
     def work(tag):

@@ -158,7 +158,7 @@ def test_bare_scheduler_counts_into_a_private_registry():
     sched.submit(Task(name="t", device="smp"))
     assert sched.metrics.value("scheduler.ready_submissions") == 1
     assert sched.metrics.value("scheduler.pending") == 1
-    assert sched.metrics.info("scheduler.policy") == "affinity"
+    assert sched.metrics.snapshot()["scheduler.policy"] == "affinity"
     assert sched.estimator.metrics is sched.metrics
     assert sched.metrics.value("scheduler.steals") == 0
     assert sched.metrics.value("scheduler.ws.stolen_tasks") == 0

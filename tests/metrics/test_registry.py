@@ -99,11 +99,10 @@ def test_snapshot_shape():
 
 def test_info_instrument_last_write_wins():
     reg = CounterRegistry()
-    assert reg.info("scheduler.policy") is None
-    assert reg.info("scheduler.policy", "unset") == "unset"
+    assert "scheduler.policy" not in reg.snapshot()
     reg.set_info("scheduler.policy", "affinity")
     reg.set_info("scheduler.policy", "adaptive:cp")
-    assert reg.info("scheduler.policy") == "adaptive:cp"
+    assert reg.snapshot()["scheduler.policy"] == "adaptive:cp"
 
 
 def test_info_appears_in_snapshot_and_respects_kinds():

@@ -75,7 +75,7 @@ def test_kernel_cost_model_exception_surfaces():
 
 def test_working_set_exceeding_gpu_memory_raises_capacity_error():
     rt = make_rt(functional=False)
-    gpu_capacity = rt.machine.master.gpus[0].mem_capacity
+    gpu_capacity = rt.machine.nodes[0].gpus[0].mem_capacity
     huge = rt.register_array("huge", int(gpu_capacity * 1.5) // 4)
     k = KernelSpec(name="k", cost=lambda spec: 1e-6)
 

@@ -60,9 +60,9 @@ def test_overlap_charges_the_pinned_staging_copy():
     nbytes, kernel_time = 64 << 20, 10e-3
     t_ovl = run_chainless_workload(rt, count=1, nbytes=nbytes,
                                    kernel_time=kernel_time)
-    gpu_spec = rt.machine.master.gpus[0].spec
+    gpu_spec = rt.machine.nodes[0].gpus[0].spec
     dma = nbytes / gpu_spec.pcie_pinned_bw
-    staging = nbytes / rt.machine.master.spec.cpu.mem_bandwidth
+    staging = nbytes / rt.machine.nodes[0].spec.cpu.mem_bandwidth
     assert t_ovl >= kernel_time + dma + 0.8 * staging
 
 

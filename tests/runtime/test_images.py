@@ -56,7 +56,7 @@ def test_spaces_and_caches_created_per_gpu():
         space = rt.gpu_space(0, i)
         cache = rt.cache_of(space)
         assert cache is not None
-        assert cache.capacity < rt.machine.master.gpus[i].mem_capacity
+        assert cache.capacity < rt.machine.nodes[0].gpus[i].mem_capacity
     assert rt.cache_of(rt.master_host) is None
 
 

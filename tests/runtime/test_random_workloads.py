@@ -3,7 +3,8 @@
 Hypothesis draws whole fuzzed workloads from :mod:`repro.dagfuzz` —
 deep chains, wide fans, ragged tilings, inout/unused clauses, nested
 decomposing tasks and mid-stream taskwaits — plus random runtime
-configurations (cache policy x scheduler x datamove flags x machine).
+configurations (cache policy x scheduler x datamove flags x machine),
+through the strategies in ``fuzz_strategies.py`` beside this file.
 Executing the workload through the full stack — graph, scheduler,
 coherence, caches, transfers — must produce exactly the state a
 sequential interpretation of the submission order produces.  This is the
@@ -28,14 +29,15 @@ from repro.dagfuzz import (
     run_workload,
 )
 from repro.dagfuzz.cli import replay_command
-from repro.dagfuzz.strategies import (
+from repro.runtime import RuntimeConfig
+from repro.runtime.config import SCHEDULERS
+from repro.sim import Environment  # noqa: F401  (re-exported for helpers)
+
+from .fuzz_strategies import (
     machine_names,
     runtime_config_kwargs,
     workload_specs,
 )
-from repro.runtime import RuntimeConfig
-from repro.runtime.config import SCHEDULERS
-from repro.sim import Environment  # noqa: F401  (re-exported for helpers)
 
 
 # Derandomized and database-free: tier-1 draws the same 40 examples on

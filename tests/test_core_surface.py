@@ -89,8 +89,9 @@ def public_members():
 
 
 class _Uses(ast.NodeVisitor):
-    """Every attribute, name and string constant, except a function's
-    mentions of its own name inside its own body."""
+    """Every attribute access and string constant, except a function's
+    mentions of its own name inside its own body.  A bare name (a local,
+    a parameter, an imported module) does not reach a member."""
 
     def __init__(self, seen: set):
         self.seen = seen
@@ -110,9 +111,6 @@ class _Uses(ast.NodeVisitor):
     def visit_Attribute(self, node):
         self.use(node.attr)
         self.generic_visit(node)
-
-    def visit_Name(self, node):
-        self.use(node.id)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str):
