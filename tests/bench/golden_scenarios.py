@@ -11,6 +11,10 @@ Each scenario's whole counter record is pinned too: ``golden_snapshots.json``
 holds, per scenario, the list of ``rt.metrics.snapshot()`` of every runtime
 it builds (keys sorted), and ``test_every_subscriber_on_keeps_makespan_and_
 counters`` compares it whole, printing a key-level diff on a mismatch.
+Beside the snapshots sits the digest of the scenario's probe stream (its
+:class:`~repro.runtime.probes.JsonLinesRecorder` output with the tracer and
+the sanitizer subscribed): a reordered ``dep_arc`` or successor list can
+keep every counter and makespan, but not the stream.
 
 Run ``PYTHONPATH=src python -m tests.bench.golden_scenarios`` to (re)print
 the golden makespan dict and rewrite ``golden_snapshots.json``.  The re-pin
@@ -21,6 +25,8 @@ keys (and makespans) in CHANGES.md and the commit message.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -28,9 +34,12 @@ from repro.apps import cholesky, matmul, nbody, perlin, stream
 from repro.bench.harness import CLUSTER_BEST, fresh_cluster, fresh_multi_gpu
 from repro.cuda import KernelSpec
 from repro.runtime import Access, Direction, Runtime, Task, probes
+from repro.runtime import trace
 from repro.runtime.config import RuntimeConfig
+from repro.sanitizer import install as install_sanitizer
 
-__all__ = ["SCENARIOS", "SNAPSHOTS_PATH", "Snapshots", "snapshot_diff"]
+__all__ = ["SCENARIOS", "SNAPSHOTS_PATH", "Snapshots", "snapshot_diff",
+           "run_watched", "stream_digest"]
 
 SNAPSHOTS_PATH = Path(__file__).with_name("golden_snapshots.json")
 
@@ -186,6 +195,40 @@ class Snapshots:
               if not k.startswith("sanitizer.")} for rt in self.runtimes]))
 
 
+def stream_digest(text: str) -> dict:
+    """sha256 and line count of a JsonLinesRecorder stream.  Task ids come
+    from a process-global counter, so they are renumbered in first-seen
+    order before hashing: the digest depends on the run alone."""
+    tids: dict = {}
+
+    def renumber(value):
+        if isinstance(value, dict):
+            value["task"] = tids.setdefault(value["task"], len(tids) + 1)
+        elif isinstance(value, list):
+            for v in value:
+                renumber(v)
+
+    sha = hashlib.sha256()
+    lines = text.splitlines()
+    for line in lines:
+        record = json.loads(line)
+        renumber(record["args"])
+        sha.update(json.dumps(record).encode() + b"\n")
+    return {"sha256": sha.hexdigest(), "lines": len(lines)}
+
+
+def run_watched(run):
+    """Run a scenario with every subscriber on (snapshots, tracer,
+    sanitizer, probe recorder); returns ``(makespan, snapshots, tracer,
+    stream text)``."""
+    stream = io.StringIO()
+    with probes.install(Snapshots()) as snapshots, \
+            trace.install() as tracer, install_sanitizer(), \
+            probes.install(probes.JsonLinesRecorder(stream)):
+        makespan = run()
+    return makespan, snapshots, tracer, stream.getvalue()
+
+
 def snapshot_diff(pinned: list, taken: list) -> str:
     """Key-level diff of two snapshot lists: added, removed and changed
     keys (changed ones with both values), per runtime."""
@@ -210,7 +253,8 @@ if __name__ == "__main__":
     for name, run in SCENARIOS.items():
         with probes.install(Snapshots()) as plain:
             makespan = run()
-        pins[name] = plain.taken()
+        pins[name] = {"snapshots": plain.taken(),
+                      "probe_stream": stream_digest(run_watched(run)[3])}
         print(f"    {name!r}: {makespan!r},")
     print("}")
     SNAPSHOTS_PATH.write_text(

@@ -12,16 +12,14 @@ below were recorded from the seed run (see that module's docstring for the
 re-recording procedure).
 """
 
-import io
 import json
 
 import pytest
 
-from repro.runtime import probes, trace
-from repro.sanitizer import install as install_sanitizer
+from repro.runtime import probes
 
 from .golden_scenarios import (SCENARIOS, SNAPSHOTS_PATH, Snapshots,
-                               snapshot_diff)
+                               run_watched, snapshot_diff, stream_digest)
 
 GOLDEN_MAKESPANS = {
     'matmul-2gpu-nocache-bf': 0.058139312264394456,
@@ -48,12 +46,13 @@ GOLDEN_MAKESPANS = {
     'matmul-4node-mtos-ps0-pd4': 0.024063540278838363,
 }
 
-#: every scenario's counter snapshots, one per runtime it builds
-PINNED_SNAPSHOTS = json.loads(SNAPSHOTS_PATH.read_text())
+#: per scenario, its counter snapshots (one per runtime it builds) and the
+#: digest of its probe stream
+PINNED = json.loads(SNAPSHOTS_PATH.read_text())
 
 
 def test_scenario_table_and_goldens_agree():
-    assert set(SCENARIOS) == set(GOLDEN_MAKESPANS) == set(PINNED_SNAPSHOTS)
+    assert set(SCENARIOS) == set(GOLDEN_MAKESPANS) == set(PINNED)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -67,14 +66,11 @@ def test_makespan_is_bit_identical(name):
 def test_every_subscriber_on_keeps_makespan_and_counters(name):
     with probes.install(Snapshots()) as plain:
         SCENARIOS[name]()
-    stream = io.StringIO()
-    with probes.install(Snapshots()) as watched, \
-            trace.install() as tracer, install_sanitizer(), \
-            probes.install(probes.JsonLinesRecorder(stream)):
-        makespan = SCENARIOS[name]()
+    makespan, watched, tracer, stream = run_watched(SCENARIOS[name])
     assert makespan == GOLDEN_MAKESPANS[name]
+    pinned = PINNED[name]["snapshots"]
     taken = plain.taken()
-    assert taken == PINNED_SNAPSHOTS[name], \
-        snapshot_diff(PINNED_SNAPSHOTS[name], taken)
+    assert taken == pinned, snapshot_diff(pinned, taken)
     assert plain.runtimes and watched.taken() == taken
-    assert tracer.events and stream.getvalue()
+    assert tracer.events
+    assert stream_digest(stream) == PINNED[name]["probe_stream"]
