@@ -56,6 +56,12 @@ class DataHandle:
     def __init__(self, program: "Program", obj: DataObject):
         self.program = program
         self.obj = obj
+        #: what the task constructs intern per array, so that it lives as
+        #: long as the program: clause entries, keyed by region and
+        #: direction, and cost bindings, keyed by task function and scalar
+        #: arguments.
+        self.accesses: dict = {}
+        self.cost_bindings: dict = {}
 
     @property
     def name(self) -> str:

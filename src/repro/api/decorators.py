@@ -26,9 +26,20 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..cuda.kernels import KernelSpec
 from ..runtime.task import Access, Direction, Task
-from .data import DataView
+from .data import DataHandle, DataView
 
 __all__ = ["task", "target", "TaskFunction"]
+
+
+def _access(view: DataView, direction: Direction) -> Access:
+    """The view's handle's one :class:`Access` for (region, direction)."""
+    table = view.handle.accesses
+    # Plain attributes only: Region and Direction hash in Python.
+    key = (view.region.key, direction.reads, direction.writes)
+    access = table.get(key)
+    if access is None:
+        access = table[key] = Access(view.region, direction)
+    return access
 
 
 class TaskFunction:
@@ -165,19 +176,19 @@ class TaskFunction:
     def __call__(self, *args, **kwargs) -> Task:
         arguments = self._bind(args, kwargs)
         accesses = []
-        program = None
+        handle = None
         for name, direction in self.clauses.items():
             value = arguments[name]
             if isinstance(value, DataView):
-                accesses.append(Access(value.region, direction))
-                program = value.handle.program
+                accesses.append(_access(value, direction))
+                handle = value.handle
             elif (isinstance(value, (list, tuple)) and value
                   and all(isinstance(v, DataView) for v in value)):
                 # A clause over a set of regions (e.g. N-Body reading every
                 # position block): one access per view, same direction.
                 for v in value:
-                    accesses.append(Access(v.region, direction))
-                program = value[0].handle.program
+                    accesses.append(_access(v, direction))
+                handle = value[0].handle
             else:
                 raise TypeError(
                     f"argument {name!r} of task {self.label!r} carries a "
@@ -194,8 +205,7 @@ class TaskFunction:
                     f"copy clause and must be a DataView, got "
                     f"{type(value).__name__}"
                 )
-            copies.append(Access(value.region, direction))
-            program = program or value.handle.program
+            copies.append(_access(value, direction))
 
         # Placeholder substitution and scalar extraction in one pass:
         # DataViews become their regions, lists of views become region
@@ -215,16 +225,14 @@ class TaskFunction:
         if self.device == "cuda":
             t = Task(
                 name=self.label, device="cuda", kernel=self._kernel,
-                cost_kwargs=({"bound": scalars} if self._kernel_wrapped
-                             else self._cost_kwargs(scalars)),
+                cost_kwargs=self._cost_binding(handle, scalars),
                 accesses=tuple(accesses), args=task_args,
                 copy_deps=self.copy_deps, copies=tuple(copies),
             )
         else:
             smp_cost = self.cost
             if callable(smp_cost) and not isinstance(smp_cost, KernelSpec):
-                bound_scalars = scalars
-                cost_value = lambda cpu_spec: smp_cost(cpu_spec, bound_scalars)
+                cost_value = self._cost_binding(handle, scalars)
             else:
                 cost_value = float(smp_cost)
             t = Task(
@@ -232,7 +240,31 @@ class TaskFunction:
                 func=self.fn, accesses=tuple(accesses), args=task_args,
                 copy_deps=self.copy_deps, copies=tuple(copies),
             )
-        return program.submit(t)
+        return handle.program.submit(t)
+
+    def _cost_binding(self, handle: DataHandle, scalars: dict):
+        """What a task's cost model reads its scalars through: the kernel's
+        cost kwargs (cuda) or a closure over the scalars (smp).  ``handle``
+        is the array of the call's last dependence clause; calls through
+        one handle with scalars equal in value and type share one binding,
+        and nothing mutates it."""
+        table = handle.cost_bindings
+        key = (self, tuple(scalars.items()),
+               tuple(map(type, scalars.values())))
+        try:
+            binding = table.get(key)
+        except TypeError:  # an unhashable scalar: this binding is its own
+            key = binding = None
+        if binding is None:
+            if self.device == "cuda":
+                binding = ({"bound": scalars} if self._kernel_wrapped
+                           else self._cost_kwargs(scalars))
+            else:
+                smp_cost = self.cost
+                binding = lambda cpu_spec: smp_cost(cpu_spec, scalars)
+            if key is not None:
+                table[key] = binding
+        return binding
 
     def _cost_kwargs(self, scalars: dict) -> dict:
         """Cost kwargs when an externally registered KernelSpec is used:

@@ -140,7 +140,7 @@ class LivenessTracker:
         self._retire(task)
 
     def _retire(self, task: "Task") -> None:
-        entries = getattr(task, "_liveness_entries", None)
+        entries = task._liveness_entries
         if entries is None:
             return
         task._liveness_entries = None
@@ -208,7 +208,7 @@ class DataMover:
         child (see :class:`LivenessTracker`) — is intact and reused."""
         while task.parent is not None:
             task = task.parent
-        assert getattr(task, "_liveness_entries", None) is not None, \
+        assert task._liveness_entries is not None, \
             "requeued task was already retired from liveness"
 
     # -- write-back elision ----------------------------------------------

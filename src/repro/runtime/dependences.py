@@ -6,8 +6,9 @@ write-after-read and write-after-write dependences between *sibling* tasks
 what makes the hierarchical cluster implementation possible, since a remote
 task's children resolve their dependences entirely on the remote node).
 
-Hot-path notes: arc deduplication is a set membership test on task ids
-(``Task.successor_ids``) instead of a list scan, the region-shape validation
+Hot-path notes: arc deduplication looks at the predecessor's last
+successor only (every arc is created while its successor is being added, so
+a repeated arc can only repeat the last one), the region-shape validation
 bisects a per-object sorted interval list instead of scanning every shape
 ever seen, and per-region reader lists are compacted of finished tasks once
 they grow, so WAR fan-out is bounded by the *live* reader count.
@@ -91,17 +92,22 @@ class DependencyGraph:
                  kind: str) -> None:
         if pred.state is TaskState.FINISHED or pred is succ:
             return
-        created = succ.tid not in pred.successor_ids
+        # Exact: arcs into ``succ`` are made only inside add_task(succ), so
+        # an earlier one from ``pred`` is still pred's last successor.
+        successors = pred.successors
+        created = not successors or successors[-1] is not succ
         if created:
-            pred.successor_ids.add(succ.tid)
-            pred.successors.append(succ)
+            successors.append(succ)
             succ.pending_preds += 1
         for fn in self.on_arc:
             fn(pred, succ, region, kind, created)
 
     # -- public protocol ---------------------------------------------------
     def add_task(self, task: Task) -> bool:
-        """Register ``task``; returns True when immediately ready."""
+        """Register ``task`` (once); returns True when immediately ready."""
+        assert (task.state is TaskState.CREATED
+                and task.tid not in self._live_tasks), \
+            f"{task!r} registered twice"
         self._live_tasks.add(task.tid)
         for acc in task.accesses:
             st = self._state(acc.region)

@@ -129,7 +129,7 @@ class GPUManager:
             if not self.alive:
                 self._abandon(task, None)
                 return
-            if getattr(task, "_staged", False):
+            if task._staged:
                 # Inputs already on the device: the prefetch paid off.
                 self._c_prefetch_hits.value += 1
             else:

@@ -35,9 +35,10 @@ Direction.OUT.reads, Direction.OUT.writes = False, True
 Direction.INOUT.reads, Direction.INOUT.writes = True, True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Access:
-    """One dependence clause entry: a region and its direction."""
+    """One dependence clause entry: a region and its direction.  Immutable,
+    so the task constructs share one instance per (region, direction)."""
 
     region: Region
     direction: Direction
@@ -53,9 +54,13 @@ class TaskState(Enum):
     FINISHED = "finished"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
-    """A unit of deferred work, as produced by the ``task`` construct."""
+    """A unit of deferred work, as produced by the ``task`` construct.
+
+    Slotted, because a program may submit its whole task graph before the
+    first task runs: every attribute a task can carry is declared here, and
+    setting an undeclared one is an AttributeError."""
 
     name: str
     accesses: tuple[Access, ...] = ()
@@ -63,7 +68,8 @@ class Task:
     device: str = "smp"
     #: cost of a cuda task: a KernelSpec evaluated on the executing GPU.
     kernel: Optional[KernelSpec] = None
-    #: kwargs for the kernel cost model.
+    #: kwargs for the kernel cost model (read-only: tasks with one scalar
+    #: binding may share the dict).
     cost_kwargs: dict = field(default_factory=dict)
     #: cost of an smp task in seconds (constant, or callable of CPUSpec).
     smp_cost: "float | Callable" = 0.0
@@ -90,10 +96,8 @@ class Task:
     state: TaskState = TaskState.CREATED
     #: predecessors not yet finished.
     pending_preds: int = 0
-    #: tasks whose dependences include this one.
+    #: tasks whose dependences include this one, each once, in arc order.
     successors: list = field(default_factory=list)
-    #: tids mirrored from ``successors`` for O(1) arc deduplication.
-    successor_ids: set = field(default_factory=set, repr=False)
     #: the execution place chosen by the scheduler (worker object).
     assigned_to: Any = None
     #: completion event, set when the runtime registers the task.
@@ -103,6 +107,20 @@ class Task:
     #: re-execution count under fault injection (bounded by
     #: ``FaultPlan.max_task_retries``).
     retries: int = 0
+    #: a GPU prefetch already staged the inputs on the assigned device.
+    _staged: bool = field(default=False, init=False, repr=False,
+                          compare=False)
+    #: a decomposing parent's children: their sibling-scope graph, how many
+    #: are unfinished, and the event fired when none is.
+    _child_graph: Any = field(default=None, init=False, repr=False,
+                              compare=False)
+    _children_left: int = field(default=0, init=False, repr=False,
+                                compare=False)
+    _children_done: Any = field(default=None, init=False, repr=False,
+                                compare=False)
+    #: the liveness tracker's claim, from submission until retirement.
+    _liveness_entries: Optional[list] = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         if self.device not in ("smp", "cuda"):

@@ -202,7 +202,6 @@ def test_random_graphs_respect_program_order_per_region(ops):
     for i, (ridx, direction) in enumerate(ops):
         t = Task(name=f"t{i}",
                  accesses=(Access(regions[ridx], direction),))
-        t.program_index = i
         g.add_task(t)
         tasks.append(t)
 
