@@ -1,12 +1,14 @@
-"""Every figure point's exact numbers, pinned.
+"""Every figure and ablation point's exact numbers, pinned.
 
-The figure-shape tests beside this file check only the orderings and
-ratios the paper claims, and the rendered tables round their values, so
-neither notices a figure number that moves a little.  This test does: it
-runs every point of every figure in ``repro.bench.figures.FIGURES``
-(210 points, about 20 s on two forked workers) and compares each point's
-``[metric, makespan]`` with ``figure_points.json`` exactly.  Simulated
-time is deterministic, so any difference is a real change.
+This is the one live run of the paper's evaluation.  It runs every point
+of every figure in ``repro.bench.figures.FIGURES`` and of
+``ablation_points()`` (222 points, about 20 s on two forked workers) and
+compares each point's ``[metric, makespan]`` with ``figure_points.json``
+exactly.  Simulated time is deterministic, so any difference is a real
+change.  The paper's shape claims (``tests/bench/test_fig*.py``,
+``test_ablation_runtime_knobs.py``) and EXPERIMENTS.md
+(``tests/docs/test_experiments_doc.py``) are checked over those pins, so
+this test is what ties them to the code.
 
 Rule: a change that moves a figure number on purpose re-pins the labels
 it moves and lists them in CHANGES.md.  Re-pin (all points, or only the
@@ -19,7 +21,7 @@ import json
 import os
 import sys
 
-from repro.bench.figures import FIGURES, figure_points
+from repro.bench.figures import FIGURES, ablation_points, figure_points
 from repro.bench.sweep import run_points
 
 PIN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -27,7 +29,8 @@ PIN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def all_points() -> list:
-    return [spec for name in FIGURES for spec in figure_points(name)]
+    return ([spec for name in FIGURES for spec in figure_points(name)]
+            + ablation_points())
 
 
 def measure(points: list) -> dict:

@@ -1,8 +1,8 @@
 """Command-line figure regeneration: ``python -m repro.bench [targets...]``.
 
 Targets: every key of :data:`repro.bench.figures.FIGURES` (``fig5`` ...
-``fig13``, ``fig-irr``), ``table1``, or ``all``.  Each prints the same
-series/table the benchmark suite asserts against (EXPERIMENTS.md).
+``fig13``, ``fig-irr``), ``table1``, or ``all``.  Each prints the
+series/table EXPERIMENTS.md quotes.
 
 ``--parallel N`` fans each figure's points out over ``N`` worker processes
 (one fresh process per point; see :mod:`repro.bench.sweep`).  Output is
@@ -22,14 +22,10 @@ from .report import render_table
 
 
 def print_table1() -> None:
-    rows = []
-    for row in table1_rows():
-        rows.append([
-            row["app"], row["serial"],
-            f"{row['cuda']} ({row['cuda_pct']:+.0f}%)",
-            f"{row['mpi_cuda']} ({row['mpi_cuda_pct']:+.0f}%)",
-            f"{row['ompss']} ({row['ompss_pct']:+.0f}%)",
-        ])
+    rows = [[row["app"], row["serial"],
+             *(f"{row[v]} ({row[v + '_pct']:+.0f}%)"
+               for v in ("cuda", "mpi_cuda", "ompss"))]
+            for row in table1_rows()]
     print(render_table(
         "Table I: useful lines of code",
         ["app", "serial", "cuda", "mpi+cuda", "ompss"], rows,

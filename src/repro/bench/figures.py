@@ -2,17 +2,13 @@
 
 :data:`FIGURES` is the evaluation as one table: a :class:`Figure` row per
 chart, keyed by its name on the command line (``python -m repro.bench
-fig5``).  A row holds the chart's labels and the function that declares
-its grid of independent :class:`~.sweep.PointSpec` points.
-:func:`run_figure` runs a row's points at the paper's problem sizes in
-performance mode and returns a :class:`FigureResult` whose series mirror
-the published chart's bars/lines.  Absolute values are simulated-hardware
-numbers; the *shapes* are what EXPERIMENTS.md validates against the paper.
-
-Because a figure is a list of independent points,
-``run_figure(name, parallel=K)`` — and ``python -m repro.bench --parallel
-K`` — fans a sweep out across processes with bit-identical results (see
-:mod:`repro.bench.sweep`).
+fig5``), holding the chart's labels and the function that declares its
+grid of independent :class:`~.sweep.PointSpec` points (the ablations are
+:func:`ablation_points`).  :func:`run_figure` runs a row's points at the
+paper's problem sizes, over ``parallel`` processes bit-identically, and
+:func:`collect_figure` turns any table of point values (that run, or the
+pins in ``benchmarks/figure_points.json``) into the chart's
+:class:`FigureResult`.  The *shapes* are what EXPERIMENTS.md validates.
 """
 
 from __future__ import annotations
@@ -26,9 +22,9 @@ from ..runtime.config import RuntimeConfig
 from .harness import CLUSTER_BEST, FigureResult
 from .sweep import PointSpec, run_points
 
-__all__ = ["Figure", "FIGURES", "figure_points", "run_figure",
-           "MULTI_GPU_COUNTS", "CLUSTER_NODE_COUNTS", "SCHED_POLICIES",
-           "IRR_POINTS"]
+__all__ = ["Figure", "FIGURES", "figure_points", "ablation_points",
+           "run_figure", "collect_figure", "MULTI_GPU_COUNTS",
+           "CLUSTER_NODE_COUNTS", "SCHED_POLICIES", "IRR_POINTS"]
 
 MULTI_GPU_COUNTS = (1, 2, 4)
 CLUSTER_NODE_COUNTS = (1, 2, 4, 8)
@@ -36,13 +32,10 @@ CLUSTER_NODE_COUNTS = (1, 2, 4, 8)
 CACHE_POLICIES = ("nocache", "wt", "wb")
 SCHEDULERS = ("bf", "default", "affinity")
 
-#: The N-Body size used for the Fig. 8 sweep: the paper observes that
-#: "the N-Body uses a lot of GPU memory which is also transferred between
-#: all the devices" — at 20000 bodies alone the footprint is trivial in our
-#: model, so the memory-pressure run scales the body count (and allocates a
-#: fresh position buffer per iteration, like the memory-hungry original)
-#: until per-GPU footprints stress the 2.62 GB Tesla memory (DESIGN.md
-#: section 2, substitution).
+#: The Fig. 8 N-Body size: the paper's 20000 bodies "use a lot of GPU
+#: memory" on real hardware but not in our model, so the run scales the
+#: body count (and allocates a fresh position buffer per iteration) until
+#: per-GPU footprints stress the 2.62 GB Tesla memory (DESIGN.md §2).
 NBODY_STRESS = nbody.NBodySize(n=20_000_000, blocks=16, iters=10)
 
 #: every policy ``make_scheduler`` knows, paper tier first.
@@ -88,12 +81,9 @@ def _sized(size, count: int):
 # ---------------------------------------------------------------------------
 
 def _cache_by_scheduler(figure: str, app: str, size) -> "list[PointSpec]":
-    """The Fig. 5/6 grid: cache policy x scheduler x GPU count.
-
-    Mechanism counters of the largest run explain each series' shape
-    (cache hits per policy, bytes migrated per scheduler), so only that
-    point requests its snapshot.
-    """
+    """The Fig. 5/6 grid: cache policy x scheduler x GPU count.  The
+    largest run's counters explain each series' shape (cache hits per
+    policy, bytes migrated per scheduler), so only it wants a snapshot."""
     return [PointSpec(figure=figure, series=f"{policy}-{sched}", x=g,
                       app=app, machine="multi_gpu", count=g,
                       size=_sized(size, g),
@@ -281,38 +271,73 @@ def figure_points(name: str, **point_args) -> "list[PointSpec]":
     return FIGURES[name].points(name, **point_args)
 
 
+def ablation_points() -> "list[PointSpec]":
+    """The runtime-knob ablations (DESIGN.md) on a 6144² matmul, labelled
+    ``ablation/<series>@<x>``: overlap, prefetch (Section III.D.2) and
+    stealing on a 4-GPU node, the presend window (III.D.1; ``x`` is the
+    window) on 4 cluster nodes, slave-to-slave routing on 8."""
+    def point(series, x, machine, count, config, **run_kwargs):
+        return PointSpec(figure="ablation", series=series, x=x, app="matmul",
+                         machine=machine, count=count, config=config,
+                         size=matmul.MatmulSize(n=6144, bs=1024),
+                         run_kwargs=run_kwargs)
+
+    def node(series, **cfg):
+        return point(series, 4, "multi_gpu", 4,
+                     RuntimeConfig(functional=False, **cfg))
+
+    def cluster(series, x, nodes, **cfg):
+        return point(series, x, "cluster", nodes,
+                     RuntimeConfig(**CLUSTER_BEST, **cfg), init="smp")
+
+    return [node("baseline"), node("overlap", overlap=True),
+            node("prefetch", prefetch=True),
+            node("both", overlap=True, prefetch=True),
+            node("steal", scheduler="affinity", steal=True),
+            node("no_steal", scheduler="affinity", steal=False),
+            *(cluster("presend", ps, 4, presend=ps) for ps in (0, 1, 2, 4)),
+            cluster("stos", 8, 8, slave_to_slave=True, presend=4),
+            cluster("mtos", 8, 8, slave_to_slave=False, presend=4)]
+
+
 def run_figure(name: str, parallel: int = 0,
                scheduler: "str | None" = None,
                **point_args) -> FigureResult:
     """Run figure ``name``'s points (in-process, or fanned out over
-    ``parallel`` processes) and fill its series.
-
-    Points arrive grouped by series, each series in x order, so appending
-    each point's value in spec order rebuilds the series lists.  Points
-    flagged ``want_metrics`` attach their counter snapshot under the
-    series name, or under ``series/x`` for a ``per_point`` figure.
-
-    ``scheduler`` (the ``--scheduler`` CLI flag) overrides the policy on
-    every point of the figure, leaving the rest of each point's
-    configuration untouched; a figure that sweeps the policies ignores it.
-    """
-    row = FIGURES[name]
+    ``parallel`` processes) and collect their values.  ``scheduler`` (the
+    ``--scheduler`` flag) overrides the policy on every point, leaving the
+    rest of its configuration alone, unless the figure sweeps policies."""
     points = figure_points(name, **point_args)
-    override = scheduler is not None and not row.sweeps_policies
+    override = scheduler is not None and not FIGURES[name].sweeps_policies
     if override:
         points = [dataclasses.replace(spec, scheduler=scheduler)
                   for spec in points]
+    values = run_points(points, parallel=parallel)
+    result = collect_figure(name, {spec.label: val for spec, val
+                                   in zip(points, values)}, **point_args)
+    if override:
+        result.notes.append(f"scheduler override: {scheduler}")
+    return result
+
+
+def collect_figure(name: str, table: "dict[str, dict]",
+                   **point_args) -> FigureResult:
+    """Figure ``name`` from ``table``: point label -> ``metric``,
+    ``makespan`` and an optional counter snapshot ``metrics``.  Points are
+    grouped by series, each in x order, so appending values in spec order
+    rebuilds the series; a ``want_metrics`` point attaches its snapshot
+    under the series name (``series/x`` for a ``per_point`` figure)."""
+    row = FIGURES[name]
     result = FigureResult(figure=row.figure, title=row.title,
                           x_label=row.x_label, xs=list(row.xs),
                           unit=row.unit)
-    for spec, val in zip(points, run_points(points, parallel=parallel)):
+    for spec in figure_points(name, **point_args):
+        val = table[spec.label]
         result.series.setdefault(spec.series, []).append(val[row.value])
         if spec.want_metrics:
             result.attach_metrics(
                 f"{spec.series}/{spec.x}" if row.per_point else spec.series,
-                val["metrics"])
+                val.get("metrics", {}))
     if row.notes:
         result.notes += row.notes(result)
-    if override:
-        result.notes.append(f"scheduler override: {scheduler}")
     return result

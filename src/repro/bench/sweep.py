@@ -1,24 +1,15 @@
 """Parallel figure sweeps: fan independent figure points out across cores.
 
-A figure (:mod:`repro.bench.figures`) is a grid of independent *points*.
-A point is a :class:`PointSpec`: a service
-:class:`~repro.service.job.JobRequest` plus its place in the figure, so
-:func:`run_point` is the service's executor,
-:func:`~repro.service.runner.execute_request`.
-
+A figure (:mod:`repro.bench.figures`) is a grid of independent points,
+each a :class:`PointSpec`: a service :class:`~repro.service.job.JobRequest`
+plus its place in the figure, run by the service's own executor.
 :func:`run_points` is a client of one
 :class:`~repro.service.backends.Backend`: ``parallel=0`` runs points
 in-process, ``parallel=N`` forks each from the pre-sweep process, at most
-N alive at a time.  A simulation is deterministic given its spec, so the
-output is bit-identical whatever ``parallel`` is.  A point that raises,
-or whose process dies, surfaces as :class:`SweepPointError` naming it:
-the first failing point in spec order, after every point still running
-has been killed and reaped.
-
-Usage::
-
-    python -m repro.bench fig5 --parallel 4      # CLI
-    results = run_points(points, parallel=4)     # library
+N alive at a time, bit-identically.  A point that raises, or whose
+process dies, surfaces as :class:`SweepPointError` naming it: the first
+failing point in spec order, after every point still running has been
+killed and reaped.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ tracer draws it as a zero-length span on the Chrome timeline.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import TYPE_CHECKING, Optional
@@ -99,11 +98,6 @@ class FaultEngine:
         self.metrics.inc(f"faults.{kind}")
         for fn in self.rt.probes.fault:
             fn(kind, detail, now)
-
-    def timeline_digest(self) -> str:
-        """Stable hash of the fault/recovery timeline (determinism tests)."""
-        blob = "\n".join(f"{t!r}|{k}|{d}" for t, k, d in self.timeline)
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     # ------------------------------------------------------------------
     # Interceptors (bound by the runtime's probe seam, see

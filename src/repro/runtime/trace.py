@@ -142,9 +142,6 @@ class Tracer:
             return 0.0
         return self.busy_time(place, categories) / makespan
 
-    def bytes_moved(self) -> int:
-        return sum(e.nbytes for e in self.by_category("transfer"))
-
     def gaps(self, place: str,
              categories: Optional[Iterable[str]] = None
              ) -> list[tuple[float, float]]:

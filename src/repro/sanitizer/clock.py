@@ -37,9 +37,6 @@ class VectorClock:
         """Pointwise ≤: every epoch known here is known to ``other``."""
         return all(other.get(ctx) >= tick for ctx, tick in self._c.items())
 
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return not (self <= other) and not (other <= self)
-
     # -- updates -----------------------------------------------------------
     def copy(self) -> "VectorClock":
         return VectorClock(self._c)
@@ -62,9 +59,6 @@ class VectorClock:
         return self
 
     # -- misc --------------------------------------------------------------
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._c)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorClock):
             return NotImplemented

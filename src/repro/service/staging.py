@@ -115,10 +115,6 @@ class StagingDir:
     def read_status(self, job_id: str) -> dict:
         return json.loads((self.job_dir(job_id) / "status.json").read_text())
 
-    def read_result(self, job_id: str) -> JobResult:
-        doc = json.loads((self.job_dir(job_id) / "result.json").read_text())
-        return JobResult.from_dict(doc)
-
     def artifacts(self, job_id: str) -> "dict[str, Path]":
         """Name → path for every staged artifact of the job."""
         jdir = self.job_dir(job_id)

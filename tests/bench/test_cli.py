@@ -1,25 +1,30 @@
 """Tests for the figure-regeneration CLI."""
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.bench import figures
 from repro.bench.__main__ import FIGURES, main
 
-REPO = Path(__file__).resolve().parents[2]
-PINNED = REPO / "benchmarks" / "figure_points.json"
+from .pins import PINS
 
 
 def test_figures_registry_complete():
-    """The CLI targets, the pinned figure set and ``FIGURES`` are one
-    list: the paper's Figs. 5-13 plus the irregular-apps figure."""
+    """The CLI targets and ``FIGURES`` are one list: the paper's
+    Figs. 5-13 plus the irregular-apps figure."""
     assert list(figures.FIGURES) == [f"fig{i}" for i in range(5, 14)] + [
         "fig-irr"]
     assert FIGURES is figures.FIGURES
-    pinned = json.loads(PINNED.read_text())
-    assert {label.split("/")[0] for label in pinned} == set(figures.FIGURES)
+
+
+def test_pinned_labels_are_the_declared_points():
+    """``figure_points.json`` pins every declared point, figures and
+    ablations, and nothing else, so a claim checked over the pins never
+    reads a stale or missing one."""
+    declared = [spec.label for name in figures.FIGURES
+                for spec in figures.figure_points(name)]
+    declared += [spec.label for spec in figures.ablation_points()]
+    assert len(set(declared)) == len(declared)
+    assert set(PINS) == set(declared)
 
 
 def test_cli_table1(capsys):

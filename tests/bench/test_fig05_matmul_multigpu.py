@@ -10,11 +10,13 @@ Paper claims reproduced here:
   almost doubling the performance".
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig5_matmul_multigpu(run_once):
-    result = run_once(run_figure, "fig5")
+def test_fig5_matmul_multigpu():
+    result = collect_figure("fig5", PINS)
     print()
     print(result.render())
 

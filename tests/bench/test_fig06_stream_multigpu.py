@@ -12,11 +12,13 @@ reports schedulers as interchangeable for STREAM.  The headline claim is
 checked on the default and affinity schedulers.
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig6_stream_multigpu(run_once):
-    result = run_once(run_figure, "fig6")
+def test_fig6_stream_multigpu():
+    result = collect_figure("fig6", PINS)
     print()
     print(result.render())
 

@@ -6,11 +6,13 @@ always done, thus we can not achieve as good performance as the NoFlush
 version."
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig7_perlin_multigpu(run_once):
-    result = run_once(run_figure, "fig7")
+def test_fig7_perlin_multigpu():
+    result = collect_figure("fig7", PINS)
     print()
     print(result.render())
 

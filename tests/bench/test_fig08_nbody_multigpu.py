@@ -13,11 +13,13 @@ evictions are free); the decisive claim — no-cache beats the default
 write-back policy — is asserted.
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig8_nbody_multigpu(run_once):
-    result = run_once(run_figure, "fig8")
+def test_fig8_nbody_multigpu():
+    result = collect_figure("fig8", PINS)
     print()
     print(result.render())
 

@@ -11,11 +11,13 @@ Paper claims reproduced here:
   with Slave-to-Slave transfers."
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig9_matmul_cluster(run_once):
-    result = run_once(run_figure, "fig9", presends=(0, 4))
+def test_fig9_matmul_cluster():
+    result = collect_figure("fig9", PINS, presends=(0, 4))
     print()
     print(result.render())
 

@@ -10,11 +10,13 @@ nodes SUMMA's 2D-blocked placement retains an edge over affinity's emergent
 placement.
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig10_matmul_vs_mpi(run_once):
-    result = run_once(run_figure, "fig10")
+def test_fig10_matmul_vs_mpi():
+    result = collect_figure("fig10", PINS)
     print()
     print(result.render())
 

@@ -5,11 +5,13 @@ transfers among the nodes of the cluster, thus it achieves a good
 performance using MPI+CUDA and OmpSs."
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig11_stream_cluster(run_once):
-    result = run_once(run_figure, "fig11")
+def test_fig11_stream_cluster():
+    result = collect_figure("fig11", PINS)
     print()
     print(result.render())
 

@@ -6,11 +6,13 @@ version also faces these issues and achieves the same performance as the
 OmpSs version."  The NoFlush variant keeps frames on the GPUs and scales.
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig12_perlin_cluster(run_once):
-    result = run_once(run_figure, "fig12")
+def test_fig12_perlin_cluster():
+    result = collect_figure("fig12", PINS)
     print()
     print(result.render())
 

@@ -6,11 +6,13 @@ the one obtained by the MPI+CUDA, even though the OmpSs performs worse with
 almost no space to overlap communication and computation".
 """
 
-from repro.bench import run_figure
+from repro.bench.figures import collect_figure
+
+from .pins import PINS
 
 
-def test_fig13_nbody_cluster(run_once):
-    result = run_once(run_figure, "fig13")
+def test_fig13_nbody_cluster():
+    result = collect_figure("fig13", PINS)
     print()
     print(result.render())
 

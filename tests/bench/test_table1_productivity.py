@@ -25,8 +25,8 @@ PAPER_TABLE1 = {
 }
 
 
-def test_table1_productivity(run_once):
-    rows = run_once(table1_rows)
+def test_table1_productivity():
+    rows = table1_rows()
     printable = []
     for row in rows:
         paper = PAPER_TABLE1[row["app"]]

@@ -33,7 +33,7 @@ _PLAN = FaultPlan(events=(
 ), seed=99, paranoid=True)
 
 
-def _run_once():
+def _run_chaotic():
     size = matmul.MatmulSize(n=96, bs=32)
     cfg = RuntimeConfig(functional=True, cache_policy="wb",
                         scheduler="affinity", fault_plan=_PLAN)
@@ -43,7 +43,7 @@ def _run_once():
 
 
 def test_same_plan_same_timeline_in_process():
-    a, b = _run_once(), _run_once()
+    a, b = _run_chaotic(), _run_chaotic()
     assert a.makespan == b.makespan
     assert_same_outputs(a, b)
     # The recovery effort itself is part of the reproducible simulation.
@@ -91,8 +91,8 @@ def test_timeline_independent_of_pythonhashseed():
 
 
 def test_engine_timeline_digest_is_stable():
-    """Two engines fed the same plan over the same machine hash the same
-    timeline (the digest the chaos CI logs for cross-run comparison)."""
+    """Two engines fed the same plan over the same machine record the same
+    fault/recovery timeline, time stamps included."""
 
     def run():
         env = Environment()
@@ -115,11 +115,10 @@ def test_engine_timeline_digest_is_stable():
             yield from rt.taskwait()
 
         rt.run_main(main())
-        return rt.faults.timeline_digest(), rt.faults.timeline
+        return rt.faults.timeline
 
-    (d1, t1), (d2, t2) = run(), run()
+    t1, t2 = run(), run()
     assert t1  # the loss actually happened
-    assert d1 == d2
     assert t1 == t2
 
 

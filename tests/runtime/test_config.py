@@ -71,7 +71,7 @@ KNOBS = {
     "cost_aware_eviction": (_COMM_BENCH, "comm-bench row"),
     "gpu_cache_fraction": (_COMM_BENCH, "comm-bench row"),
     "presend_depth": (_COMM_BENCH, "comm-bench row"),
-    "steal": ("benchmarks/test_ablation_runtime_knobs.py", "ablation"),
+    "steal": (_FIGURES, "ablation"),
     "fault_plan": ("benchmarks/perf/faults_bench.py", "fault benchmark"),
     # model parameters: only tests move them off their calibrated values
     "kernel_jitter": ("tests/faults/test_recovery.py", "model parameter"),

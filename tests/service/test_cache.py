@@ -188,7 +188,8 @@ def test_join_then_hit_while_the_only_slot_is_busy(tmp_path):
             assert (result.backend, result.cached_from) == ("cache", leader)
             assert result.makespan == svc.result(leader).makespan
             assert result.tenant == svc.status(job_id)["tenant"]
-            assert svc.staging.read_result(job_id).cached_from == leader
+            staged = svc.staging.artifacts(job_id)["result"].read_text()
+            assert json.loads(staged)["cached_from"] == leader
             assert svc.staging.read_status(job_id)["backend"] == "cache"
         assert svc.dispatch_order() == [leader, joiner, blocker, late]
         snap = svc.metrics.snapshot()
