@@ -1,4 +1,4 @@
-"""The async submit / poll / stream-status / fetch-artifacts façade.
+"""The async submit / wait / fetch-artifacts façade.
 
 A :class:`Service` owns the queue, the backends and a staging root, and
 pumps jobs between them::
@@ -14,24 +14,24 @@ pumps jobs between them::
 
 ``submit`` returns immediately with a job id; :meth:`Service.pump` is
 the single synchronous step (collect finished outcomes, then dispatch
-queued jobs to backends with free slots, in queue order).  ``poll``,
-``stream_status``, ``wait`` and ``run_until_idle`` are conveniences over
-``pump``; when a pump changes nothing they block in ``select`` on the
-running forked jobs' pipes, never in a sleep.  All lifecycle transitions
-are mirrored to the staging directory (``status.json``; a ``running``
-one names this process as its ``worker``), so an out-of-process observer
-— the CLI ``status`` command, or a ``worker`` re-adopting the jobs of a
-killed one — sees the same states the in-process API reports.
+queued jobs to backends with free slots, in queue order).  ``wait`` and
+``run_until_idle`` are one loop over ``pump``; when a pump changes
+nothing it blocks in ``select`` on the running forked jobs' pipes, never
+in a sleep.  All lifecycle transitions are mirrored to the staging
+directory (``status.json``; a ``running`` one names this process as its
+``worker``), so an out-of-process observer — the CLI ``status`` command,
+or a ``worker`` re-adopting the jobs of a killed one — sees the same
+states the in-process API reports.
 
 A service simulates each distinct request once.  Jobs whose requests
 have the same :meth:`~repro.service.job.JobRequest.content_key` — equal
-in everything but tenant, priority and cost — share one execution: the
+in everything but tenant and priority — share one execution: the
 first is executed on a backend, the ones dispatched while it runs join
 it, the ones dispatched later are served from its stored payload
 (``JobResult.backend == "cache"``, ``cached_from`` naming the job that
-executed).  Every job still takes its fair-share turn and stages its own
-complete bundle.  The table lives and dies with the ``Service`` object;
-see "Result cache" in docs/SERVICE.md.
+executed).  Every job still takes its turn in the queue and stages its
+own complete bundle.  The table lives and dies with the ``Service``
+object; see "Result cache" in docs/SERVICE.md.
 
 Everything the service does is counted under ``service.*`` in its
 metrics registry (see docs/OBSERVABILITY.md): submissions, per-tenant
@@ -47,7 +47,7 @@ import select
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..metrics import CounterRegistry
 from .backends import Backend
@@ -88,17 +88,15 @@ class Service:
     Routing is a rule, not a part: with both an ``eager`` and a ``pool``
     backend, cluster runs and wide (3+ device) nodes are forked on the
     pool while small single-node runs stay in-process; otherwise every
-    job goes to the first (normally the only) backend.  ``weights`` are
-    the tenants' fair-share weights for the queue the service builds.
+    job goes to the first (normally the only) backend.
     """
 
     def __init__(self,
                  backends: "dict[str, Backend] | None" = None,
-                 weights: "dict[str, float] | None" = None,
                  staging: "StagingDir | str | None" = None):
         self.metrics = CounterRegistry()
         self.backends = dict(backends) if backends else {"eager": Backend()}
-        self.queue = JobQueue(weights, metrics=self.metrics)
+        self.queue = JobQueue(metrics=self.metrics)
         self._tmpdir = None
         if staging is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-svc-")
@@ -131,12 +129,15 @@ class Service:
                       f"{request.app}")
         if job_id in self._jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
-        record = _JobRecord(request=request, key=request.content_key(),
-                            submitted_at=time.perf_counter())
-        self._jobs[job_id] = record
+        submitted_at = time.perf_counter()
+        # Staged first: a job id the staging root cannot hold is refused
+        # before the service knows the job.
         self.staging.write_request(job_id, request)
         self.staging.write_status(job_id, JobState.QUEUED,
                                   tenant=request.tenant)
+        self._jobs[job_id] = _JobRecord(request=request,
+                                        key=request.content_key(),
+                                        submitted_at=submitted_at)
         self.queue.push(job_id, request)
         self.metrics.inc("service.jobs_submitted")
         return job_id
@@ -148,10 +149,10 @@ class Service:
         Collects every finished outcome first (freeing slots), then
         dispatches queued jobs in queue order until the next job's
         backend has no free slot — dispatch is head-of-line on purpose,
-        so the fair-share order the queue computes is the order jobs
-        actually reach the backends.  A job whose content is already in
-        the result cache needs no slot: it passes while every backend is
-        full, but only ever from the head of the queue.
+        so the order the queue computes is the order jobs actually reach
+        the backends.  A job whose content is already in the result cache
+        needs no slot: it passes while every backend is full, but only
+        ever from the head of the queue.
         """
         progressed = 0
         for name, backend in self.backends.items():
@@ -307,42 +308,28 @@ class Service:
             doc["error"] = record.result.error
         return doc
 
-    def poll(self, job_id: str) -> JobState:
-        """Pump once, then report the job's state."""
-        self.pump()
-        return self.state(job_id)
-
-    def stream_status(self, job_id: str, timeout: Optional[float] = None
-                      ) -> "Iterator[JobState]":
-        """Yield the job's state now and on every change, pumping between
-        waits, until it reaches a terminal state (which is yielded)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        last = self.state(job_id)
-        yield last
-        while not last.terminal:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} still {last.value}")
-            if self.pump() == 0:
-                self._block(deadline)
-            state = self.state(job_id)
-            if state is not last:
-                last = state
-                yield last
-
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> JobResult:
         """Block (pumping) until the job finishes; returns its result."""
-        for _ in self.stream_status(job_id, timeout=timeout):
-            pass
+        record = self._record(job_id)
+        self._pump_until(lambda: record.state.terminal, timeout,
+                         lambda: f"job {job_id} still {record.state.value}")
         return self.result(job_id)
 
     def run_until_idle(self, timeout: Optional[float] = None) -> None:
         """Pump until no job is queued or running."""
+        self._pump_until(
+            lambda: not self.queue and not any(
+                r.state is JobState.RUNNING for r in self._jobs.values()),
+            timeout, lambda: "service did not drain in time")
+
+    def _pump_until(self, done, timeout: Optional[float], late) -> None:
+        """Pump (and :meth:`_block`) until ``done()``; at the deadline,
+        raise ``TimeoutError(late())``."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        while self.queue or any(
-                r.state is JobState.RUNNING for r in self._jobs.values()):
+        while not done():
             if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError("service did not drain in time")
+                raise TimeoutError(late())
             if self.pump() == 0:
                 self._block(deadline)
 
@@ -373,7 +360,7 @@ class Service:
         return self.staging.artifacts(job_id)
 
     def dispatch_order(self) -> "list[str]":
-        """Job ids in the order they reached a backend (fairness probe)."""
+        """Job ids in the order they reached a backend (queue-order probe)."""
         return list(self._dispatched)
 
     def __contains__(self, job_id: str) -> bool:

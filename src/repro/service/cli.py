@@ -10,11 +10,12 @@ directory *is* the queue — i-VRESSE bartender's file-staging shape):
   submissions.
 * ``status``    — print a job's ``status.json``.
 * ``artifacts`` — list (or ``--fetch`` one of) a job's staged artifacts.
+  Both exit non-zero on a job with no staged ``request.json``.
 * ``demo``      — put a mixed-tenant batch of nine functional jobs
-  (three distinct simulations) on a 2-worker pool, print the fair-share
-  dispatch order and the ``service.*`` counters, check that the result
-  cache executed each distinct request once (6 hits, 3 misses), and
-  cross-check one job eager-vs-pool bit-identical.
+  (three distinct simulations) on a 2-worker pool, print the dispatch
+  order (priority, then submission) and the ``service.*`` counters,
+  check that the result cache executed each distinct request once (6
+  hits, 3 misses), and cross-check one job eager-vs-pool bit-identical.
 
 Examples::
 
@@ -72,18 +73,18 @@ def _request_from_args(args) -> JobRequest:
         count=args.count, size=_parse_size(args.size), config=config,
         scheduler=args.scheduler, sanitize=args.sanitize,
         collect_trace=not args.no_trace, tenant=args.tenant,
-        priority=args.priority, cost=args.cost)
+        priority=args.priority)
 
 
 def cmd_submit(args) -> int:
     try:
         request = _request_from_args(args)
+        job_id = args.job_id or \
+            f"{request.tenant}-{request.app}-{uuid.uuid4().hex[:8]}"
+        staging = StagingDir(args.staging)
+        staging.write_request(job_id, request)  # refuses a bad job id
     except (ValueError, TypeError) as exc:       # JSONDecodeError included
         raise SystemExit(f"bad request: {exc}")
-    staging = StagingDir(args.staging)
-    job_id = args.job_id or \
-        f"{request.tenant}-{request.app}-{uuid.uuid4().hex[:8]}"
-    staging.write_request(job_id, request)
     staging.write_status(job_id, JobState.QUEUED, tenant=request.tenant)
     print(job_id)
     return 0
@@ -181,15 +182,23 @@ def cmd_worker(args) -> int:
     return 1 if failed and args.strict else 0
 
 
-def cmd_status(args) -> int:
+def _known_job(args) -> StagingDir:
+    """The staging root, once ``args.job_id`` is a staged job there."""
     staging = StagingDir(args.staging)
+    if args.job_id not in staging.jobs():
+        raise SystemExit(f"unknown job {args.job_id!r}")
+    return staging
+
+
+def cmd_status(args) -> int:
+    staging = _known_job(args)
     print(json.dumps(staging.read_status(args.job_id), indent=1,
                      sort_keys=True))
     return 0
 
 
 def cmd_artifacts(args) -> int:
-    staging = StagingDir(args.staging)
+    staging = _known_job(args)
     artifacts = staging.artifacts(args.job_id)
     if args.fetch:
         path = artifacts.get(args.fetch)
@@ -215,20 +224,18 @@ def _demo_batch() -> "list[JobRequest]":
 
 
 def cmd_demo(args) -> int:
-    """Nine jobs, three simulations, the same fair-share order: exits 1
+    """Nine jobs, three simulations, the same dispatch order: exits 1
     unless every job is done, the cache counters are exactly (distinct
     requests) misses and (the rest) hits, and eager equals pool."""
-    weights = {"alice": 2.0, "bob": 1.0, "carol": 1.0}
     batch = _demo_batch()
     distinct = len({req.content_key() for req in batch})
-    print(f"submitting {len(batch)} functional jobs for "
-          f"{len(weights)} tenants (weights {weights}) "
+    print(f"submitting {len(batch)} functional jobs for three tenants "
           f"onto a {args.workers}-worker fork-isolated pool…")
-    with Service(backends={"pool": Backend(args.workers)}, weights=weights,
+    with Service(backends={"pool": Backend(args.workers)},
                  staging=args.staging) as svc:
         ids = [svc.submit(req) for req in batch]
         svc.run_until_idle(timeout=600)
-        print("\ndispatch order (weighted fair, alice 2x):")
+        print("\ndispatch order (priority, then submission):")
         for job_id in svc.dispatch_order():
             print(f"  {job_id}")
         print("\nper-job outcomes:")
@@ -295,7 +302,6 @@ def main(argv: "list[str] | None" = None) -> int:
                           help="skip Chrome-trace capture")
     p_submit.add_argument("--tenant", default="default")
     p_submit.add_argument("--priority", type=int, default=0)
-    p_submit.add_argument("--cost", type=float, default=1.0)
     p_submit.add_argument("--job-id", help="explicit job id")
     p_submit.set_defaults(fn=cmd_submit)
 

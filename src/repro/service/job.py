@@ -46,7 +46,7 @@ MACHINES = ("multi_gpu", "cluster")
 VERSIONS = ("ompss", "mpi_cuda")
 #: Request fields that decide when and on whose account a job runs, never
 #: what it computes; :meth:`JobRequest.content_key` ignores exactly these.
-SCHEDULING_FIELDS = ("tenant", "priority", "cost")
+SCHEDULING_FIELDS = ("tenant", "priority")
 
 
 class JobState(str, Enum):
@@ -135,12 +135,10 @@ class JobRequest:
     sanitize: bool = False
     #: record task/kernel/transfer spans and attach the Chrome trace.
     collect_trace: bool = True
-    #: fair-share accounting identity.
+    #: accounting label; part of default job ids, so file-name safe.
     tenant: str = "default"
-    #: higher dispatches first; fairness applies within a priority class.
+    #: higher dispatches first; equal priorities go in submission order.
     priority: int = 0
-    #: fair-share charge of this job (virtual time advanced per dispatch).
-    cost: float = 1.0
     #: extra keyword arguments for the app entry point (``init=`` …).
     run_kwargs: dict = field(default_factory=dict)
 
@@ -159,10 +157,10 @@ class JobRequest:
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}; "
                              f"expected one of {SCHEDULERS}")
-        if self.cost <= 0:
-            raise ValueError("cost must be positive")
-        if not self.tenant:
-            raise ValueError("tenant must be non-empty")
+        if (not self.tenant or self.tenant.startswith(".")
+                or "/" in self.tenant or "\0" in self.tenant):
+            raise ValueError(f"bad tenant {self.tenant!r} (want non-empty, "
+                             f"no '/' or NUL, no leading '.')")
         if self.config is not None and not isinstance(self.config,
                                                       RuntimeConfig):
             raise TypeError("config must be a RuntimeConfig or None")
@@ -256,21 +254,11 @@ class JobResult:
     cached_from: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "state": self.state.value,
-            "app": self.app,
-            "version": self.version,
-            "tenant": self.tenant,
-            "backend": self.backend,
-            "makespan": self.makespan,
-            "metric": self.metric,
-            "metric_unit": self.metric_unit,
-            "findings": self.findings,
-            "error": self.error,
-            "artifacts": self.artifacts,
-            "cached_from": self.cached_from,
-        }
+        """Every field but ``metrics`` (staged as ``metrics.json``)."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "metrics"}
+        doc["state"] = self.state.value
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "JobResult":

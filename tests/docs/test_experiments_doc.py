@@ -9,6 +9,7 @@ kernel-times``) and numbers that are not figure points (MB of traffic,
 model constants) are not quoted numbers in this sense.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from repro.bench.loc import table1_rows
 
 from ..bench.pins import PINS
 
-DOC = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+ROOT = Path(__file__).resolve().parents[2]
+DOC = (ROOT / "EXPERIMENTS.md").read_text()
 SECTIONS = {head.strip(): body for head, body in
             re.findall(r"^## (.*)\n((?:(?!^## ).*\n)*)", DOC, re.M)}
 #: every figure section, keyed by its FIGURES name ("Figure 5 — ..." -> fig5)
@@ -90,6 +92,26 @@ def test_table1_matches_the_line_counts():
         for version, cell in zip(("cuda", "mpi_cuda", "ompss"), versions):
             assert cell == (f"{row[version]} "
                             f"({row[version + '_pct']:+.0f}%)"), (app, cell)
+
+
+#: every ``**Paper:**`` paragraph: the paper's claim for one figure/table
+CLAIMS = re.findall(r"^\*\*Paper:\*\*(?:.+\n)+", DOC, re.M)
+
+
+def test_every_paper_claim_names_the_test_that_asserts_it():
+    assert len(CLAIMS) == len(FIGURE_SECTIONS) + 1       # + Table I
+    missing = []
+    for claim in CLAIMS:
+        checks = re.findall(r"`(tests/[\w/]+\.py)::(\w+)`", claim)
+        if not checks:
+            missing.append(claim.splitlines()[0])
+        for path, name in checks:
+            source = ROOT / path
+            if not (source.is_file() and any(
+                    isinstance(node, ast.FunctionDef) and node.name == name
+                    for node in ast.parse(source.read_text()).body)):
+                missing.append(f"{path}::{name}")
+    assert missing == []
 
 
 def metric(label: str) -> float:

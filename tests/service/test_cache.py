@@ -50,7 +50,6 @@ OTHER_VALUE = {
     "collect_trace": False,
     "tenant": "alice",
     "priority": 3,
-    "cost": 2.5,
     "run_kwargs": {"init": "par"},
 }
 
@@ -163,7 +162,7 @@ def test_join_then_hit_while_the_only_slot_is_busy(tmp_path):
     backend, svc = held_service(tmp_path)
     with svc:
         leader = svc.submit(perf(tenant="alice"))
-        joiner = svc.submit(perf(tenant="bob", priority=-1, cost=3.0))
+        joiner = svc.submit(perf(tenant="bob", priority=-1))
         svc.pump()
         # Same content, still executing: joined without a slot of its own.
         assert backend.active() == (leader,)
@@ -348,7 +347,6 @@ def test_counters_and_results_do_not_depend_on_the_backends(tmp_path):
     seen = {}
     for shape, backends in shapes.items():
         with Service(backends=backends(),
-                     weights={"alice": 2.0},
                      staging=tmp_path / shape) as svc:
             ids = [svc.submit(request) for request in nine_job_batch()]
             svc.run_until_idle(timeout=300)

@@ -107,7 +107,11 @@ def test_worker_skips_already_terminal_jobs(tmp_path, capsys):
     ["--app", "matmul", "--size", "n=abc"],
     ["--app", "matmul", "--count", "0"],
     ["--request", "truncated.json"],
-], ids=["size-no-equals", "size-not-int", "count-zero", "truncated-request"])
+    # a tenant is part of the default job id, a directory name
+    ["--app", "matmul", "--tenant", "a/b"],
+    ["--app", "matmul", "--tenant", ".x"],
+], ids=["size-no-equals", "size-not-int", "count-zero", "truncated-request",
+        "tenant-slash", "tenant-dot"])
 def test_submit_rejects_malformed_size(tmp_path, capsys, argv):
     """Malformed input ends ``submit`` with one line, staging nothing."""
     (tmp_path / "truncated.json").write_text('{"app": "matm')
@@ -118,6 +122,26 @@ def test_submit_rejects_malformed_size(tmp_path, capsys, argv):
         main(["submit", "--staging", str(staging), *argv])
     assert "\n" not in str(excinfo.value)
     assert not staging.exists()
+
+
+def test_submit_rejects_a_job_id_that_cannot_name_a_job_dir(tmp_path):
+    staging = tmp_path / "svc"
+    with pytest.raises(SystemExit, match="^bad request: bad job id '../x'$"):
+        main(["submit", "--staging", str(staging), "--app", "matmul",
+              "--job-id", "../x"])
+    assert not (tmp_path / "x").exists()
+    assert list(staging.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["status"], ["artifacts"],
+                                     ["artifacts", "--fetch", "result"]])
+def test_unknown_job_exits_nonzero(tmp_path, capsys, command):
+    staging = tmp_path / "svc"
+    submit(capsys, staging)                     # some other job is staged
+    with pytest.raises(SystemExit, match="^unknown job 'nosuch'$"):
+        main([command[0], "nosuch", "--staging", str(staging),
+              *command[1:]])
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_artifact_names_available_ones(tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_full_request_round_trips_bit_identically():
         size={"n": 512, "bs": 128},
         config=RuntimeConfig(functional=False, cache_policy="nocache"),
         scheduler="cp", fault_plan=plan, collect_trace=False,
-        tenant="alice", priority=2, cost=3.0,
+        tenant="alice", priority=2,
         run_kwargs={"flush": False})
     doc = req.to_dict()
     # The document is JSON-clean and diff-based: default fields absent.
@@ -62,8 +62,11 @@ def test_resolved_config_applies_overrides():
     {"app": "matmul", "version": "fortran"},
     {"app": "matmul", "count": 0},
     {"app": "matmul", "scheduler": "nosuchpolicy"},
-    {"app": "matmul", "cost": 0.0},
     {"app": "matmul", "tenant": ""},
+    # a tenant is part of default job ids, which name staging directories
+    {"app": "matmul", "tenant": "a/b"},
+    {"app": "matmul", "tenant": ".x"},
+    {"app": "matmul", "tenant": "a\0b"},
     {"app": "matmul", "sanitize": True, "version": "mpi_cuda"},
     {"app": "matmul", "sanitize": True,
      "config": RuntimeConfig(functional=False)},
@@ -71,6 +74,13 @@ def test_resolved_config_applies_overrides():
 def test_invalid_requests_rejected(kwargs):
     with pytest.raises((ValueError, TypeError)):
         JobRequest(**kwargs)
+
+
+def test_unknown_field_is_refused():
+    """A staged ``request.json`` of another schema (here one still
+    carrying the removed ``cost`` field) does not decode."""
+    with pytest.raises(TypeError, match="cost"):
+        JobRequest.from_dict({"app": "matmul", "cost": 2.0})
 
 
 def test_job_state_terminality():

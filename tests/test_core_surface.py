@@ -78,6 +78,11 @@ GONE = (
     "repro.sanitizer.clock:VectorClock.as_dict",
     "repro.runtime.trace:Tracer.bytes_moved",
     "repro.service.staging:StagingDir.read_result",
+    # the tenant fair-share queue and the per-job conveniences over pump
+    "repro.service.api:Service.poll",
+    "repro.service.api:Service.stream_status",
+    "repro.service.queue:JobQueue.weight",
+    "repro.service.job:JobRequest.cost",
 )
 
 
