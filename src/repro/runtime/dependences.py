@@ -12,6 +12,12 @@ a repeated arc can only repeat the last one), the region-shape validation
 bisects a per-object sorted interval list instead of scanning every shape
 ever seen, and per-region reader lists are compacted of finished tasks once
 they grow, so WAR fan-out is bounded by the *live* reader count.
+
+Memory notes: a program may submit its whole graph before the first task
+runs, so the graph adds nothing per task beyond its arcs and its place in
+the per-region writer and reader lists.  Live tasks are a count, not a set
+of ids: a task's own state tells whether it was registered, and only its
+transition to FINISHED decrements the count.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ class DependencyGraph:
         self._regions: dict[RegionKey, _RegionState] = {}
         #: per object id, the distinct region shapes seen, sorted by start.
         self._shapes: dict[int, list[Region]] = {}
-        self._live_tasks: set[int] = set()
+        #: registered tasks not yet finished.
+        self._live = 0
 
     # -- bookkeeping ------------------------------------------------------
     def _check_shape(self, region: Region) -> None:
@@ -105,10 +112,12 @@ class DependencyGraph:
     # -- public protocol ---------------------------------------------------
     def add_task(self, task: Task) -> bool:
         """Register ``task`` (once); returns True when immediately ready."""
+        # Registration leaves a task READY, or CREATED with a predecessor
+        # pending, so a CREATED task with none has never been registered.
+        # The arc deduplication in _add_arc relies on this.
         assert (task.state is TaskState.CREATED
-                and task.tid not in self._live_tasks), \
-            f"{task!r} registered twice"
-        self._live_tasks.add(task.tid)
+                and task.pending_preds == 0), f"{task!r} registered twice"
+        self._live += 1
         for acc in task.accesses:
             st = self._state(acc.region)
             region = acc.region
@@ -144,9 +153,12 @@ class DependencyGraph:
         return False
 
     def task_finished(self, task: Task) -> list[Task]:
-        """Mark finished; returns successors that became ready."""
+        """Mark finished; returns successors that became ready (none when
+        ``task`` had already finished)."""
+        if task.state is TaskState.FINISHED:
+            return []
         task.state = TaskState.FINISHED
-        self._live_tasks.discard(task.tid)
+        self._live -= 1
         newly_ready: list[Task] = []
         for succ in task.successors:
             succ.pending_preds -= 1
@@ -157,14 +169,19 @@ class DependencyGraph:
         return newly_ready
 
     def last_writer_of(self, region: Region) -> Optional[Task]:
-        """Unfinished producer of ``region`` (for taskwait-on)."""
-        st = self._regions.get(region.key)
-        if st is None or st.last_writer is None:
+        """Unfinished producer of ``region`` (for taskwait-on).
+
+        ``region`` obeys the clause rule: it must equal or be disjoint from
+        every region the graph has seen, or PartialOverlapError is raised
+        here, at the call.  A region not seen before is recorded like a
+        clause region, so a later clause overlapping it fails at
+        submission.
+        """
+        writer = self._state(region).last_writer
+        if writer is None or writer.state is TaskState.FINISHED:
             return None
-        if st.last_writer.state is TaskState.FINISHED:
-            return None
-        return st.last_writer
+        return writer
 
     @property
     def live_count(self) -> int:
-        return len(self._live_tasks)
+        return self._live

@@ -144,7 +144,6 @@ class Image:
         parent._children_done = done
         for child in children:
             child.parent = parent
-            child.done = self.rt.env.event()
             for fn in probes.task_submitted:
                 fn(child, parent)
             if graph.add_task(child):
@@ -166,14 +165,20 @@ class Image:
 
     def _account_child(self, task: Task, place) -> None:
         """Child-task bookkeeping: local graph + parent completion count."""
+        rt = self.rt
+        if task.state is TaskState.FINISHED:
+            # As in account_finished: a second completion must neither
+            # release successors again nor fire a second event.
+            rt.metrics.inc("runtime.duplicate_completions")
+            return
         parent = task.parent
-        for fn in self.rt.probes.task_retired:
+        for fn in rt.probes.task_retired:
             fn(task)
         newly_ready = parent._child_graph.task_finished(task)
         for t in newly_ready:
             self.submit_local(t)
-        if task.done is not None and not task.done.triggered:
-            task.done.succeed()
+        done = task.done   # see account_finished
+        (Event(rt.env) if done is None else done).succeed()
         parent._children_left -= 1
         if parent._children_left == 0:
             parent._children_done.succeed()
@@ -198,8 +203,11 @@ class Image:
         newly_ready = rt.graph.task_finished(task)
         self.scheduler.task_finished(task, place, newly_ready)
         rt._c_finished.value += 1
-        if task.done is not None and not task.done.triggered:
-            task.done.succeed()
+        # The completion is one event whether or not anybody waited: the
+        # waiter's ``done``, else a throwaway one nobody keeps, so the
+        # event sequence does not depend on who waited.
+        done = task.done
+        (Event(rt.env) if done is None else done).succeed()
         rt.notify_completion()
 
 
@@ -399,7 +407,8 @@ class Runtime:
     def submit(self, task: Task) -> Task:
         if not self._started:
             self.start()
-        task.done = self.env.event()
+        if not self.config.functional:
+            task.args = ()   # no body runs: keep no arguments alive
         self._c_submitted.value += 1
         for fn in self.probes.task_submitted:
             fn(task, None)
@@ -430,7 +439,9 @@ class Runtime:
         producers = []
         for region in regions:
             producer = self.graph.last_writer_of(region)
-            if producer is not None and producer.done is not None:
+            if producer is not None:
+                if producer.done is None:
+                    producer.done = self.env.event()
                 producers.append(producer.done)
         if producers:
             yield self.env.all_of(producers)

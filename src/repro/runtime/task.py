@@ -75,7 +75,9 @@ class Task:
     smp_cost: "float | Callable" = 0.0
     #: functional body (smp tasks); cuda tasks use ``kernel.func``.
     func: Optional[Callable] = None
-    #: argument list: Region placeholders are replaced by buffers at run time.
+    #: argument list: Region placeholders are replaced by buffers at run
+    #: time.  Only functional mode runs a body, so in perf mode
+    #: ``Runtime.submit`` empties it to ``()``.
     args: tuple = ()
     #: whether dependence clauses also have copy semantics (copy_deps).
     copy_deps: bool = True
@@ -100,7 +102,10 @@ class Task:
     successors: list = field(default_factory=list)
     #: the execution place chosen by the scheduler (worker object).
     assigned_to: Any = None
-    #: completion event, set when the runtime registers the task.
+    #: completion event, created on demand by the first waiter
+    #: (``Runtime.taskwait_on``) and None while nobody waits.  Completion
+    #: triggers it, or a throwaway event in its place, so the event
+    #: sequence does not depend on whether anybody waited.
     done: Any = None
     #: node index the task has been dispatched to (cluster layer).
     node_index: Optional[int] = None

@@ -3,22 +3,27 @@
 A program submits its whole task graph before the first task runs, so the
 descriptors are the run's memory peak: tasks and clause entries are slotted,
 clause entries and cost bindings are interned per data handle, and arc
-deduplication keeps no per-task set.
+deduplication keeps no per-task set.  A task's completion event exists only
+once something waits on it, the graph counts its live tasks instead of
+keeping their ids, and perf mode keeps no body arguments.
 """
 
 import gc
+import tracemalloc
 import weakref
 from collections import defaultdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Program, target, task
+from repro.apps import cholesky
 from repro.hardware import build_multi_gpu_node
 from repro.memory import DataObject
 from repro.runtime import (Access, DependencyGraph, Direction, RuntimeConfig,
-                           Task, TaskState)
-from repro.sim import Environment
+                           Task, TaskState, probes)
+from repro.sim import Environment, Event
 
 DIRECTIONS = (Direction.IN, Direction.OUT, Direction.INOUT)
 
@@ -185,3 +190,144 @@ def test_successor_order_matches_set_based_dedup(ops):
             [t.pending_preds for t in tasks]
 
     assert replay(DependencyGraph) == replay(_SetDedupGraph)
+
+
+# -- what a task keeps from submission to completion ------------------------
+
+def test_done_is_none_after_submit_and_made_by_the_first_waiter():
+    prog = make_program()
+    a, c = prog.array("a", 64), prog.array("c", 64)
+    made = {}
+
+    def main():
+        # A slow writer of c[0:32], and a fast task nobody waits on.
+        writer = made["writer"] = copy(a[0:32], c[0:32], 10**6)
+        other = made["other"] = copy(a[32:64], c[32:64], 1)
+        assert writer.done is None and other.done is None
+        yield from prog.taskwait_on(c[0:32])
+        made["woke"] = prog.env.now
+        yield from prog.taskwait()
+
+    prog.run(main())
+    writer, other = made["writer"], made["other"]
+    # The waiter created the writer's event, and woke at its completion.
+    assert isinstance(writer.done, Event) and writer.done.processed
+    assert made["woke"] == pytest.approx(1.0, rel=0.1)
+    # Nobody waited on the other task: finished, it references no Event.
+    assert other.state is TaskState.FINISHED and other.done is None
+    assert not any(isinstance(o, Event) for o in gc.get_referents(other))
+
+
+def test_perf_mode_drops_body_arguments_functional_mode_keeps_them():
+    kept = {}
+    for functional in (False, True):
+        prog = Program(build_multi_gpu_node(Environment(), num_gpus=1),
+                       RuntimeConfig(functional=functional))
+        (t,), (a, c) = submit_all(prog, lambda a, c: [
+            copy(a[0:32], c[0:32], 32)])
+        kept[functional] = t.args
+    assert kept[False] == ()
+    assert kept[True] == (a[0:32].region, c[0:32].region, 32)
+
+
+def test_duplicate_child_completion_fires_nothing():
+    prog = make_program()
+    x = prog.array("x", 64)
+    children = []
+
+    def decompose():
+        children.extend([
+            Task(name="w", smp_cost=1e-6,
+                 accesses=(Access(x[0:32].region, Direction.OUT),)),
+            Task(name="r", smp_cost=1e-6,
+                 accesses=(Access(x[0:32].region, Direction.IN),)),
+        ])
+        return children
+
+    parent = Task(name="parent", smp_cost=1e-6, subtasks=decompose)
+
+    def main():
+        prog.submit(parent)
+        yield from prog.taskwait(noflush=True)
+
+    prog.run(main())
+    writer, reader = children
+    assert writer.successors == [reader]
+    assert all(t.state is TaskState.FINISHED and t.done is None
+               for t in children)
+    image = prog.rt.master_image
+    env = prog.env
+    before = env.events_processed
+    image._account_child(writer, image.smp_workers[0])
+    env.run()
+    assert env.events_processed == before     # no event, no wakeup
+    assert reader.pending_preds == 0 and parent._children_left == 0
+    assert prog.metrics.value("runtime.duplicate_completions") == 1
+
+
+def test_live_count_returns_to_zero_and_registration_stays_once():
+    o = DataObject(name="x", num_elements=20)
+    w = Task(name="w", accesses=(Access(o.region(0, 10), Direction.OUT),))
+    r = Task(name="r", accesses=(Access(o.region(0, 10), Direction.IN),))
+    g = DependencyGraph()
+    assert g.add_task(w) and not g.add_task(r)
+    assert g.live_count == 2
+    # Registered READY, or CREATED with a predecessor pending: both refused.
+    for t in (w, r):
+        with pytest.raises(AssertionError, match="registered twice"):
+            g.add_task(t)
+    assert g.task_finished(w) == [r]
+    assert g.task_finished(w) == []         # releases nothing twice
+    assert g.live_count == 1
+    g.task_finished(r)
+    assert g.live_count == 0
+
+
+# -- the per-task byte budget ----------------------------------------------
+
+#: tracemalloc bytes per submitted task when the first task starts, on the
+#: perf-mode Cholesky below: 701 on CPython 3.11 (954 while each task kept
+#: a completion event, a live-set entry and its body arguments).  The
+#: budget leaves 14 % headroom for other interpreters.
+BYTES_PER_TASK_BUDGET = 800
+
+
+class _FirstStart:
+    """Reads traced memory when the first task starts: every task of the
+    graph has been submitted by then, and none has run."""
+
+    traced = None
+
+    def task_started(self, task, place):
+        if self.traced is None:
+            self.traced = tracemalloc.get_traced_memory()[0]
+
+
+def test_submitted_task_stays_within_byte_budget():
+    config = RuntimeConfig(functional=False)
+    # Warm up first: lazy imports and one-time caches are not per task.
+    cholesky.run_ompss(build_multi_gpu_node(Environment(), num_gpus=4),
+                       cholesky.CholeskySize(n=1024, bs=256), config)
+    size = cholesky.CholeskySize(n=4096, bs=256)
+    machine = build_multi_gpu_node(Environment(), num_gpus=4)
+    first = _FirstStart()
+    # A full collection also empties the interpreter's free lists, whose
+    # reuse tracemalloc would not see: the count is then the same whatever
+    # ran before in this process.
+    gc.collect()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        with probes.install(first):
+            res = cholesky.run_ompss(machine, size, config)
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    tasks = res.metrics["runtime.tasks_submitted"]
+    assert tasks == 816
+    per_task = (first.traced - base) / tasks
+    assert per_task <= BYTES_PER_TASK_BUDGET, (
+        f"{per_task:.0f} B per submitted task, budget "
+        f"{BYTES_PER_TASK_BUDGET} (docs/PERFORMANCE.md \"Task footprint\")")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cuda import KernelSpec
 from repro.hardware import build_multi_gpu_node
+from repro.memory import PartialOverlapError
 from repro.runtime import Access, Direction, Runtime, RuntimeConfig, Task
 from repro.sim import Environment
 
@@ -112,6 +113,42 @@ def test_taskwait_on_unwritten_region_is_immediate():
 
     makespan = rt.run_main(main())
     assert makespan == 0
+
+
+@pytest.mark.parametrize("noflush", [True, False])
+def test_taskwait_on_region_spanning_task_regions_raises_at_the_call(noflush):
+    """``taskwait on`` names its regions under the clause rule (equal or
+    disjoint, Section II.A.3): a region spanning two writers' regions is
+    rejected at the call, instead of waiting for neither writer (noflush)
+    or entering the directory and failing a writer's commit (flush)."""
+    rt = make_rt()
+    a = rt.register_array("a", 8)
+
+    def main():
+        rt.submit(write_task(a.region(0, 4), 1.0))
+        rt.submit(write_task(a.region(4, 4), 2.0))
+        with pytest.raises(PartialOverlapError, match="partially overlaps"):
+            yield from rt.taskwait_on([a.whole], noflush=noflush)
+        yield from rt.taskwait()
+
+    rt.run_main(main())
+    np.testing.assert_allclose(rt.read_array(a), [1.0] * 4 + [2.0] * 4)
+
+
+@pytest.mark.parametrize("noflush", [True, False])
+def test_clause_overlapping_a_taskwait_on_region_fails_at_submission(noflush):
+    """A region first named by ``taskwait on`` is recorded like a clause
+    region, so a later clause partially overlapping it is rejected when
+    its task is submitted."""
+    rt = make_rt()
+    a = rt.register_array("a", 8)
+
+    def main():
+        yield from rt.taskwait_on([a.whole], noflush=noflush)
+        with pytest.raises(PartialOverlapError, match="partially overlaps"):
+            rt.submit(write_task(a.region(0, 4), 1.0))
+
+    assert rt.run_main(main()) == 0
 
 
 def test_empty_taskwait_returns_quickly():
