@@ -29,13 +29,6 @@ class DataView:
         self.region = region
 
     @property
-    def nbytes(self) -> int:
-        return self.region.nbytes
-
-    def __len__(self) -> int:
-        return self.region.length
-
-    @property
     def np(self) -> np.ndarray:
         """Current canonical contents (functional mode, after a flush)."""
         rt = self.handle.program.rt
@@ -64,18 +57,6 @@ class DataHandle:
         self.cost_bindings: dict = {}
 
     @property
-    def name(self) -> str:
-        return self.obj.name
-
-    @property
-    def num_elements(self) -> int:
-        return self.obj.num_elements
-
-    @property
-    def nbytes(self) -> int:
-        return self.obj.nbytes
-
-    @property
     def whole(self) -> DataView:
         return DataView(self, self.obj.whole)
 
@@ -88,14 +69,12 @@ class DataHandle:
                 raise ValueError("strided regions are not supported "
                                  "(paper future work: non-contiguous regions)")
             start = 0 if index.start is None else index.start
-            stop = self.num_elements if index.stop is None else index.stop
+            stop = (self.obj.num_elements if index.stop is None
+                    else index.stop)
             if start < 0 or stop < 0:
                 raise ValueError("negative slice bounds are not supported")
             return self.view(start, stop - start)
         raise TypeError("index a handle with a slice, e.g. a[j:j+bs]")
-
-    def __len__(self) -> int:
-        return self.num_elements
 
     @property
     def np(self) -> np.ndarray:

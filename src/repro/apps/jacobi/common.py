@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["JacobiSize", "build_grid", "jacobi_reference", "mcells",
-           "block_rows", "PAPER_JACOBI", "TEST_JACOBI"]
+           "PAPER_JACOBI", "TEST_JACOBI"]
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ class JacobiSize:
 PAPER_JACOBI = JacobiSize(n=8192, nb=16, iters=8)
 #: Small functional-mode size for correctness tests.
 TEST_JACOBI = JacobiSize(n=32, nb=4, iters=3)
-
-
-def block_rows(size: JacobiSize, b: int) -> "tuple[int, int]":
-    """[lo, hi) global row range of block ``b``."""
-    return b * size.rows, (b + 1) * size.rows
 
 
 def build_grid(size: JacobiSize) -> np.ndarray:

@@ -37,10 +37,6 @@ class StreamSize:
                              f"block size {self.bsize}")
 
     @property
-    def blocks(self) -> int:
-        return self.n // self.bsize
-
-    @property
     def vector_bytes(self) -> int:
         return 8 * self.n
 

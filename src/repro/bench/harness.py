@@ -87,9 +87,6 @@ class FigureResult:
             text += "\n" + "\n".join(f"note: {n}" for n in self.notes)
         return text
 
-    def value(self, series: str, x: Any) -> float:
-        return self.series[series][list(self.xs).index(x)]
-
 
 def fresh_multi_gpu(num_gpus: int) -> Machine:
     return build_multi_gpu_node(Environment(), num_gpus=num_gpus)

@@ -2,14 +2,14 @@
 
 Substitutes NVIDIA CUDA 3.2 + CUBLAS (see DESIGN.md section 2): timing comes
 from calibrated cost models over the simulated GPU engines; functional-mode
-kernels execute real NumPy math for correctness testing.
+kernels execute real NumPy math for correctness testing.  A launch names
+its :class:`KernelSpec` directly, and every copy or launch returns its
+completion event, which stands in for a CUDA event recorded after it.
 """
 
 from .api import CudaContext, CudaError
 from .cublas import SGEMM, sgemm_func
-from .event import CudaEvent
 from .kernels import (
-    KernelRegistry,
     KernelSpec,
     arithmetic_cost,
     gemm_cost,
@@ -21,9 +21,7 @@ from .stream import Stream
 __all__ = [
     "CudaContext",
     "CudaError",
-    "CudaEvent",
     "Stream",
-    "KernelRegistry",
     "KernelSpec",
     "gemm_cost",
     "streaming_cost",

@@ -21,7 +21,7 @@ from ..hardware.gpu import GPUDevice
 from ..hardware.node import Node
 from ..memory.allocator import BytePool
 from ..sim import Environment, Event
-from .kernels import KernelRegistry, KernelSpec
+from .kernels import KernelSpec
 from .stream import Stream
 
 __all__ = ["CudaContext", "CudaError"]
@@ -35,12 +35,10 @@ class CudaContext:
     """Driver context bound to one GPU of one node."""
 
     def __init__(self, env: Environment, gpu: GPUDevice, node: Node,
-                 registry: Optional[KernelRegistry] = None,
                  jitter: float = 0.0):
         self.env = env
         self.gpu = gpu
         self.node = node
-        self.registry = registry or KernelRegistry()
         #: relative kernel-duration variability (real launches are not
         #: perfectly repeatable; a zero-variance simulation produces
         #: artificial lock-step schedules).  Deterministic per launch index.
@@ -114,7 +112,7 @@ class CudaContext:
         return self.env.process(self.node.host_copy(nbytes))
 
     # -- kernels ----------------------------------------------------------------
-    def launch(self, kernel: "KernelSpec | str",
+    def launch(self, spec: KernelSpec,
                stream: Optional[Stream] = None,
                func_args: tuple = (),
                on_complete: Optional[Callable[[], None]] = None,
@@ -124,8 +122,6 @@ class CudaContext:
         ``cost_kwargs`` feed the kernel's cost model; ``func_args`` are passed
         to the functional body (if any) when the kernel "executes".
         """
-        spec = (kernel if isinstance(kernel, KernelSpec)
-                else self.registry.get(kernel))
         duration = spec.duration(self.gpu.spec, **cost_kwargs) \
             * self._jitter_factor()
         target = stream or self.null_stream

@@ -1,4 +1,4 @@
-"""Kernel registry and cost models.
+"""Kernel specs and cost models.
 
 The paper keeps kernel *code* out of scope ("the generation of the kernels
 themselves ... must be provided by the user"); what the runtime needs is when
@@ -20,7 +20,6 @@ from ..hardware.specs import GPUSpec
 
 __all__ = [
     "KernelSpec",
-    "KernelRegistry",
     "gemm_cost",
     "streaming_cost",
     "arithmetic_cost",
@@ -72,25 +71,3 @@ class KernelSpec:
             raise ValueError(f"kernel {self.name!r} computed negative cost")
         return d
 
-
-class KernelRegistry:
-    """Name -> KernelSpec mapping (one per application kernel)."""
-
-    def __init__(self):
-        self._kernels: dict[str, KernelSpec] = {}
-
-    def register(self, kernel: KernelSpec) -> KernelSpec:
-        if kernel.name in self._kernels:
-            raise ValueError(f"kernel {kernel.name!r} already registered")
-        self._kernels[kernel.name] = kernel
-        return kernel
-
-    def get(self, name: str) -> KernelSpec:
-        try:
-            return self._kernels[name]
-        except KeyError:
-            known = ", ".join(sorted(self._kernels)) or "<none>"
-            raise KeyError(f"unknown kernel {name!r}; known: {known}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._kernels

@@ -12,13 +12,12 @@ the driver.
 """
 
 from .generator import generate
-from .mutations import MISANNOTATIONS, MUTATIONS, misannotate
+from .mutations import MUTATIONS
 from .profiles import PROFILES, FuzzProfile
 from .runner import (
     MACHINES,
     CheckResult,
     check_workload,
-    expected_arrays,
     run_workload,
     sequential_reference,
 )
@@ -38,10 +37,7 @@ __all__ = [
     "check_workload",
     "run_workload",
     "sequential_reference",
-    "expected_arrays",
     "MUTATIONS",
-    "MISANNOTATIONS",
-    "misannotate",
     "shrink",
     "shrink_trace",
 ]

@@ -27,17 +27,15 @@ shrinker re-evaluate candidates reliably.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 
 from ..memory.directory import Directory
 from ..memory.space import HostSpace
 from ..runtime.dependences import DependencyGraph
 from ..runtime.task import TaskState
-from .spec import OpSpec, WorkloadSpec
 
-__all__ = ["MUTATIONS", "MISANNOTATIONS", "null_mutation", "drop_arc",
-           "stale_cache_read", "skip_writeback", "misannotate"]
+__all__ = ["MUTATIONS", "null_mutation", "drop_arc", "stale_cache_read",
+           "skip_writeback"]
 
 
 @contextmanager
@@ -111,44 +109,3 @@ MUTATIONS = {
     "skip_writeback": skip_writeback,
 }
 
-
-# ----------------------------------------------------------------------
-# Spec-level mis-annotations (sanitizer targets, not runtime bugs)
-# ----------------------------------------------------------------------
-
-#: mode -> the sanitizer finding kind it must produce.
-MISANNOTATIONS = {
-    "out_as_in": "under-declared-write",
-    "unused_in": "unused-clause",
-}
-
-
-def misannotate(spec: WorkloadSpec, mode: str) -> WorkloadSpec:
-    """Append one deliberately mis-annotated op to ``spec``.
-
-    The planted op gets a *fresh private object* (one region nobody else
-    touches), so the expected sanitizer findings are exactly the planted
-    ones — no incidental races with the generated workload.  The runner
-    applies ``mode`` to the last top-level op via ``spec.mis``.
-    """
-    if mode not in MISANNOTATIONS:
-        raise ValueError(f"unknown misannotation {mode!r}; "
-                         f"expected one of {sorted(MISANNOTATIONS)}")
-    fresh = spec.num_regions                     # id of the new region
-    rng = random.Random(spec.seed or 0)
-    if mode == "out_as_in":
-        # Body writes its output, clause says input: under-declared-write.
-        op = OpSpec(out=fresh, ins=(), seed=rng.randrange(1000),
-                    device="smp", cost=1e-6)
-    else:                                        # unused_in
-        # Clause declares a second fresh input the body never reads.
-        op = OpSpec(out=fresh, ins=(), unused=(fresh + 1,),
-                    seed=rng.randrange(1000), device="smp", cost=1e-6)
-    extra_regions = 2 if mode == "unused_in" else 1
-    return spec.replaced(
-        num_objects=spec.num_objects + 1,
-        regions_per_object=spec.regions_per_object + (extra_regions,),
-        region_lens=spec.region_lens + (8,),
-        ops=spec.ops + (op,),
-        mis=mode if mode == "out_as_in" else None,
-    )

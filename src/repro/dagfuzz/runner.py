@@ -27,8 +27,7 @@ from ..sim import Environment
 from .spec import MODULUS, OpSpec, WorkloadSpec
 
 __all__ = ["MACHINES", "CheckResult", "build_machine", "make_body",
-           "sequential_reference", "expected_arrays", "run_workload",
-           "check_workload"]
+           "sequential_reference", "run_workload", "check_workload"]
 
 #: machine names the fuzzer knows how to build.
 MACHINES = ("gpu1", "gpu2", "gpu4", "cluster2", "cluster3")
@@ -87,14 +86,6 @@ def sequential_reference(spec: WorkloadSpec) -> "dict[int, int]":
     for op in spec.ops:
         apply(op)
     return value
-
-
-def expected_arrays(spec: WorkloadSpec) -> "dict[int, np.ndarray]":
-    """The oracle as concrete float32 buffers (region id -> array)."""
-    value = sequential_reference(spec)
-    return {info.rid: np.full(info.length, np.float32(value[info.rid]),
-                              dtype=np.float32)
-            for info in spec.regions()}
 
 
 # ----------------------------------------------------------------------

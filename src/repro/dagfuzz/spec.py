@@ -102,7 +102,8 @@ class WorkloadSpec:
     #: provenance, for replay messages (not semantics).
     seed: Optional[int] = None
     profile: Optional[str] = None
-    #: deliberate mis-annotation mode (see mutations.misannotate).
+    #: deliberate mis-annotation mode, applied to the last top-level op
+    #: (tests/sanitizer/test_fuzz_annotations.py plants it).
     mis: Optional[str] = None
 
     def __post_init__(self):

@@ -109,14 +109,15 @@ class FaultEngine:
         factor = 1.0
         now = self.env.now
         for ev in self._degrades:
-            if ev.active(now) and ev.matches_link(src, dst):
+            if (ev.at <= now < ev.at + ev.duration
+                    and ev.matches_link(src, dst)):
                 factor *= ev.factor
         return factor
 
     def link_blocked(self, src: int, dst: int) -> bool:
         now = self.env.now
-        return any(ev.active(now) and ev.matches_link(src, dst)
-                   for ev in self._partitions)
+        return any(ev.at <= now < ev.at + ev.duration
+                   and ev.matches_link(src, dst) for ev in self._partitions)
 
     def am_outcome(self, src: int, dst: int) -> str:
         """Fate of one AM attempt: ``ok`` / ``blackhole`` / ``drop`` /
@@ -163,7 +164,7 @@ class FaultEngine:
         factor = 1.0
         for other in self._pcie:
             if (other.node == ev.node and other.gpu == ev.gpu
-                    and other.active(now)):
+                    and other.at <= now < other.at + other.duration):
                 factor *= other.factor
         gpu.h2d.degradation = factor
         gpu.d2h.degradation = factor

@@ -39,7 +39,7 @@ def check_coherence(rt: "Runtime", pending: FrozenSet = frozenset()
     dirty_spaces: dict = {}
     for cache in rt.all_caches():
         if getattr(cache.space, "failed", False):
-            if len(cache) or cache.bytes_used:
+            if cache._entries or cache.bytes_used:
                 problems.append(
                     f"cache of failed {cache.space.name} not invalidated")
             continue
@@ -48,7 +48,9 @@ def check_coherence(rt: "Runtime", pending: FrozenSet = frozenset()
             problems.append(
                 f"cache {cache.space.name} accounting drift: "
                 f"{used} != {cache.bytes_used}")
-        for ent in cache.dirty_entries():
+        for ent in cache._entries.values():
+            if not ent.dirty:
+                continue
             # A dirty copy must be the current version (single writer).
             if not rt.directory.is_current(ent.region, cache.space):
                 problems.append(

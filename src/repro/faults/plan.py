@@ -57,7 +57,6 @@ KINDS = (
     "am_ack_drop",
 )
 
-_TIMED = {"gpu_loss", "link_degrade", "link_partition", "pcie_degrade"}
 _WINDOWED = {"link_degrade", "link_partition", "pcie_degrade"}
 _TRIGGERED = {"kernel_abort", "am_drop", "am_corrupt", "am_ack_drop"}
 
@@ -113,9 +112,6 @@ class FaultEvent:
         return ((self.node is None or self.node == node)
                 and (self.gpu is None or self.gpu == gpu))
 
-    def active(self, now: float) -> bool:
-        return self.at <= now < self.at + self.duration
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -164,11 +160,3 @@ class FaultPlan:
 
     def by_kind(self, *kinds: str) -> tuple:
         return tuple(ev for ev in self.events if ev.kind in kinds)
-
-    def describe(self) -> str:
-        if self.is_empty:
-            return f"FaultPlan(empty, seed={self.seed})"
-        parts = ", ".join(
-            f"{ev.kind}@{ev.at:g}" if ev.kind in _TIMED else ev.kind
-            for ev in self.events)
-        return f"FaultPlan(seed={self.seed}: {parts})"

@@ -43,12 +43,9 @@ class Machine:
     def is_cluster(self) -> bool:
         return len(self.nodes) > 1
 
-    @property
-    def total_gpus(self) -> int:
-        return sum(node.num_gpus for node in self.nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Machine {self.name!r} nodes={self.num_nodes} gpus={self.total_gpus}>"
+        gpus = sum(len(node.gpus) for node in self.nodes)
+        return f"<Machine {self.name!r} nodes={self.num_nodes} gpus={gpus}>"
 
 
 def build_multi_gpu_node(env: Environment, num_gpus: int = 4,

@@ -51,10 +51,6 @@ class Node:
         else:
             self.nic_tx = self.nic_rx = None
 
-    @property
-    def num_gpus(self) -> int:
-        return len(self.gpus)
-
     def host_copy(self, nbytes: int):
         """Process generator: a host-memory copy (e.g. pinned staging)."""
         yield self.env.process(self.membus.transfer(nbytes))
@@ -68,4 +64,4 @@ class Node:
             yield self.env.timeout(duration)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Node {self.index} gpus={self.num_gpus}>"
+        return f"<Node {self.index} gpus={len(self.gpus)}>"

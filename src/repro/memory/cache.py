@@ -76,13 +76,11 @@ class SoftwareCache:
     Entries live in an :class:`~collections.OrderedDict` kept in
     least-recently-used order (every hit/insert is an O(1) ``move_to_end``),
     so victim selection walks exactly the candidates it returns instead of
-    re-sorting the whole cache per eviction.  The dirty set is maintained
-    incrementally alongside, making :meth:`dirty_entries` O(dirty) rather
-    than O(resident).
+    re-sorting the whole cache per eviction.
 
     Statistics live in the counter registry under ``cache.<space name>.*``
-    (``metrics=None`` means a private one); ``hits`` / ``misses`` /
-    ``evictions`` / ``writebacks`` are read-only views of those counters.
+    (``metrics=None`` means a private one); read them with
+    ``metrics.value(name)``.
     """
 
     def __init__(self, space: AddressSpace, capacity: int,
@@ -95,8 +93,6 @@ class SoftwareCache:
         self.policy = CachePolicy.parse(policy)
         #: least-recently-used first (touch == move_to_end).
         self._entries: OrderedDict[RegionKey, CacheEntry] = OrderedDict()
-        #: keys of dirty entries, ordered by when they were first dirtied.
-        self._dirty: dict[RegionKey, None] = {}
         self.bytes_used = 0
         #: optional re-fetch cost estimator ``CacheEntry -> float`` (set by
         #: the datamove layer when cost-aware eviction is enabled).  When
@@ -124,14 +120,8 @@ class SoftwareCache:
     def has(self, region: Region) -> bool:
         return region.key in self._entries
 
-    def get(self, region: Region) -> CacheEntry:
-        return self._entries[region.key]
-
     def entry_or_none(self, region: Region) -> "CacheEntry | None":
         return self._entries.get(region.key)
-
-    def dirty_entries(self) -> list[CacheEntry]:
-        return [self._entries[k] for k in self._dirty]
 
     @property
     def bytes_free(self) -> int:
@@ -143,9 +133,6 @@ class SoftwareCache:
         hits = self._c_hits.value
         accesses = hits + self._c_misses.value
         return hits / accesses if accesses else 0.0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     # -- access path ------------------------------------------------------
     def lookup(self, region: Region) -> bool:
@@ -222,9 +209,8 @@ class SoftwareCache:
         if ent is not None:
             ent.last_use = next(_use_clock)
             self._entries.move_to_end(region.key)
-            if dirty and not ent.dirty:
+            if dirty:
                 ent.dirty = True
-                self._dirty[region.key] = None
             return ent
         if region.nbytes > self.bytes_free:
             raise CacheCapacityError(
@@ -233,8 +219,6 @@ class SoftwareCache:
             )
         ent = CacheEntry(region=region, dirty=dirty)
         self._entries[region.key] = ent
-        if dirty:
-            self._dirty[region.key] = None
         self.bytes_used += region.nbytes
         self._count("inserts")
         self._track_usage()
@@ -246,7 +230,6 @@ class SoftwareCache:
             if ent.pin_count:
                 raise RuntimeError(f"cannot remove pinned entry {region!r}")
             del self._entries[region.key]
-            self._dirty.pop(region.key, None)
             self.bytes_used -= ent.nbytes
             self._count("evictions")
             self._track_usage()
@@ -259,7 +242,6 @@ class SoftwareCache:
         entries discarded."""
         count = len(self._entries)
         self._entries.clear()
-        self._dirty.clear()
         self.bytes_used = 0
         if count:
             self._count("fault_invalidations")
@@ -278,16 +260,12 @@ class SoftwareCache:
 
     # -- dirty tracking ----------------------------------------------------
     def mark_dirty(self, region: Region) -> None:
-        ent = self._entries[region.key]
-        if not ent.dirty:
-            ent.dirty = True
-            self._dirty[region.key] = None
+        self._entries[region.key].dirty = True
 
     def mark_clean(self, region: Region) -> None:
         ent = self._entries.get(region.key)
         if ent is not None and ent.dirty:
             ent.dirty = False
-            del self._dirty[region.key]
             self._count("writebacks")
 
     def clear_dirty(self, region: Region) -> None:
@@ -296,5 +274,4 @@ class SoftwareCache:
         ent = self._entries.get(region.key)
         if ent is not None and ent.dirty:
             ent.dirty = False
-            del self._dirty[region.key]
             self._count("writebacks_elided")

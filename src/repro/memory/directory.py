@@ -201,6 +201,3 @@ class Directory:
 
     def all_regions(self) -> list[Region]:
         return [e.region for e in self._entries.values()]
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -55,10 +55,6 @@ class DataObject:
         object.__setattr__(self, "_regions", {})
 
     @property
-    def nbytes(self) -> int:
-        return self.num_elements * self.dtype.itemsize
-
-    @property
     def whole(self) -> "Region":
         return self.region(0, self.num_elements)
 
@@ -80,11 +76,11 @@ RegionKey = tuple[int, int, int]
 class Region:
     """A contiguous element range ``[start, start+length)`` of one object.
 
-    Regions are the keys of every hot lookup in the runtime (dependency
-    graph, directory, caches), so the identity tuple ``key``, its hash, and
-    the derived sizes are computed once at construction instead of on every
-    access.  Equality follows ``key``: object ids are globally unique, so
-    two regions are interchangeable iff their keys match.
+    Every hot lookup in the runtime (dependency graph, directory, caches)
+    is keyed on the identity tuple ``key``, so it and the derived sizes are
+    computed once at construction instead of on every access.
+    :meth:`DataObject.region` interns regions, so the runtime never needs
+    two equal ones.
     """
 
     obj: DataObject
@@ -109,18 +105,6 @@ class Region:
         object.__setattr__(self, "end", self.start + self.length)
         object.__setattr__(self, "nbytes",
                            self.length * self.obj.dtype.itemsize)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Region):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def same_object(self, other: "Region") -> bool:
-        return self.obj.oid == other.obj.oid
 
     def __repr__(self) -> str:
         return (f"<Region {self.obj.name}[{self.start}:{self.end}] "
@@ -129,7 +113,7 @@ class Region:
 
 def relation(a: Region, b: Region) -> str:
     """Classify two regions: ``"equal"``, ``"disjoint"`` or ``"partial"``."""
-    if not a.same_object(b):
+    if a.obj.oid != b.obj.oid:
         return "disjoint"
     if a.start == b.start and a.length == b.length:
         return "equal"

@@ -102,21 +102,3 @@ class RuntimeConfig:
     def with_(self, **changes) -> "RuntimeConfig":
         """A copy with the given fields replaced (sweep helper)."""
         return replace(self, **changes)
-
-    def describe(self) -> str:
-        """Short label used by the benchmark tables, e.g. ``wb-affinity``."""
-        parts = [self.cache_policy.value, self.scheduler]
-        if self.overlap:
-            parts.append("ovl")
-        if self.prefetch:
-            parts.append("pf")
-        if self.presend:
-            parts.append(f"ps{self.presend}")
-        parts.append("stos" if self.slave_to_slave else "mtos")
-        if self.wb_elision:
-            parts.append("elide")
-        if self.presend_depth:
-            parts.append(f"pd{self.presend_depth}")
-        if self.cost_aware_eviction:
-            parts.append("cae")
-        return "-".join(parts)

@@ -47,7 +47,6 @@ class GPUManager:
         self.space = space
         self.cache = cache
         self.ctx = CudaContext(self.env, gpu, image.node,
-                               registry=self.rt.kernel_registry,
                                jitter=self.rt.config.kernel_jitter)
         self.copy_stream = self.ctx.create_stream()
         #: cleared by the fault engine on a gpu_loss event; the manager

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..cuda.kernels import KernelRegistry
 from ..faults import FaultEngine
 from ..gasnet import AMLayer
 from ..hardware.cluster import Machine
@@ -216,12 +215,10 @@ class Runtime:
 
     def __init__(self, machine: Machine,
                  config: Optional[RuntimeConfig] = None,
-                 kernel_registry: Optional[KernelRegistry] = None,
                  subscribers=()):
         self.machine = machine
         self.env: Environment = machine.env
         self.config = config or RuntimeConfig()
-        self.kernel_registry = kernel_registry or KernelRegistry()
         #: the run's counter registry — the machine's, which its hardware
         #: already counts into; every runtime layer reports here too.
         self.metrics = machine.metrics

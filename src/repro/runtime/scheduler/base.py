@@ -250,15 +250,15 @@ class Scheduler:
         self.steal = steal
         self.workers: list[WorkerProtocol] = []
         #: tasks currently queued anywhere in this scheduler.  Maintained
-        #: at every push / pop / drain so the ``scheduler.pending`` gauge
-        #: write is O(1); :meth:`recount_pending` is the reference the
-        #: tests hold it to.
+        #: at every push / pop / drain, each of which writes the
+        #: ``scheduler.pending`` gauge in O(1); :meth:`recount_pending` is
+        #: the reference the tests hold it to.
         self._pending = 0
         if metrics is None:
             metrics = CounterRegistry()
         #: the :class:`~repro.metrics.CounterRegistry` the scheduler counts
         #: into (``metrics=None``: a private one), namespaced
-        #: ``scheduler.*``; ``stolen`` / ``stolen_tasks`` are views of it.
+        #: ``scheduler.*``.
         self.metrics = metrics
         self._c_ready = metrics.counter("scheduler.ready_submissions")
         self._g_pending = metrics.gauge("scheduler.pending")
@@ -313,7 +313,7 @@ class Scheduler:
         queue = self._local.get(id(worker))
         if queue is None:
             return []
-        self._pending -= len(queue)
+        self._left(len(queue))
         return queue.drain()
 
     def drain_unrunnable(self) -> list[Task]:
@@ -322,7 +322,7 @@ class Scheduler:
         stranded = self.shared.drain_unacceptable(self.workers)
         for queue in self._local.values():
             stranded.extend(queue.drain_unacceptable(self.workers))
-        self._pending -= len(stranded)
+        self._left(len(stranded))
         return stranded
 
     def drain_all(self) -> list[Task]:
@@ -331,7 +331,7 @@ class Scheduler:
         moved = self.shared.drain()
         for queue in self._local.values():
             moved.extend(queue.drain())
-        self._pending -= len(moved)
+        self._left(len(moved))
         moved.sort(key=lambda t: t.tid)
         return moved
 
@@ -370,6 +370,12 @@ class Scheduler:
         self._c_ready.value += n
         self._g_pending.set(self._pending)
 
+    def _left(self, n: int) -> None:
+        """``n`` queued tasks just left: count them down, write the gauge
+        (a fall never moves its high-water mark, so no ``set``)."""
+        self._pending -= n
+        self._g_pending.value = self._pending
+
     def task_finished(self, task: Task, worker: WorkerProtocol,
                       newly_ready: list[Task]) -> None:
         """A task finished on ``worker`` releasing ``newly_ready`` tasks."""
@@ -391,7 +397,8 @@ class Scheduler:
             # queues: one task leaves the scheduler per successful poll.
             task = self._steal(self, worker)
         if task is not None:
-            self._pending -= 1
+            self._pending -= 1                    # _left(1), inlined
+            self._g_pending.value = self._pending
         return task
 
     def peek_for(self, worker: WorkerProtocol, n: int) -> list[Task]:
@@ -422,12 +429,7 @@ class Scheduler:
             out.extend(ahead[rank::len(proxies)][:want])
         return out
 
-    @property
-    def pending(self) -> int:
-        """Tasks queued in this scheduler (the maintained count)."""
-        return self._pending
-
     def recount_pending(self) -> int:
-        """``pending`` recomputed from the queues themselves: O(queues),
+        """``_pending`` recomputed from the queues themselves: O(queues),
         for tests that check the maintained count against it."""
         return len(self.shared) + sum(len(q) for q in self._local.values())

@@ -149,10 +149,6 @@ class Task:
         return [a for a in self.accesses if a.direction.reads]
 
     @property
-    def outputs(self) -> list[Access]:
-        return [a for a in self.accesses if a.direction.writes]
-
-    @property
     def copy_accesses(self) -> tuple[Access, ...]:
         """The regions the coherence layer must make available/publish:
         the dependence clauses (under copy_deps) plus explicit copies."""

@@ -33,22 +33,12 @@ class VectorClock:
         """True when this clock has observed ``ctx``'s ``tick``-th epoch."""
         return self._c.get(ctx, 0) >= tick
 
-    def __le__(self, other: "VectorClock") -> bool:
-        """Pointwise ≤: every epoch known here is known to ``other``."""
-        return all(other.get(ctx) >= tick for ctx, tick in self._c.items())
-
     # -- updates -----------------------------------------------------------
     def copy(self) -> "VectorClock":
         return VectorClock(self._c)
 
     def set(self, ctx: int, tick: int) -> None:
         self._c[ctx] = tick
-
-    def tick(self, ctx: int) -> int:
-        """Advance our own component; returns the new value."""
-        value = self._c.get(ctx, 0) + 1
-        self._c[ctx] = value
-        return value
 
     def join(self, other: "VectorClock") -> "VectorClock":
         """In-place pointwise max (the synchronization join); returns self."""
@@ -59,12 +49,6 @@ class VectorClock:
         return self
 
     # -- misc --------------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        return {k: v for k, v in self._c.items() if v} == \
-               {k: v for k, v in other._c.items() if v}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._c.items()))
         return f"<VC {{{inner}}}>"

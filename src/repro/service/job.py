@@ -259,10 +259,3 @@ class JobResult:
                if f.name != "metrics"}
         doc["state"] = self.state.value
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "JobResult":
-        doc = dict(doc)
-        doc["state"] = JobState(doc["state"])
-        doc.setdefault("metrics", {})
-        return cls(**doc)

@@ -91,18 +91,6 @@ class Event:
     def processed(self) -> bool:
         return self._processed
 
-    @property
-    def ok(self) -> bool:
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        if self._value is _PENDING:
-            raise SimulationError("event value not yet available")
-        return self._value
-
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None, priority: int = PRIORITY_NORMAL) -> "Event":
         """Trigger the event successfully with ``value``."""
@@ -246,7 +234,7 @@ class Environment:
         if isinstance(until, Event):
             until_event = until
             if until_event._processed:
-                return until_event.value if until_event._ok else None
+                return until_event._value if until_event._ok else None
             until_event.callbacks.append(self._stop_callback)
         elif until is not None:
             stop_at = float(until)

@@ -55,11 +55,6 @@ class Resource:
         self._seq = 0
 
     @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
     def queue_len(self) -> int:
         return len(self._waiting)
 
@@ -125,9 +120,6 @@ class Store:
         self.name = name
         self.items: list[Any] = []
         self._getters: list[Event] = []
-
-    def __len__(self) -> int:
-        return len(self.items)
 
     def put(self, item: Any) -> None:
         self.items.append(item)

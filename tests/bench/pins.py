@@ -17,3 +17,8 @@ PIN_FILE = (Path(__file__).resolve().parents[2] / "benchmarks"
 PINS = {label: {"metric": metric, "makespan": makespan}
         for label, (metric, makespan)
         in json.loads(PIN_FILE.read_text()).items()}
+
+
+def at(result, series: str, x) -> float:
+    """A collected figure's ``series`` value at ``x``."""
+    return result.series[series][list(result.xs).index(x)]

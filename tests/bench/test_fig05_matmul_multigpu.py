@@ -12,7 +12,7 @@ Paper claims reproduced here:
 
 from repro.bench.figures import collect_figure
 
-from .pins import PINS
+from .pins import PINS, at
 
 
 def test_fig5_matmul_multigpu():
@@ -22,15 +22,15 @@ def test_fig5_matmul_multigpu():
 
     for sched in ("default", "affinity"):
         for g in (1, 2, 4):
-            assert result.value(f"wb-{sched}", g) > result.value(
+            assert at(result, f"wb-{sched}", g) > at(result, 
                 f"wt-{sched}", g), "write-back must beat write-through"
-            assert result.value(f"wt-{sched}", g) > result.value(
+            assert at(result, f"wt-{sched}", g) > at(result, 
                 f"nocache-{sched}", g), "write-through must beat no-cache"
 
     # Scheduler effect at 4 GPUs with write-back: bf far behind.
-    bf = result.value("wb-bf", 4)
-    assert result.value("wb-default", 4) > 1.4 * bf
-    assert result.value("wb-affinity", 4) > 1.3 * bf
+    bf = at(result, "wb-bf", 4)
+    assert at(result, "wb-default", 4) > 1.4 * bf
+    assert at(result, "wb-affinity", 4) > 1.3 * bf
 
     # The best configuration scales with GPUs.
     best = result.series["wb-default"]

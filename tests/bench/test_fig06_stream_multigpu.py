@@ -14,7 +14,7 @@ checked on the default and affinity schedulers.
 
 from repro.bench.figures import collect_figure
 
-from .pins import PINS
+from .pins import PINS, at
 
 
 def test_fig6_stream_multigpu():
@@ -24,10 +24,10 @@ def test_fig6_stream_multigpu():
 
     for sched in ("default", "affinity"):
         for g in (1, 2, 4):
-            wb = result.value(f"wb-{sched}", g)
-            assert wb > 3 * result.value(f"wt-{sched}", g), \
+            wb = at(result, f"wb-{sched}", g)
+            assert wb > 3 * at(result, f"wt-{sched}", g), \
                 "write-back must dominate write-through on STREAM"
-            assert wb > 3 * result.value(f"nocache-{sched}", g), \
+            assert wb > 3 * at(result, f"nocache-{sched}", g), \
                 "write-back must dominate no-cache on STREAM"
 
     # For the non-write-back policies the scheduler choice is immaterial
@@ -35,7 +35,7 @@ def test_fig6_stream_multigpu():
     # dominate identically).
     for policy in ("nocache", "wt"):
         for g in (1, 2, 4):
-            vals = [result.value(f"{policy}-{s}", g)
+            vals = [at(result, f"{policy}-{s}", g)
                     for s in ("bf", "default", "affinity")]
             assert max(vals) < 1.25 * min(vals)
 

@@ -8,7 +8,7 @@ version."
 
 from repro.bench.figures import collect_figure
 
-from .pins import PINS
+from .pins import PINS, at
 
 
 def test_fig7_perlin_multigpu():
@@ -18,9 +18,9 @@ def test_fig7_perlin_multigpu():
 
     # NoFlush (write-back) beats every Flush variant at every GPU count.
     for g in (1, 2, 4):
-        noflush = result.value("noflush-wb", g)
+        noflush = at(result, "noflush-wb", g)
         for policy in ("nocache", "wt", "wb"):
-            assert noflush > result.value(f"flush-{policy}", g)
+            assert noflush > at(result, f"flush-{policy}", g)
 
     # NoFlush scales with GPUs; Flush is bottlenecked by the writebacks.
     noflush = result.series["noflush-wb"]

@@ -15,7 +15,7 @@ write-back policy — is asserted.
 
 from repro.bench.figures import collect_figure
 
-from .pins import PINS
+from .pins import PINS, at
 
 
 def test_fig8_nbody_multigpu():
@@ -25,8 +25,8 @@ def test_fig8_nbody_multigpu():
 
     # no-cache outperforms write-back at 4 GPUs (delayed writebacks stall
     # the consumers of each block).
-    assert result.value("nocache", 4) > 1.15 * result.value("wb", 4)
-    assert result.value("nocache", 2) >= 0.99 * result.value("wb", 2)
+    assert at(result, "nocache", 4) > 1.15 * at(result, "wb", 4)
+    assert at(result, "nocache", 2) >= 0.99 * at(result, "wb", 2)
 
     # Good scalability 2 -> 4 GPUs with the winning policy.
-    assert result.value("nocache", 4) > 1.8 * result.value("nocache", 2)
+    assert at(result, "nocache", 4) > 1.8 * at(result, "nocache", 2)

@@ -11,9 +11,11 @@ Paper claims reproduced here:
   with Slave-to-Slave transfers."
 """
 
+import functools
+
 from repro.bench.figures import collect_figure
 
-from .pins import PINS
+from .pins import PINS, at
 
 
 def test_fig9_matmul_cluster():
@@ -21,7 +23,7 @@ def test_fig9_matmul_cluster():
     print()
     print(result.render())
 
-    v = result.value
+    v = functools.partial(at, result)
 
     # Slave-to-slave transfers are a must at scale (with parallel init).
     assert v("StoS-smp-ps4", 8) > 1.5 * v("MtoS-smp-ps4", 8)

@@ -10,9 +10,11 @@ nodes SUMMA's 2D-blocked placement retains an edge over affinity's emergent
 placement.
 """
 
+import functools
+
 from repro.bench.figures import collect_figure
 
-from .pins import PINS
+from .pins import PINS, at
 
 
 def test_fig10_matmul_vs_mpi():
@@ -20,7 +22,7 @@ def test_fig10_matmul_vs_mpi():
     print()
     print(result.render())
 
-    v = result.value
+    v = functools.partial(at, result)
     # MPI wins at 2 nodes ...
     assert v("mpi+cuda", 2) > v("ompss-best", 2)
     # ... OmpSs catches up and wins at 4 nodes (the paper's crossover).

@@ -6,9 +6,11 @@ version also faces these issues and achieves the same performance as the
 OmpSs version."  The NoFlush variant keeps frames on the GPUs and scales.
 """
 
+import functools
+
 from repro.bench.figures import collect_figure
 
-from .pins import PINS
+from .pins import PINS, at
 
 
 def test_fig12_perlin_cluster():
@@ -16,7 +18,7 @@ def test_fig12_perlin_cluster():
     print()
     print(result.render())
 
-    v = result.value
+    v = functools.partial(at, result)
     # NoFlush scales with nodes.
     assert v("ompss-noflush", 8) > 4 * v("ompss-noflush", 1)
     # Flush does not scale: the per-step frame movement bounds it.

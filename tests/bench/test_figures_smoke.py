@@ -1,14 +1,12 @@
 """Fast smoke checks of the figure harness (full runs live in benchmarks/)."""
 
-import pytest
-
 from repro.bench import fresh_cluster, fresh_multi_gpu, run_figure
-from repro.bench.harness import CLUSTER_BEST, FigureResult
+from repro.bench.harness import CLUSTER_BEST
 
 
 def test_fresh_machines():
     m = fresh_multi_gpu(2)
-    assert m.total_gpus == 2 and not m.is_cluster
+    assert len(m.nodes[0].gpus) == 2 and not m.is_cluster
     c = fresh_cluster(4)
     assert c.num_nodes == 4 and c.is_cluster
     single = fresh_cluster(1)
@@ -32,9 +30,3 @@ def test_fig13_structure():
     text = result.render()
     assert "ompss" in text and "mpi+cuda" in text
 
-
-def test_figure_result_value_lookup_error():
-    fr = FigureResult(figure="F", title="t", x_label="x", xs=[1], unit="u")
-    fr.series["s"] = [1.0]
-    with pytest.raises(ValueError):
-        fr.value("s", 99)

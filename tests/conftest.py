@@ -1,10 +1,11 @@
 """Suite-wide invariants.
 
-``Scheduler.pending`` is a count maintained at every push / pop / drain so
+``Scheduler._pending`` is a count maintained at every push / pop / drain so
 the ``scheduler.pending`` gauge write is O(1).  The fixture below holds it
-to the O(queues) recount after *every* scheduler operation any test in the
-suite performs — unit tests, whole-runtime runs, fault recovery
-(blacklist / rebalance / drain) and adaptive policy switches alike.
+to the O(queues) recount, and the gauge to it wherever it changed, after
+*every* scheduler operation any test in the suite performs — unit tests,
+whole-runtime runs, fault recovery (blacklist / rebalance / drain) and
+adaptive policy switches alike.
 
 ``runtimes`` lets a test reach the ``Runtime`` an app or fuzz run builds
 internally.
@@ -24,10 +25,17 @@ _OPERATIONS = ("submit", "task_finished", "next_task", "blacklist",
 def _checked(method):
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
+        before = self._pending
         result = method(self, *args, **kwargs)
-        assert self.pending == self.recount_pending(), (
+        assert self._pending == self.recount_pending(), (
             f"{type(self).__name__}.{method.__name__}: maintained pending "
-            f"{self.pending} != recount {self.recount_pending()}")
+            f"{self._pending} != recount {self.recount_pending()}")
+        # Every node's scheduler writes the one registry's gauge, so only a
+        # change of this scheduler's count says what the gauge must read.
+        gauge = self.metrics.value("scheduler.pending")
+        assert self._pending == before or gauge == self._pending, (
+            f"{type(self).__name__}.{method.__name__}: the scheduler.pending "
+            f"gauge reads {gauge}, {self._pending} are queued")
         return result
     return wrapper
 

@@ -6,7 +6,6 @@ import pytest
 from repro.cuda import (
     CudaContext,
     CudaError,
-    KernelRegistry,
     KernelSpec,
     SGEMM,
     arithmetic_cost,
@@ -62,30 +61,6 @@ def test_kernel_negative_cost_rejected():
     bad = KernelSpec(name="bad", cost=lambda spec: -1.0)
     with pytest.raises(ValueError):
         bad.duration(GTX_480)
-
-
-# -------------------------------------------------------------------- registry
-
-def test_registry_register_get():
-    reg = KernelRegistry()
-    k = KernelSpec(name="k", cost=lambda spec: 1.0)
-    reg.register(k)
-    assert reg.get("k") is k
-    assert "k" in reg
-
-
-def test_registry_duplicate_rejected():
-    reg = KernelRegistry()
-    reg.register(KernelSpec(name="k", cost=lambda spec: 1.0))
-    with pytest.raises(ValueError):
-        reg.register(KernelSpec(name="k", cost=lambda spec: 2.0))
-
-
-def test_registry_unknown_kernel_error_lists_known():
-    reg = KernelRegistry()
-    reg.register(KernelSpec(name="alpha", cost=lambda spec: 1.0))
-    with pytest.raises(KeyError, match="alpha"):
-        reg.get("beta")
 
 
 # ------------------------------------------------------------------- context
@@ -160,14 +135,6 @@ def test_launch_functional_body_executes():
     env.run()
     np.testing.assert_allclose(c.reshape(2, 2),
                                a.reshape(2, 2) @ b.reshape(2, 2))
-
-
-def test_launch_by_registered_name():
-    env, ctx = make_ctx()
-    ctx.registry.register(KernelSpec(name="noop", cost=lambda spec: 0.5))
-    ctx.launch("noop")
-    env.run()
-    assert env.now >= 0.5
 
 
 def test_device_synchronize_covers_all_streams():

@@ -18,7 +18,7 @@ import pytest
 from repro.bench.figures import FIGURES, collect_figure
 from repro.bench.loc import table1_rows
 
-from ..bench.pins import PINS
+from ..bench.pins import PINS, at
 
 ROOT = Path(__file__).resolve().parents[2]
 DOC = (ROOT / "EXPERIMENTS.md").read_text()
@@ -75,9 +75,9 @@ def test_figure_table_matches_the_pins(name):
                 values *= len(names)
             assert len(values) == len(names), (label, cell)
             wrong += [f"{series}@{x}: printed {text}, pinned "
-                      f"{result.value(series, x)}"
+                      f"{at(result, series, x)}"
                       for series, text in zip(names, values)
-                      if not printed(result.value(series, x), text)]
+                      if not printed(at(result, series, x), text)]
     assert wrong == []
 
 

@@ -7,10 +7,9 @@ must still land every region on exactly the sequential oracle's bytes —
 recovery re-executes and re-routes, it never changes numerics.
 """
 
-import numpy as np
 import pytest
 
-from repro.dagfuzz import expected_arrays, generate, run_workload
+from repro.dagfuzz import check_workload, generate
 from repro.faults import FaultEvent, FaultPlan
 from repro.runtime.config import SCHEDULERS, RuntimeConfig
 
@@ -24,13 +23,9 @@ FUZZ_CASES = (("default", 0), ("deep", 1), ("irregular", 2), ("nested", 3))
 
 
 def _assert_oracle(spec, config, machine):
-    outputs, _ = run_workload(spec, machine=machine, config=config)
-    exp = expected_arrays(spec)
-    for info in spec.regions():
-        assert np.array_equal(outputs[info.rid], exp[info.rid]), \
-            (f"region {info.rid} diverged under {config.scheduler} "
-             f"with faults on {machine} "
-             f"({spec.profile} seed {spec.seed})")
+    res = check_workload(spec, machine=machine, config=config)
+    assert res.ok, (f"{res.describe()} under {config.scheduler} with "
+                    f"faults on {machine} ({spec.profile} seed {spec.seed})")
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)

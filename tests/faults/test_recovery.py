@@ -303,11 +303,11 @@ def test_dep_aware_blacklist_drains_hint_queue():
     sched.register_worker(w2)
     hinted = [_ready_task("h1"), _ready_task("h2")]
     sched.task_finished(_ready_task("done"), w1, hinted)
-    assert sched.pending == 2
+    assert sched.metrics.value("scheduler.pending") == 2
     stranded = sched.blacklist(w1)
     assert [t.name for t in stranded] == ["h1", "h2"]
     assert sched.workers == [w2]
-    assert sched.pending == 0
+    assert sched.metrics.value("scheduler.pending") == 0
 
 
 def test_plan_validation_rejects_nonsense():
@@ -329,10 +329,6 @@ def test_plan_validation_rejects_nonsense():
         FaultPlan(am_max_retries=0)
     with pytest.raises(TypeError, match="fault_plan"):
         RuntimeConfig(fault_plan="chaos, please")
-    plan = FaultPlan(events=(FaultEvent(kind="gpu_loss", node=0, gpu=0,
-                                        at=1.0),), seed=9)
-    assert "gpu_loss@1" in plan.describe()
-    assert "empty" in FaultPlan().describe()
 
 
 def test_dispatch_racing_gpu_loss_bounces_back_to_master():

@@ -189,7 +189,7 @@ def test_multi_gpu_machine_shape():
     m = build_multi_gpu_node(env, num_gpus=4)
     assert m.num_nodes == 1
     assert not m.is_cluster
-    assert m.total_gpus == 4
+    assert sum(len(node.gpus) for node in m.nodes) == 4
     assert m.network is None
     assert m.nodes[0].nic_tx is None
 
@@ -199,7 +199,7 @@ def test_cluster_machine_shape():
     m = build_gpu_cluster(env, num_nodes=4)
     assert m.num_nodes == 4
     assert m.is_cluster
-    assert m.total_gpus == 4
+    assert sum(len(node.gpus) for node in m.nodes) == 4
     assert m.network is not None
     assert all(node.nic_tx is not None for node in m.nodes)
 

@@ -94,7 +94,7 @@ def test_fifo_no_starvation_of_big_request():
 def test_double_release_is_noop():
     env = Environment()
     pool = BytePool(env, capacity=100)
-    lease = pool.acquire(50).value    # granted at once: bytes are free
+    lease = pool.acquire(50)._value    # granted at once: bytes are free
     lease.release()
     lease.release()
     assert pool.bytes_used == 0
@@ -103,8 +103,8 @@ def test_double_release_is_noop():
 def test_peak_usage_tracked():
     env = Environment()
     pool = BytePool(env, capacity=100)
-    a = pool.acquire(40).value
-    b = pool.acquire(50).value
+    a = pool.acquire(40)._value
+    b = pool.acquire(50)._value
     a.release()
     b.release()
     assert pool.peak_usage == 90

@@ -142,9 +142,9 @@ def test_pin_unpin_balance():
     cache.pin(r)
     cache.pin(r)
     cache.unpin(r)
-    assert not cache.get(r).evictable
+    assert not cache.entry_or_none(r).evictable
     cache.unpin(r)
-    assert cache.get(r).evictable
+    assert cache.entry_or_none(r).evictable
     with pytest.raises(RuntimeError):
         cache.unpin(r)
 
@@ -154,9 +154,9 @@ def test_dirty_tracking_and_writeback_count():
     r = obj_region(400)
     cache.insert(r)
     cache.mark_dirty(r)
-    assert [e.region.key for e in cache.dirty_entries()] == [r.key]
+    assert cache.entry_or_none(r).dirty
     cache.mark_clean(r)
-    assert cache.dirty_entries() == []
+    assert not cache.entry_or_none(r).dirty
     assert count(cache, "writebacks") == 1
     cache.mark_clean(r)  # idempotent
     assert count(cache, "writebacks") == 1
@@ -172,7 +172,8 @@ def test_bytes_used_matches_sum_of_entries(sizes):
     for r in regions:
         cache.insert(r)
     assert cache.bytes_used == sum(s * 4 for s in sizes)
-    assert cache.bytes_used == sum(cache.get(r).nbytes for r in regions)
+    assert cache.bytes_used == sum(cache.entry_or_none(r).nbytes
+                                   for r in regions)
 
 
 @settings(max_examples=50, deadline=None)

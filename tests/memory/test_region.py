@@ -20,9 +20,9 @@ def make_obj(n=1000, dtype=np.float32, name="a"):
 
 def test_object_nbytes():
     obj = make_obj(100, np.float32)
-    assert obj.nbytes == 400
+    assert obj.whole.nbytes == 400
     obj64 = make_obj(100, np.float64)
-    assert obj64.nbytes == 800
+    assert obj64.whole.nbytes == 800
 
 
 def test_object_ids_are_unique():

@@ -4,21 +4,21 @@ import json
 
 import pytest
 
-from repro.metrics import Counter, CounterRegistry, Gauge, Histogram
+from repro.metrics import CounterRegistry, Gauge, Histogram
 
 
 # ---------------------------------------------------------------- Counter
 
 def test_counter_increments():
-    c = Counter("x")
-    c.inc()
-    c.inc(5)
-    assert c.value == 6
+    m = CounterRegistry()
+    m.inc("x")
+    m.inc("x", 5)
+    assert m.counter("x").value == 6
 
 
 def test_counter_rejects_decrease():
     with pytest.raises(ValueError, match="cannot decrease"):
-        Counter("x").inc(-1)
+        CounterRegistry().inc("x", -1)
 
 
 # ------------------------------------------------------------------ Gauge
@@ -27,7 +27,7 @@ def test_gauge_tracks_high_water():
     g = Gauge("g")
     g.set(5)
     g.set(2)
-    g.add(1)
+    g.set(3)
     assert g.value == 3
     assert g.high_water == 5
 
@@ -59,8 +59,7 @@ def test_instruments_created_lazily_and_cached():
     assert m.counter("a") is m.counter("a")
     assert m.gauge("b") is m.gauge("b")
     assert m.histogram("c") is m.histogram("c")
-    assert len(m) == 3
-    assert m.names() == ["a", "b", "c"]
+    assert sorted(m.snapshot()) == ["a", "b", "b.high_water", "c"]
 
 
 def test_name_cannot_change_kind():

@@ -54,12 +54,12 @@ def test_wb_keeps_data_on_gpu_until_flush():
     run_tasks(rt, [gpu_task(rt, "w", Access(r, Direction.OUT))])
     gpu_space = rt.gpu_space(0, 0)
     assert rt.directory.holders(r) == {gpu_space}
-    assert rt.cache_of(gpu_space).get(r).dirty
+    assert rt.cache_of(gpu_space).entry_or_none(r).dirty
     # Flush brings it home and cleans the cache entry.
     rt.env.process(rt.coherence.flush())
     rt.env.run()
     assert rt.master_host in rt.directory.holders(r)
-    assert not rt.cache_of(gpu_space).get(r).dirty
+    assert not rt.cache_of(gpu_space).entry_or_none(r).dirty
 
 
 def test_wt_propagates_writes_immediately():
@@ -70,7 +70,7 @@ def test_wt_propagates_writes_immediately():
     # Host already holds the current version; entry resident but clean.
     assert rt.master_host in rt.directory.holders(r)
     assert gpu_space in rt.directory.holders(r)
-    assert not rt.cache_of(gpu_space).get(r).dirty
+    assert not rt.cache_of(gpu_space).entry_or_none(r).dirty
 
 
 def test_nocache_drops_everything_after_task():

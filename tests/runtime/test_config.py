@@ -96,10 +96,3 @@ def test_with_replaces_fields():
     assert changed.presend == 4
     assert base.scheduler == "default"  # original untouched (frozen)
 
-
-def test_describe_labels():
-    assert RuntimeConfig().describe() == "wb-default-stos"
-    cfg = RuntimeConfig(cache_policy="nocache", scheduler="bf",
-                        overlap=True, prefetch=True, presend=2,
-                        slave_to_slave=False)
-    assert cfg.describe() == "nocache-bf-ovl-pf-ps2-mtos"

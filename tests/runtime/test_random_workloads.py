@@ -22,12 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dagfuzz import (
-    check_workload,
-    expected_arrays,
-    generate,
-    run_workload,
-)
+from repro.dagfuzz import check_workload, generate
 from repro.dagfuzz.cli import replay_command
 from repro.runtime import RuntimeConfig
 from repro.runtime.config import SCHEDULERS
@@ -47,17 +42,12 @@ from .fuzz_strategies import (
 @given(spec=workload_specs(), cfg=runtime_config_kwargs(),
        machine=machine_names())
 def test_runtime_matches_sequential_reference(spec, cfg, machine):
-    outputs = run_workload(spec, machine=machine,
-                           config=RuntimeConfig(functional=True, **cfg))[0]
-    expected = expected_arrays(spec)
+    res = check_workload(spec, machine=machine,
+                         config=RuntimeConfig(functional=True, **cfg))
     replay = replay_command(spec.seed, spec.profile, cfg["scheduler"],
                             cfg["cache_policy"], machine, "off")
-    for info in spec.regions():
-        got = outputs[info.rid]
-        assert np.array_equal(got, expected[info.rid]), (
-            f"region {info.rid} (o{info.obj_index}"
-            f"[{info.start}:{info.start + info.length}]) diverged under "
-            f"{cfg} on {machine}; shrink it with: {replay}")
+    assert res.ok, (f"{res.describe()} under {cfg} on {machine}; "
+                    f"shrink it with: {replay}")
 
 
 @pytest.mark.parametrize("machine", ["gpu1", "gpu2", "gpu4", "cluster2"])

@@ -274,9 +274,9 @@ def test_pending_counts():
             sched.register_worker(w)
         o = DataObject(name=f"x-{name}", num_elements=100)
         sched.submit(smp_task("t", Access(o.whole, Direction.OUT)))
-        assert sched.pending == 1
+        assert sched.metrics.value("scheduler.pending") == 1
         assert sched.next_task(smp) is not None
-        assert sched.pending == 0
+        assert sched.metrics.value("scheduler.pending") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +434,9 @@ def test_adaptive_starts_on_affinity_and_delegates():
     o = DataObject(name="x", num_elements=100)
     t = cuda_task("t", Access(o.whole, Direction.OUT))
     sched.submit(t)
-    assert sched.pending == 1
+    assert sched.metrics.value("scheduler.pending") == 1
     assert sched.next_task(gpus[0]) is t
-    assert sched.pending == 0
+    assert sched.metrics.value("scheduler.pending") == 0
 
 
 def test_adaptive_switch_preserves_queued_tasks():

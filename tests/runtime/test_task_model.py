@@ -41,7 +41,7 @@ def test_inputs_outputs_views():
     a_io = Access(o.region(20, 10), Direction.INOUT)
     t = Task(name="t", accesses=(a_in, a_out, a_io))
     assert t.inputs == [a_in, a_io]
-    assert t.outputs == [a_out, a_io]
+    assert [a for a in t.accesses if a.direction.writes] == [a_out, a_io]
 
 
 def test_smp_duration_constant_and_callable():

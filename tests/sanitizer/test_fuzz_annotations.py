@@ -3,20 +3,60 @@
 Two directions, both exact: well-annotated workloads from the ``clean``
 profile must produce *zero* findings under every scheduler (no false
 positives at fuzzing scale), and each deliberate mis-annotation mode
-from :func:`repro.dagfuzz.misannotate` must produce *exactly* its
-planted finding (no false negatives, no collateral noise — the planted
-op lives on a fresh private object).
+of :func:`misannotate` must produce *exactly* its planted finding (no
+false negatives, no collateral noise — the planted op lives on a fresh
+private object).
 """
+
+import random
 
 import pytest
 
-from repro.dagfuzz import MISANNOTATIONS, generate, misannotate
+from repro.dagfuzz import generate
 from repro.dagfuzz.runner import run_workload
+from repro.dagfuzz.spec import OpSpec, WorkloadSpec
 from repro.runtime import RuntimeConfig
 from repro.runtime.config import SCHEDULERS
 from repro.sanitizer import Sanitizer
 
 _CFG = RuntimeConfig(functional=True)
+
+#: mode -> the sanitizer finding kind it must produce.
+MISANNOTATIONS = {
+    "out_as_in": "under-declared-write",
+    "unused_in": "unused-clause",
+}
+
+
+def misannotate(spec: WorkloadSpec, mode: str) -> WorkloadSpec:
+    """Append one deliberately mis-annotated op to ``spec``.
+
+    The planted op gets a *fresh private object* (one region nobody else
+    touches), so the expected sanitizer findings are exactly the planted
+    ones — no incidental races with the generated workload.  The runner
+    applies ``mode`` to the last top-level op via ``spec.mis``.
+    """
+    if mode not in MISANNOTATIONS:
+        raise ValueError(f"unknown misannotation {mode!r}; "
+                         f"expected one of {sorted(MISANNOTATIONS)}")
+    fresh = spec.num_regions                     # id of the new region
+    rng = random.Random(spec.seed or 0)
+    if mode == "out_as_in":
+        # Body writes its output, clause says input: under-declared-write.
+        op = OpSpec(out=fresh, ins=(), seed=rng.randrange(1000),
+                    device="smp", cost=1e-6)
+    else:                                        # unused_in
+        # Clause declares a second fresh input the body never reads.
+        op = OpSpec(out=fresh, ins=(), unused=(fresh + 1,),
+                    seed=rng.randrange(1000), device="smp", cost=1e-6)
+    extra_regions = 2 if mode == "unused_in" else 1
+    return spec.replaced(
+        num_objects=spec.num_objects + 1,
+        regions_per_object=spec.regions_per_object + (extra_regions,),
+        region_lens=spec.region_lens + (8,),
+        ops=spec.ops + (op,),
+        mis=mode if mode == "out_as_in" else None,
+    )
 
 
 def _findings(spec, config=_CFG, machine="gpu2"):

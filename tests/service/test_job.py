@@ -91,14 +91,16 @@ def test_job_state_terminality():
 
 
 def test_job_result_round_trips():
+    """Through JSON, as the staged ``result.json``."""
     res = JobResult(job_id="j1", state=JobState.DONE, app="matmul",
                     version="ompss", tenant="alice", backend="pool",
                     makespan=1.25, metric=2.5, metric_unit="GFLOPS",
+                    metrics={"sim.events": 7},
                     findings=[{"kind": "missing_output"}],
                     artifacts={"result": "result.json"})
     doc = json.loads(json.dumps(res.to_dict()))
-    clone = JobResult.from_dict(doc)
-    assert clone.state is JobState.DONE
-    assert clone.makespan == res.makespan
-    assert clone.findings == res.findings
-    assert clone.artifacts == res.artifacts
+    assert doc["state"] == "done"
+    assert "metrics" not in doc             # staged as metrics.json
+    assert doc["makespan"] == res.makespan
+    assert doc["findings"] == res.findings
+    assert doc["artifacts"] == res.artifacts

@@ -100,15 +100,6 @@ def test_double_trigger_rejected():
         ev.fail(RuntimeError("x"))
 
 
-def test_value_before_trigger_raises():
-    env = Environment()
-    ev = env.event()
-    with pytest.raises(SimulationError):
-        _ = ev.value
-    with pytest.raises(SimulationError):
-        _ = ev.ok
-
-
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 

@@ -12,7 +12,7 @@ def test_process_immediately_returning_generator():
 
     p = env.process(instant())
     env.run()
-    assert p.value == "now"
+    assert p._value == "now"
 
 
 def test_event_succeed_from_callback_of_other_event():
@@ -47,7 +47,7 @@ def test_nested_processes_three_deep():
 
     p = env.process(level1())
     env.run()
-    assert p.value == 113
+    assert p._value == 113
 
 
 def test_store_interleaved_producers_consumers_deterministic():
@@ -105,7 +105,7 @@ def test_failed_event_value_is_exception():
     ev = env.event()
     err = RuntimeError("x")
     ev.fail(err)
-    assert ev.value is err
-    assert not ev.ok
+    assert ev._value is err
+    assert not ev._ok
     ev._defused = True  # silence the unhandled-failure check
     env.run()

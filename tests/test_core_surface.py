@@ -1,11 +1,16 @@
-"""Every package keeps only what the program uses.
+"""Deleted members stay deleted, and no class keeps a view of a counter.
 
-A public method or property of any class under ``src/repro`` earns its
-place by being reached from the program — the package, the benchmarks or
-the examples — not only from the tests or the docs; a count is read
-through the registry (``metrics.value(name)``), never through an
-attribute view of it.  Module-level functions are not scanned: they are
-reached by bare name, as task bodies and policy-table rows.
+Whether a function earns its place is the reachability scan's rule
+(``python -m tests.reachability``, run in the CI ``bench`` job): it runs
+the entry points and fails on any function under ``src/repro`` that
+none of them calls and that has no ``KEEP`` reason.  Two rules it cannot
+see stay here:
+
+* :data:`GONE` — deleted members that must not come back, mostly ones a
+  run would not flag: instance attributes, and dunders the interpreter
+  would call implicitly once they were back;
+* a count is read through the registry (``metrics.value(name)``), never
+  through a property that views it.
 """
 
 import ast
@@ -14,35 +19,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-READERS = ("src", "benchmarks", "examples")
-
-#: ``Class.member`` -> why it stays although only tests reach it.
-KEEP = {
-    "Scheduler.recount_pending":
-        "the reference recount tests/conftest.py holds the live "
-        "`scheduler.pending` gauge to after every run",
-    "AddressSpace.holds_buffer":
-        "tests observe that an eviction frees the buffer",
-    "HostSpace.holds_buffer":
-        "tests observe that an eviction frees the buffer",
-    "DeviceSpace.holds_buffer":
-        "tests observe that an eviction frees the buffer",
-    "Resource.queue_len":
-        "tests observe a withdrawn request leaving the wait queue",
-    "Service.wait":
-        "the blocking call of a library client (docs/SERVICE.md); the "
-        "CLI and the benchmarks drain the whole queue instead",
-    "Tracer.by_category":
-        "the tracer's span filter (docs/OBSERVABILITY.md), how a reader "
-        "of a run's spans picks one kind",
-    "Tracer.gaps":
-        "the tracer's per-place idle query (docs/OBSERVABILITY.md and "
-        "the module's own example); no counter holds idle intervals",
-}
 
 #: deleted members that stay out, ``module:Class.member`` — mostly ones
-#: the member scan cannot police: names that live on elsewhere in the
-#: program, private and dunder members, and instance attributes.
+#: the reachability scan cannot police: private and dunder members, and
+#: instance attributes.
 GONE = (
     # the second event loop and process interrupts
     "repro.sim.core:Environment.step",
@@ -83,6 +63,21 @@ GONE = (
     "repro.service.api:Service.stream_status",
     "repro.service.queue:JobQueue.weight",
     "repro.service.job:JobRequest.cost",
+    # conveniences only tests reached (the reachability scan's first pass)
+    "repro.runtime.runtime:Runtime.kernel_registry",
+    "repro.cuda.api:CudaContext.registry",
+    "repro.memory.cache:SoftwareCache._dirty",
+    "repro.memory.cache:SoftwareCache.__len__",
+    "repro.memory.directory:Directory.__len__",
+    "repro.memory.region:Region.__eq__",
+    "repro.memory.region:Region.__hash__",
+    "repro.metrics.registry:CounterRegistry.__len__",
+    "repro.metrics.registry:CounterRegistry.__bool__",
+    "repro.metrics.registry:CounterRegistry.__iter__",
+    "repro.sanitizer.clock:VectorClock.__eq__",
+    "repro.sanitizer.clock:VectorClock.__le__",
+    "repro.sim.resources:Store.__len__",
+    "repro.runtime.scheduler.base:Scheduler.pending",
 )
 
 
@@ -95,54 +90,6 @@ def public_members():
                     if (isinstance(node, ast.FunctionDef)
                             and not node.name.startswith("_")):
                         yield f"{cls.name}.{node.name}", node
-
-
-class _Uses(ast.NodeVisitor):
-    """Every attribute access and string constant, except a function's
-    mentions of its own name inside its own body.  A bare name (a local,
-    a parameter, an imported module) does not reach a member."""
-
-    def __init__(self, seen: set):
-        self.seen = seen
-        self.defs = []
-
-    def visit_FunctionDef(self, node):
-        self.defs.append(node.name)
-        self.generic_visit(node)
-        self.defs.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def use(self, name):
-        if name not in self.defs:
-            self.seen.add(name)
-
-    def visit_Attribute(self, node):
-        self.use(node.attr)
-        self.generic_visit(node)
-
-    def visit_Constant(self, node):
-        if isinstance(node.value, str):
-            self.use(node.value)
-
-
-def program_names() -> set:
-    seen: set = set()
-    for top in READERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            _Uses(seen).visit(ast.parse(path.read_text()))
-    return seen
-
-
-def test_every_public_member_is_reached_from_the_program():
-    seen = program_names()
-    unreached = sorted(qual for qual, node in public_members()
-                       if node.name not in seen)
-    assert [m for m in unreached if m not in KEEP] == [], (
-        "only tests reach these; delete them or give a KEEP reason")
-    # A KEEP entry the program now reaches (or that is gone) is stale.
-    assert sorted(KEEP) == [m for m in unreached if m in KEEP]
-    assert all(reason.strip() for reason in KEEP.values())
 
 
 def _assigns_self(cls_node: ast.ClassDef, member: str) -> bool:
@@ -163,7 +110,8 @@ def test_deleted_members_stay_deleted():
         cls_node = next(node for node in ast.walk(tree)
                         if isinstance(node, ast.ClassDef)
                         and node.name == cls_name)
-        defined = any(member in vars(klass) for klass in cls.__mro__)
+        defined = any(member in vars(klass) for klass in cls.__mro__
+                      if klass is not object)
         if defined or _assigns_self(cls_node, member):
             back.append(entry)
     assert back == []
