@@ -25,7 +25,7 @@ import inspect
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..cuda.kernels import KernelSpec
-from ..runtime.task import Access, Direction, Task
+from ..runtime.task import Access, Codelet, Direction, Task
 from .data import DataHandle, DataView
 
 __all__ = ["task", "target", "TaskFunction"]
@@ -93,8 +93,10 @@ class TaskFunction:
         self.device = "smp"
         self.copy_deps = True
         self.copy_clauses: dict[str, Direction] = {}
-        self._kernel: Optional[KernelSpec] = None
         self._kernel_wrapped = False
+        #: what every task this construct makes shares (rebuilt by
+        #: ``set_target``).
+        self.codelet = Codelet(self.label, func=fn)
         #: lazily computed parameter-name set of an external KernelSpec's
         #: cost model (resolved once, not per task creation).
         self._cost_params: Optional[set] = None
@@ -124,10 +126,10 @@ class TaskFunction:
             if isinstance(cost, KernelSpec):
                 # Library kernel (e.g. CUBLAS sgemm): its cost model takes
                 # named scalars and its func is the functional body.
-                self._kernel = cost
+                kernel = cost
                 self._kernel_wrapped = False
             elif callable(cost):
-                self._kernel = KernelSpec(
+                kernel = KernelSpec(
                     name=self.label,
                     cost=lambda spec, *, bound: cost(spec, bound),
                     func=self.fn,
@@ -138,6 +140,11 @@ class TaskFunction:
                     f"cuda task {self.label!r} needs a cost model "
                     "(a KernelSpec or a callable(gpu_spec, bound_args))"
                 )
+            self.codelet = Codelet(self.label, kernel=kernel,
+                                   copy_deps=copy_deps)
+        else:
+            self.codelet = Codelet(self.label, func=self.fn,
+                                   copy_deps=copy_deps)
 
     # -- task creation ----------------------------------------------------------
     def _bind(self, args: tuple, kwargs: dict) -> dict:
@@ -224,10 +231,10 @@ class TaskFunction:
         task_args = tuple(task_args)
         if self.device == "cuda":
             t = Task(
-                name=self.label, device="cuda", kernel=self._kernel,
+                name=self.label, device="cuda", codelet=self.codelet,
                 cost_kwargs=self._cost_binding(handle, scalars),
                 accesses=tuple(accesses), args=task_args,
-                copy_deps=self.copy_deps, copies=tuple(copies),
+                copies=tuple(copies),
             )
         else:
             smp_cost = self.cost
@@ -237,8 +244,8 @@ class TaskFunction:
                 cost_value = float(smp_cost)
             t = Task(
                 name=self.label, device="smp", smp_cost=cost_value,
-                func=self.fn, accesses=tuple(accesses), args=task_args,
-                copy_deps=self.copy_deps, copies=tuple(copies),
+                codelet=self.codelet, accesses=tuple(accesses),
+                args=task_args, copies=tuple(copies),
             )
         return handle.program.submit(t)
 
@@ -271,8 +278,9 @@ class TaskFunction:
         pass the scalar arguments straight through."""
         cost_params = self._cost_params
         if cost_params is None:
+            cost = self.codelet.kernel.cost
             cost_params = self._cost_params = set(
-                inspect.signature(self._kernel.cost).parameters) - {"spec"}
+                inspect.signature(cost).parameters) - {"spec"}
         return {k: v for k, v in scalars.items() if k in cost_params}
 
     def __repr__(self) -> str:

@@ -62,10 +62,30 @@ TEST_PERLIN = PerlinSize(height=32, width=32, rows_per_task=8, steps=2,
 PAPER_PERLIN = PerlinSize(height=1024, width=1024, rows_per_task=64,
                           steps=16)
 
-# Classic Perlin permutation table (Ken Perlin's reference ordering).
-_rng = np.random.default_rng(20120529)  # IPDPS 2012 vintage, deterministic
-_PERM = _rng.permutation(256)
-_PERM = np.concatenate([_PERM, _PERM]).astype(np.int64)
+# The Perlin permutation table: a shuffle of 0..255, doubled so a hash
+# never wraps.  It is ``np.random.default_rng(20120529).permutation(256)``
+# (IPDPS 2012 vintage), pinned so that importing an app does not load
+# numpy.random, and through it OpenSSL.
+_PERM_HALF = (
+    81, 16, 175, 186, 191, 84, 106, 87, 91, 0, 22, 195, 242, 148, 12, 121,
+    5, 48, 204, 134, 133, 180, 99, 223, 205, 172, 154, 221, 224, 78, 164,
+    30, 7, 19, 187, 131, 11, 142, 126, 222, 194, 74, 160, 196, 231, 6, 178,
+    236, 41, 112, 105, 29, 80, 185, 120, 32, 94, 162, 168, 247, 237, 230,
+    141, 88, 130, 122, 201, 163, 96, 227, 109, 233, 59, 210, 56, 113, 4, 23,
+    54, 24, 215, 17, 50, 15, 235, 252, 82, 161, 229, 217, 104, 146, 220,
+    241, 86, 245, 152, 190, 182, 20, 232, 64, 51, 43, 90, 156, 189, 240,
+    244, 57, 69, 169, 238, 173, 183, 38, 44, 166, 107, 243, 79, 71, 181,
+    246, 3, 9, 85, 239, 98, 101, 165, 37, 137, 116, 108, 174, 216, 123, 157,
+    213, 250, 72, 70, 95, 18, 188, 214, 92, 151, 202, 63, 139, 118, 114, 61,
+    150, 193, 251, 248, 25, 143, 35, 211, 176, 192, 207, 129, 228, 206, 226,
+    153, 177, 124, 199, 254, 249, 209, 75, 127, 73, 102, 135, 110, 197, 62,
+    103, 117, 47, 144, 219, 13, 60, 170, 55, 40, 76, 200, 132, 10, 218, 225,
+    53, 179, 138, 125, 21, 36, 46, 198, 26, 68, 253, 28, 42, 89, 97, 184,
+    208, 52, 115, 155, 111, 234, 93, 149, 158, 49, 45, 2, 255, 128, 145, 31,
+    77, 100, 171, 14, 167, 27, 39, 119, 34, 65, 1, 8, 212, 33, 136, 66, 67,
+    83, 140, 58, 159, 203, 147,
+)
+_PERM = np.array(_PERM_HALF + _PERM_HALF, dtype=np.int64)
 
 
 def _fade(t: np.ndarray) -> np.ndarray:

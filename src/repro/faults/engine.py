@@ -57,6 +57,9 @@ class FaultEngine:
         self._am_seq = 0
         #: region key -> event fired when a replayed producer restores it.
         self._restores: dict = {}
+        #: tid -> re-executions so far (bounded by
+        #: ``FaultPlan.max_task_retries``).
+        self.retries: dict[int, int] = {}
         # Event-kind views of the plan (tuples preserve plan order).
         self._degrades = plan.by_kind("link_degrade")
         self._partitions = plan.by_kind("link_partition")
@@ -291,18 +294,20 @@ class FaultEngine:
         runtime state)."""
         from ..runtime.task import Task
 
+        codelet, nest = task.codelet, task.nest
         return Task(
             name=f"{task.name}~replay",
             accesses=task.accesses,
             device=task.device,
-            kernel=task.kernel,
+            kernel=codelet.kernel,
             cost_kwargs=task.cost_kwargs,
             smp_cost=task.smp_cost,
-            func=task.func,
+            func=codelet.func,
             args=task.args,
-            copy_deps=task.copy_deps,
+            copy_deps=codelet.copy_deps,
             copies=task.copies,
-            subtasks=task.subtasks,
+            subtasks=(nest.subtasks if nest is not None and nest.owner is task
+                      else None),
         )
 
     def wait_restored(self, region: "Region") -> Optional[Event]:

@@ -92,7 +92,7 @@ class NodeProxy:
         # Decomposition children are local to the image that runs their
         # parent ("executed by any thread that becomes available in the
         # node") and are never shipped through a proxy.
-        if task.parent is not None:
+        if task.nest is not None and task.parent is not None:
             return False
         return task.device != "cuda" or self.gpus_alive
 

@@ -79,7 +79,7 @@ class LivenessTracker:
     nested scope and everything outside it is judged exactly.
     """
 
-    __slots__ = ("_wseq", "_installed", "_live")
+    __slots__ = ("_wseq", "_installed", "_live", "_claims")
 
     def __init__(self):
         #: last assigned write sequence per region (0 = registration state)
@@ -88,6 +88,9 @@ class LivenessTracker:
         self._installed: dict[RegionKey, int] = {}
         #: key -> {tid: (read_seq | None, write_seq | None, pure_copy)}
         self._live: dict[RegionKey, dict[int, tuple]] = {}
+        #: tid -> the claim's ``(key, read_seq, write_seq, pure)`` entries,
+        #: from submission until retirement.
+        self._claims: dict[int, list] = {}
 
     def task_submitted(self, task: "Task") -> None:
         # Merge the dependence and copy clauses into one direction per key.
@@ -110,7 +113,7 @@ class LivenessTracker:
         tid = task.tid
         # A decomposing parent never overwrites blindly: its children may
         # read what its own commit (or an earlier child) published.
-        leaf = task.subtasks is None
+        leaf = task.nest is None or task.nest.owner is not task
         for key, (reads, writes, publishes) in info.items():
             r = self._wseq.get(key, 0) if reads else None
             w = None
@@ -120,7 +123,7 @@ class LivenessTracker:
             pure = publishes and writes and not reads and leaf
             entries.append((key, r, w, pure))
             self._live.setdefault(key, {})[tid] = (r, w, pure)
-        task._liveness_entries = entries
+        self._claims[tid] = entries
 
     def task_committed(self, task: "Task") -> None:
         """The task's commit has *published* its outputs (directory
@@ -129,7 +132,7 @@ class LivenessTracker:
         Called only after the publish point — a torn commit never installs,
         so the re-executed task keeps its original sequence numbers.  A
         decomposing parent stays live: its children run after this commit."""
-        if task.subtasks is None:
+        if task.nest is None or task.nest.owner is not task:
             self._retire(task)
 
     def task_finished(self, task: "Task") -> None:
@@ -140,11 +143,10 @@ class LivenessTracker:
         self._retire(task)
 
     def _retire(self, task: "Task") -> None:
-        entries = task._liveness_entries
+        tid = task.tid
+        entries = self._claims.pop(tid, None)
         if entries is None:
             return
-        task._liveness_entries = None
-        tid = task.tid
         for key, _r, w, _pure in entries:
             live = self._live.get(key)
             if live is not None:
@@ -208,7 +210,7 @@ class DataMover:
         child (see :class:`LivenessTracker`) — is intact and reused."""
         while task.parent is not None:
             task = task.parent
-        assert task._liveness_entries is not None, \
+        assert task.tid in self.liveness._claims, \
             "requeued task was already retired from liveness"
 
     # -- write-back elision ----------------------------------------------

@@ -112,6 +112,8 @@ class GPUManager:
                 return
             task = staged_next
             staged_next = None
+            # A staged task's prefetch finished before the loop got here.
+            prefetched = task is not None
             if task is None:
                 task = self.image.scheduler.next_task(self)
             if task is None:
@@ -128,7 +130,7 @@ class GPUManager:
             if not self.alive:
                 self._abandon(task, None)
                 return
-            if task._staged:
+            if prefetched:
                 # Inputs already on the device: the prefetch paid off.
                 self._c_prefetch_hits.value += 1
             else:
@@ -178,7 +180,7 @@ class GPUManager:
                     self._abandon(None, staged_next)
                     return
                 continue
-            if task.subtasks is not None:
+            if task.nest is not None and task.nest.owner is task:
                 yield self.image.run_children(task)
             self._c_tasks.value += 1
             rt.metrics.observe("tasks.cuda.duration", self.env.now - start)
@@ -188,7 +190,6 @@ class GPUManager:
     def _prefetch(self, task: Task):
         task.assigned_to = self
         yield from self.rt.coherence.stage_in(task, self)
-        task._staged = True
 
     def _launch(self, task: Task) -> Event:
         """Enqueue the task's kernel; returns the completion event.
@@ -196,22 +197,24 @@ class GPUManager:
         While a kernel can be aborted the functional body is *not*
         attached to the kernel completion — the caller runs it via
         :meth:`_run_body` only after the launch survives."""
+        kernel = task.codelet.kernel
         func_args: tuple = ()
         if (not self._aborts and self.rt.config.functional
-                and task.kernel.func is not None):
+                and kernel.func is not None):
             func_args = tuple(resolve_args(task, self.space,
                                            self.rt.probes.watch_args))
-        return self.ctx.launch(task.kernel, func_args=func_args,
+        return self.ctx.launch(kernel, func_args=func_args,
                                **task.cost_kwargs)
 
     def _run_body(self, task: Task) -> None:
         """The deferred functional body: mirrors exactly what the stream
         op would have run at kernel completion."""
-        if self.rt.config.functional and task.kernel.func is not None:
+        func = task.codelet.kernel.func
+        if self.rt.config.functional and func is not None:
             func_args = tuple(resolve_args(task, self.space,
                                            self.rt.probes.watch_args))
             if func_args:
-                task.kernel.func(*func_args)
+                func(*func_args)
 
     # ------------------------------------------------------------------
     # Fault recovery (never reached without a fault engine)
@@ -236,13 +239,13 @@ class GPUManager:
                 ent = self.cache.entry_or_none(acc.region)
                 if ent is not None and ent.pin_count > 0:
                     self.cache.unpin(acc.region)
-        task._staged = False
         task.state = TaskState.READY
         task.assigned_to = None
-        task.retries += 1
-        if task.retries > rt.faults.plan.max_task_retries:
+        retries = rt.faults.retries
+        tries = retries[task.tid] = retries.get(task.tid, 0) + 1
+        if tries > rt.faults.plan.max_task_retries:
             raise TaskRetryExceeded(
-                f"task {task.name!r} failed {task.retries} times "
+                f"task {task.name!r} failed {tries} times "
                 f"(last: {why} on {self.place_name}); giving up")
         rt.metrics.inc("faults.tasks_reexecuted")
         rt.faults.note("task_reexecuted",

@@ -131,18 +131,22 @@ class Image:
         never involve the master.  Returns an event firing when all of them
         have finished.
         """
-        children = parent.subtasks()
+        nest = parent.nest
+        children = nest.subtasks()
         done = Event(self.rt.env)
         if not children:
             done.succeed()
             return done
         probes = self.rt.probes
         graph = DependencyGraph(on_arc=probes.dep_arc)
-        parent._child_graph = graph
-        parent._children_left = len(children)
-        parent._children_done = done
+        nest.graph = graph
+        nest.left = len(children)
+        nest.done = done
         for child in children:
-            child.parent = parent
+            if child.nest is None:
+                child.nest = nest          # a flat child: its parent's
+            else:
+                child.nest.parent = parent
             for fn in probes.task_submitted:
                 fn(child, parent)
             if graph.add_task(child):
@@ -154,7 +158,7 @@ class Image:
         once its body committed and its decomposition children finished."""
         for fn in self.rt.probes.task_finished:
             fn(task, place, start, self.rt.env.now)
-        if task.parent is not None:
+        if task.nest is not None and task.parent is not None:
             self._account_child(task, place)
         elif self.is_master:
             self.account_finished(task, place)
@@ -170,17 +174,17 @@ class Image:
             # release successors again nor fire a second event.
             rt.metrics.inc("runtime.duplicate_completions")
             return
-        parent = task.parent
+        nest = task.parent.nest
         for fn in rt.probes.task_retired:
             fn(task)
-        newly_ready = parent._child_graph.task_finished(task)
+        newly_ready = nest.graph.task_finished(task)
         for t in newly_ready:
             self.submit_local(t)
-        done = task.done   # see account_finished
-        (Event(rt.env) if done is None else done).succeed()
-        parent._children_left -= 1
-        if parent._children_left == 0:
-            parent._children_done.succeed()
+        # See account_finished; ``taskwait on`` never waits for a child.
+        Event(rt.env).succeed()
+        nest.left -= 1
+        if nest.left == 0:
+            nest.done.succeed()
         # Children never leave the image that runs their parent.
         self.notify_work()
 
@@ -203,9 +207,10 @@ class Image:
         self.scheduler.task_finished(task, place, newly_ready)
         rt._c_finished.value += 1
         # The completion is one event whether or not anybody waited: the
-        # waiter's ``done``, else a throwaway one nobody keeps, so the
-        # event sequence does not depend on who waited.
-        done = task.done
+        # waiter's, else a throwaway one nobody keeps, so the event
+        # sequence does not depend on who waited.
+        waited = rt._waited
+        done = waited.pop(task.tid, None) if waited else None
         (Event(rt.env) if done is None else done).succeed()
         rt.notify_completion()
 
@@ -299,6 +304,10 @@ class Runtime:
         #: fired (and cleared) when the graph drains; lazily created by
         #: taskwait so a full barrier costs one wakeup, not one per task.
         self._idle_event: Optional[Event] = None
+        #: completion events of the unfinished tasks a ``taskwait on``
+        #: waits for, by tid: created by the first waiter, fired and
+        #: dropped by the task's completion.
+        self._waited: dict[int, Event] = {}
         # Bound per-task instruments (see CounterRegistry.counter): the
         # submit/finish bookkeeping runs once per task and skips the
         # registry's name lookups.
@@ -437,9 +446,10 @@ class Runtime:
         for region in regions:
             producer = self.graph.last_writer_of(region)
             if producer is not None:
-                if producer.done is None:
-                    producer.done = self.env.event()
-                producers.append(producer.done)
+                done = self._waited.get(producer.tid)
+                if done is None:
+                    done = self._waited[producer.tid] = self.env.event()
+                producers.append(done)
         if producers:
             yield self.env.all_of(producers)
         if not noflush:

@@ -160,5 +160,5 @@ class AdaptiveScheduler(Scheduler):
             self._place(self, task)
             self._pending += 1
             self._notify(task.device)
-        # Back to the count drain_all found, so no new high-water mark.
-        self._g_pending.value = self._pending
+        # Back to the level drain_all found, so no new high-water mark.
+        self._g_pending.value += len(moved)

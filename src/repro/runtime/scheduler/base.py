@@ -52,7 +52,7 @@ class WorkerProtocol(Protocol):
 
 def _signature(task: Task) -> tuple[str, bool]:
     """The acceptance signature the queues bucket by (see WorkerProtocol)."""
-    return (task.device, task.parent is None)
+    return (task.device, task.nest is None or task.parent is None)
 
 
 class _SignatureBuckets:
@@ -250,9 +250,11 @@ class Scheduler:
         self.steal = steal
         self.workers: list[WorkerProtocol] = []
         #: tasks currently queued anywhere in this scheduler.  Maintained
-        #: at every push / pop / drain, each of which writes the
-        #: ``scheduler.pending`` gauge in O(1); :meth:`recount_pending` is
-        #: the reference the tests hold it to.
+        #: at every push / pop / drain, each of which moves the
+        #: ``scheduler.pending`` gauge by the same amount in O(1) — on a
+        #: cluster every node's scheduler shares the gauge, which so reads
+        #: their total; :meth:`recount_pending` is the reference the tests
+        #: hold the count to.
         self._pending = 0
         if metrics is None:
             metrics = CounterRegistry()
@@ -365,16 +367,17 @@ class Scheduler:
         self._notify(task.device)
 
     def _entered(self, n: int) -> None:
-        """``n`` ready tasks were just pushed: count them, write the gauge."""
+        """``n`` ready tasks were just pushed: count them, raise the gauge."""
         self._pending += n
         self._c_ready.value += n
-        self._g_pending.set(self._pending)
+        gauge = self._g_pending
+        gauge.set(gauge.value + n)
 
     def _left(self, n: int) -> None:
-        """``n`` queued tasks just left: count them down, write the gauge
+        """``n`` queued tasks just left: count them down, lower the gauge
         (a fall never moves its high-water mark, so no ``set``)."""
         self._pending -= n
-        self._g_pending.value = self._pending
+        self._g_pending.value -= n
 
     def task_finished(self, task: Task, worker: WorkerProtocol,
                       newly_ready: list[Task]) -> None:
@@ -398,7 +401,7 @@ class Scheduler:
             task = self._steal(self, worker)
         if task is not None:
             self._pending -= 1                    # _left(1), inlined
-            self._g_pending.value = self._pending
+            self._g_pending.value -= 1
         return task
 
     def peek_for(self, worker: WorkerProtocol, n: int) -> list[Task]:

@@ -83,10 +83,11 @@ class BottomLevelEstimator:
 
     def cost(self, task: Task) -> float:
         if task.device == "cuda":
-            if task.kernel is not None and self.gpu_spec is not None:
+            kernel = task.codelet.kernel
+            if kernel is not None and self.gpu_spec is not None:
                 try:
-                    return task.kernel.duration(self.gpu_spec,
-                                                **task.cost_kwargs)
+                    return kernel.duration(self.gpu_spec,
+                                           **task.cost_kwargs)
                 except Exception:
                     pass
             ema = self._ema["cuda"]

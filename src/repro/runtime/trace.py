@@ -84,12 +84,12 @@ class Tracer:
 
     # -- probe points (each appends its span directly) -------------------
     def task_finished(self, task, place, start: float, end: float) -> None:
-        self.events.append(TraceEvent("task", task.name, place.place_name,
-                                      start, end))
+        self.events.append(TraceEvent("task", task.codelet.name,
+                                      place.place_name, start, end))
 
     def kernel_done(self, task, place, start: float, end: float) -> None:
-        self.events.append(TraceEvent("kernel", task.name, place.place_name,
-                                      start, end))
+        self.events.append(TraceEvent("kernel", task.codelet.name,
+                                      place.place_name, start, end))
 
     def transfer_done(self, region, link: str, start: float,
                       end: float) -> None:
@@ -97,7 +97,7 @@ class Tracer:
                                       start, end, region.nbytes))
 
     def dispatch(self, task, node: int, start: float, end: float) -> None:
-        self.events.append(TraceEvent("message", f"run:{task.name}",
+        self.events.append(TraceEvent("message", f"run:{task.codelet.name}",
                                       f"ctl:0->{node}", start, end))
 
     def fault(self, kind: str, detail: str, at: float) -> None:

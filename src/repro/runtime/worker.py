@@ -99,10 +99,11 @@ class SMPWorker:
         yield from self.rt.coherence.stage_in(task, self)
         duration = task.smp_duration(self.node.spec.cpu)
         yield from self.node.run_cpu_work(duration)
-        if self.rt.config.functional and task.func is not None:
-            task.func(*resolve_args(task, self.space, probes.watch_args))
+        func = task.codelet.func
+        if self.rt.config.functional and func is not None:
+            func(*resolve_args(task, self.space, probes.watch_args))
         yield from self.rt.coherence.commit_outputs(task, self)
-        if task.subtasks is not None:
+        if task.nest is not None and task.nest.owner is task:
             # Hierarchical decomposition: children run on this image with
             # their own sibling-scope graph; the parent completes once they
             # all have (so its own siblings see the decomposed work done).

@@ -109,7 +109,7 @@ class _TaskRecord:
                  parent_tid: int | None):
         self.task = task
         self.tid = task.tid
-        self.name = task.name
+        self.name = task.codelet.name
         #: region key -> Access for dependence clauses.
         self.declared = {a.region.key: a for a in task.accesses}
         #: copy clauses with no matching dependence clause.
@@ -151,11 +151,17 @@ class _HostRead:
     stale: list = field(default_factory=list)   # regions not host-current
 
 
-def _task_source(task) -> str:
-    """``file.py:line (func)`` attribution for a task's body."""
-    fn = task.func
-    if fn is None and task.kernel is not None:
-        fn = getattr(task.kernel, "func", None)
+def _body_of(task):
+    """The function a task runs: its body, or its kernel's."""
+    codelet = task.codelet
+    fn = codelet.func
+    if fn is None and codelet.kernel is not None:
+        fn = getattr(codelet.kernel, "func", None)
+    return fn
+
+
+def _source_of(fn) -> str:
+    """``file.py:line (func)`` attribution for a task body."""
     if fn is None:
         return "<no functional body>"
     try:
@@ -431,12 +437,24 @@ class Sanitizer:
 
     def _validate(self) -> list[Finding]:
         sink: dict[tuple, Finding] = {}
+        #: id(body) -> its source attribution, looked up once per body
+        #: and only for a finding (``inspect`` re-tokenizes the file).
+        sources: dict[int, str] = {}
 
-        def add(kind, task_label, obj_name, detail, where,
+        def add(kind, task_label, obj_name, detail, at,
                 region=None, cost=None, time=None):
+            """Count a finding; ``at`` is the task whose body it points
+            at, or None for the main program."""
             key = (kind, task_label, obj_name, detail)
             f = sink.get(key)
             if f is None:
+                if at is None:
+                    where = "<main program>"
+                else:
+                    fn = _body_of(at)
+                    where = sources.get(id(fn))
+                    if where is None:
+                        where = sources[id(fn)] = _source_of(fn)
                 sink[key] = Finding(
                     kind=kind, task=task_label, obj=obj_name, detail=detail,
                     where=where,
@@ -466,7 +484,7 @@ class Sanitizer:
         for rec in self._records.values():
             if not rec.executed:
                 continue
-            where = _task_source(rec.task)
+            at = rec.task
             for key, acc in rec.declared.items():
                 w = rec.watches.get(key)
                 if w is None:
@@ -478,37 +496,37 @@ class Sanitizer:
                         cost = self._false_dep_cost(rec, key)
                         add("unused-clause", rec.name, obj,
                             "inout region never touched by the body — "
-                            "the dependence only serializes", where,
+                            "the dependence only serializes", at,
                             region=acc.region, cost=cost,
                             time=rec.start_time)
                     elif not w.writes:
                         add("over-declared-inout", rec.name, obj,
                             "inout region only read — declare input to "
-                            "unlock WAR/WAW parallelism", where,
+                            "unlock WAR/WAW parallelism", at,
                             region=acc.region, time=rec.start_time)
                     elif not w.reads:
                         add("over-declared-inout", rec.name, obj,
                             "inout region only written — declare output "
-                            "to drop the stale-input fetch", where,
+                            "to drop the stale-input fetch", at,
                             region=acc.region, time=rec.start_time)
                 elif d.writes:                     # output
                     if w.first == "read":
                         add("under-declared-read", rec.name, obj,
                             "output region read before first write — the "
                             "body consumes bytes no dependence protects",
-                            where, region=acc.region, time=rec.start_time)
+                            at, region=acc.region, time=rec.start_time)
                     if not w.writes:
                         cost = self._false_dep_cost(rec, key)
                         add("unused-clause", rec.name, obj,
                             "output region never written — successors "
-                            "consume whatever was there before", where,
+                            "consume whatever was there before", at,
                             region=acc.region, cost=cost,
                             time=rec.start_time)
                 else:                              # input
                     if w.writes:
                         add("under-declared-write", rec.name, obj,
                             "body writes an input-declared region — a "
-                            "data race with any concurrent reader", where,
+                            "data race with any concurrent reader", at,
                             region=acc.region, time=rec.start_time)
                     elif not w.reads:
                         cost = self._false_dep_cost(rec, key)
@@ -517,7 +535,7 @@ class Sanitizer:
                         if key in rec.staged:
                             detail += (" (and its transfer to the "
                                        "executing space was wasted)")
-                        add("unused-clause", rec.name, obj, detail, where,
+                        add("unused-clause", rec.name, obj, detail, at,
                             region=acc.region, cost=cost,
                             time=rec.start_time)
             for key, acc in rec.copy_only.items():
@@ -529,7 +547,7 @@ class Sanitizer:
                 add(kind, rec.name, acc.region.obj.name,
                     "copy-clause region accessed with no dependence "
                     "clause — nothing orders this against other tasks",
-                    where, region=acc.region, time=rec.start_time)
+                    at, region=acc.region, time=rec.start_time)
 
     def _false_dep_cost(self, rec: _TaskRecord, key) -> float:
         """Estimated serialization cost of the arcs owed solely to
@@ -586,7 +604,7 @@ class Sanitizer:
                     add("race", f"{first.name} ~ {second.name}", obj_name,
                         "unordered accesses, at least one a write — no "
                         "dependence or taskwait separates these tasks",
-                        _task_source(first.task), region=region,
+                        first.task, region=region,
                         time=min(times) if times else None)
 
     # -- pass 3: host reads vs task writes and the directory ---------------
@@ -604,7 +622,7 @@ class Sanitizer:
                     add("missing-taskwait", rec.name, hr.obj.name,
                         "host code reads data a submitted task writes, "
                         "with no taskwait between — add taskwait (or "
-                        "taskwait on the region)", _task_source(rec.task),
+                        "taskwait on the region)", rec.task,
                         time=hr.time)
             if hazard:
                 continue  # the ordering bug subsumes the staleness
@@ -612,7 +630,7 @@ class Sanitizer:
                 add("stale-host-read", "<main>", hr.obj.name,
                     "host read after a noflush taskwait while the "
                     "canonical copy lives on a device — flush first",
-                    "<main program>", region=region, time=hr.time)
+                    None, region=region, time=hr.time)
 
 
 def install(sanitizer: Sanitizer | None = None):

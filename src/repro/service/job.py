@@ -23,7 +23,6 @@ cache compares.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -202,6 +201,10 @@ class JobRequest:
             text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         except (TypeError, ValueError):
             return None
+        # Imported here: hashlib loads OpenSSL, which a run that never
+        # consults the service's result cache should not pay for.
+        import hashlib
+
         return hashlib.sha256(text.encode()).hexdigest()
 
     # -- serialization ----------------------------------------------------

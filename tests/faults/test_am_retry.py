@@ -197,7 +197,6 @@ def test_stale_completion_does_not_double_decrement_window():
     comm = rt.master_image.comm_thread
     proxy = comm.proxies[0]
     task = _noop_cuda_task("t")
-    task.done = rt.env.event()
     rt.graph.add_task(task)
 
     # The dispatch bookkeeping the comm thread does.

@@ -2,16 +2,21 @@
 
 A program submits its whole task graph before the first task runs, so the
 descriptors are the run's memory peak: tasks and clause entries are slotted,
-clause entries and cost bindings are interned per data handle, and arc
+clause entries and cost bindings are interned per data handle, the
+constants of one ``task`` construct are one shared codelet, and arc
 deduplication keeps no per-task set.  A task's completion event exists only
 once something waits on it, the graph counts its live tasks instead of
-keeping their ids, and perf mode keeps no body arguments.
+keeping their ids, perf mode keeps no body arguments, and the state of
+decomposition, fault retries and liveness lives outside flat tasks.
 """
 
 import gc
+import sys
 import tracemalloc
 import weakref
 from collections import defaultdict
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,7 @@ from repro import Program, target, task
 from repro.apps import cholesky
 from repro.hardware import build_multi_gpu_node
 from repro.memory import DataObject
+from repro.apps.perlin.common import _PERM
 from repro.runtime import (Access, DependencyGraph, Direction, RuntimeConfig,
                            Task, TaskState, probes)
 from repro.sim import Environment, Event
@@ -65,6 +71,60 @@ def test_task_and_access_have_no_instance_dict():
     t = Task(name="t", accesses=(access,))
     assert not hasattr(t, "__dict__")
     assert not hasattr(access, "__dict__")
+
+
+def test_flat_task_is_fourteen_slots():
+    t = Task(name="t")
+    assert len(Task.__slots__) <= 14
+    assert sys.getsizeof(t) <= 144
+    # Nothing a switched-off feature reads: no decomposition record, and
+    # the waiter's event, retry count and liveness claim live elsewhere.
+    assert t.nest is None
+    for gone in ("done", "retries", "_liveness_entries", "_staged"):
+        assert not hasattr(t, gone)
+
+
+def test_tasks_of_one_construct_share_its_codelet():
+    prog = make_program()
+    tasks, _ = submit_all(prog, lambda a, c: [
+        axpy(a[0:32], c[0:32], 32), axpy(a[32:64], c[32:64], 16),
+        copy(a[0:32], c[32:64], 32)])
+    first, second, smp = tasks
+    assert first.codelet is second.codelet is axpy.codelet
+    assert first.codelet.kernel is not None and first.codelet.func is None
+    assert smp.codelet is copy.codelet and smp.codelet.func is copy.fn
+    assert (first.name, smp.name) == ("axpy", "copy")
+
+
+def test_two_programs_share_no_construct_record():
+    def build(prog):
+        """A program of hand-built tasks, as dagfuzz builds them."""
+        x = prog.array("x", 64)
+        tasks = [Task(name="w", smp_cost=1e-6, func=lambda buf: None,
+                      args=(x[0:32].region,),
+                      accesses=(Access(x[0:32].region, Direction.OUT),)),
+                 Task(name="r", smp_cost=1e-6,
+                      accesses=(Access(x[0:32].region, Direction.IN),))]
+
+        def main():
+            for t in tasks:
+                prog.submit(t)
+            yield from prog.taskwait()
+
+        prog.run(main())
+        return tasks
+
+    first, second = build(make_program()), build(make_program())
+    records = [{id(t.codelet) for t in tasks} for tasks in (first, second)]
+    assert len(records[0]) == 2 and not records[0] & records[1]
+    # Each record is its task's own: no table keeps it beyond the task.
+    assert all(gc.get_referrers(t.codelet) == [t] for t in first + second)
+
+
+def test_perlin_table_is_the_seeded_permutation_doubled():
+    perm = np.random.default_rng(20120529).permutation(256)
+    assert _PERM.dtype == np.int64
+    assert np.array_equal(_PERM, np.concatenate([perm, perm]))
 
 
 def test_tasks_naming_one_view_and_direction_share_one_access():
@@ -197,25 +257,30 @@ def test_successor_order_matches_set_based_dedup(ops):
 def test_done_is_none_after_submit_and_made_by_the_first_waiter():
     prog = make_program()
     a, c = prog.array("a", 64), prog.array("c", 64)
+    waited = prog.rt._waited
     made = {}
 
     def main():
         # A slow writer of c[0:32], and a fast task nobody waits on.
         writer = made["writer"] = copy(a[0:32], c[0:32], 10**6)
-        other = made["other"] = copy(a[32:64], c[32:64], 1)
-        assert writer.done is None and other.done is None
-        yield from prog.taskwait_on(c[0:32])
+        copy(a[32:64], c[32:64], 1)
+        assert not waited
+        wait = prog.env.process(prog.taskwait_on(c[0:32]))
+        yield prog.env.timeout(0)
+        made["event"] = waited[writer.tid]      # made by the waiter
+        yield wait
         made["woke"] = prog.env.now
         yield from prog.taskwait()
 
     prog.run(main())
-    writer, other = made["writer"], made["other"]
-    # The waiter created the writer's event, and woke at its completion.
-    assert isinstance(writer.done, Event) and writer.done.processed
+    # The waiter woke at the writer's completion, which fired and dropped
+    # the event; no task keeps an Event.
+    assert isinstance(made["event"], Event) and made["event"].processed
     assert made["woke"] == pytest.approx(1.0, rel=0.1)
-    # Nobody waited on the other task: finished, it references no Event.
-    assert other.state is TaskState.FINISHED and other.done is None
-    assert not any(isinstance(o, Event) for o in gc.get_referents(other))
+    assert not waited
+    writer = made["writer"]
+    assert writer.state is TaskState.FINISHED
+    assert not any(isinstance(o, Event) for o in gc.get_referents(writer))
 
 
 def test_perf_mode_drops_body_arguments_functional_mode_keeps_them():
@@ -253,15 +318,14 @@ def test_duplicate_child_completion_fires_nothing():
     prog.run(main())
     writer, reader = children
     assert writer.successors == [reader]
-    assert all(t.state is TaskState.FINISHED and t.done is None
-               for t in children)
+    assert all(t.state is TaskState.FINISHED for t in children)
     image = prog.rt.master_image
     env = prog.env
     before = env.events_processed
     image._account_child(writer, image.smp_workers[0])
     env.run()
     assert env.events_processed == before     # no event, no wakeup
-    assert reader.pending_preds == 0 and parent._children_left == 0
+    assert reader.pending_preds == 0 and parent.nest.left == 0
     assert prog.metrics.value("runtime.duplicate_completions") == 1
 
 
@@ -286,10 +350,11 @@ def test_live_count_returns_to_zero_and_registration_stays_once():
 # -- the per-task byte budget ----------------------------------------------
 
 #: tracemalloc bytes per submitted task when the first task starts, on the
-#: perf-mode Cholesky below: 701 on CPython 3.11 (954 while each task kept
-#: a completion event, a live-set entry and its body arguments).  The
-#: budget leaves 14 % headroom for other interpreters.
-BYTES_PER_TASK_BUDGET = 800
+#: perf-mode Cholesky below: 604 on CPython 3.11 (693 while each task had
+#: 25 slots, 954 while it also kept a completion event, a live-set entry
+#: and its body arguments).  The budget leaves 14 % headroom for other
+#: interpreters.
+BYTES_PER_TASK_BUDGET = 690
 
 
 class _FirstStart:

@@ -56,7 +56,7 @@ def test_initial_state():
     assert t.state is TaskState.CREATED
     assert t.pending_preds == 0
     assert t.successors == []
-    assert t.done is None
+    assert t.parent is None and t.nest is None
 
 
 def test_repr_mentions_name_and_state():

@@ -27,6 +27,11 @@ class FakeTask:
     device: str                    # "smp" | "cuda"
     parent: Optional[object]       # None -> top-level
 
+    @property
+    def nest(self):
+        """A child's decomposition record stands in as its parent."""
+        return self.parent
+
 
 @dataclass
 class FakeWorker:

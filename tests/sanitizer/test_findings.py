@@ -42,6 +42,26 @@ def test_fixture_findings_carry_source_attribution():
     assert under.regions            # offending region(s) are named
 
 
+def test_source_is_looked_up_once_per_body_and_only_for_findings(
+        monkeypatch):
+    """``inspect`` re-tokenizes a body's file: a clean run never asks, and
+    two findings pointing at one body ask once."""
+    import repro.sanitizer.core as core
+
+    asked = []
+    source_of = core._source_of
+    monkeypatch.setattr(core, "_source_of",
+                        lambda fn: asked.append(fn) or source_of(fn))
+    san = run_fixture("under-declared-write")
+    assert len(san.findings()) == 2
+    assert [fn.__name__ for fn in asked] == ["leaky_scale"]
+    asked.clear()
+    with install() as clean:
+        run_stream(build_multi_gpu_node(Environment(), num_gpus=2),
+                   TEST_STREAM, RuntimeConfig(functional=True))
+    assert clean.findings() == [] and asked == []
+
+
 def test_unused_clause_reports_positive_cost():
     """The false-dependency finding quantifies what the clause cost: the
     serialization it induced in the executed schedule."""
