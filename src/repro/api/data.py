@@ -4,7 +4,9 @@ A :class:`DataHandle` wraps one registered :class:`~repro.memory.DataObject`.
 Slicing a handle (``a[j:j+bs]``) yields a :class:`DataView` over the
 corresponding region — the analogue of passing ``&a[j]`` with an ``[BS]``
 dependence annotation in the paper's C examples.  Views are what dependence
-clauses resolve against.
+clauses resolve against.  A handle makes one view per distinct slice: a
+tiled program names each tile once per clause, so the views are interned
+like the regions under them.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class DataHandle:
         #: arguments.
         self.accesses: dict = {}
         self.cost_bindings: dict = {}
+        #: the view of each slice taken, by ``(start, stop, step)``.
+        self._slices: dict = {}
 
     @property
     def whole(self) -> DataView:
@@ -64,7 +68,11 @@ class DataHandle:
         return DataView(self, self.obj.region(start, length))
 
     def __getitem__(self, index) -> DataView:
-        if isinstance(index, slice):
+        if not isinstance(index, slice):
+            raise TypeError("index a handle with a slice, e.g. a[j:j+bs]")
+        key = (index.start, index.stop, index.step)
+        view = self._slices.get(key)
+        if view is None:
             if index.step not in (None, 1):
                 raise ValueError("strided regions are not supported "
                                  "(paper future work: non-contiguous regions)")
@@ -73,8 +81,8 @@ class DataHandle:
                     else index.stop)
             if start < 0 or stop < 0:
                 raise ValueError("negative slice bounds are not supported")
-            return self.view(start, stop - start)
-        raise TypeError("index a handle with a slice, e.g. a[j:j+bs]")
+            view = self._slices[key] = self.view(start, stop - start)
+        return view
 
     @property
     def np(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from ..hardware.gpu import GPUDevice
 from ..hardware.node import Node
 from ..memory.allocator import BytePool
-from ..sim import Environment, Event
+from ..sim import Environment, Event, Process
 from .kernels import KernelSpec
 from .stream import Stream
 
@@ -29,6 +29,13 @@ __all__ = ["CudaContext", "CudaError"]
 
 class CudaError(Exception):
     """Illegal use of the simulated CUDA API."""
+
+
+def _then(operation, hook: Callable, *args):
+    """A stream operation: ``operation``'s device work, then ``hook(*args)``
+    (a completion hook, or a kernel's functional body)."""
+    yield from operation
+    hook(*args)
 
 
 class CudaContext:
@@ -98,18 +105,14 @@ class CudaContext:
         Without an explicit ``stream`` the copy goes to the null stream
         (serializing with kernels, as synchronous ``cudaMemcpy`` does).
         """
-        target = stream or self.null_stream
-
-        def op():
-            yield from self.gpu.dma_transfer(nbytes, direction, pinned=pinned)
-            if on_complete is not None:
-                on_complete()
-
-        return target.enqueue(op)
+        op = self.gpu.dma_transfer(nbytes, direction, pinned=pinned)
+        if on_complete is not None:
+            op = _then(op, on_complete)
+        return (stream or self.null_stream).enqueue(op)
 
     def staging_copy(self, nbytes: int) -> Event:
         """The host-side copy into/out of a pinned intermediate buffer."""
-        return self.env.process(self.node.host_copy(nbytes))
+        return Process(self.env, self.node.host_copy(nbytes))
 
     # -- kernels ----------------------------------------------------------------
     def launch(self, spec: KernelSpec,
@@ -124,13 +127,9 @@ class CudaContext:
         """
         duration = spec.duration(self.gpu.spec, **cost_kwargs) \
             * self._jitter_factor()
-        target = stream or self.null_stream
-
-        def op():
-            yield from self.gpu.run_kernel(duration)
-            if spec.func is not None and func_args:
-                spec.func(*func_args)
-            if on_complete is not None:
-                on_complete()
-
-        return target.enqueue(op)
+        op = self.gpu.run_kernel(duration)
+        if spec.func is not None and func_args:
+            op = _then(op, spec.func, *func_args)
+        if on_complete is not None:
+            op = _then(op, on_complete)
+        return (stream or self.null_stream).enqueue(op)

@@ -8,17 +8,19 @@ paper's observation that without streams "CUDA tends to serialize [transfers]
 after the kernel execution".
 
 Implementation note: a stream is a single persistent *pump* process draining
-a FIFO of operations, not one wrapper process per operation.  Enqueueing
-returns a plain completion :class:`Event`; the pump runs each operation via
-``yield from`` and fires its event.  On figure workloads (hundreds of
-serialized kernel + DMA ops per GPU) this removes two simulated events and
-one generator per operation from the hot path.
+a FIFO of operations, not one wrapper process per operation.  An operation is
+the generator of its device work (e.g. ``gpu.run_kernel(duration)``), created
+by the caller and not yet started; enqueueing returns a plain completion
+:class:`Event`, and the pump runs each operation via ``yield from`` and fires
+its event.  On figure workloads (hundreds of serialized kernel + DMA ops per
+GPU) this removes two simulated events and one generator per operation from
+the hot path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Generator, Optional
 
 from ..sim import Environment, Event
 from ..sim.core import PRIORITY_URGENT
@@ -38,8 +40,9 @@ class Stream:
         self.name = name or f"stream{self.sid}"
         self._tail: Optional[Event] = None
         # Enqueues counted under ``cuda.stream.<name>.ops`` of the
-        # environment's registry; the queue-depth gauge's high-water mark
-        # is the pipelining depth actually reached.
+        # environment's registry; the queue-depth gauge reads the
+        # operations not yet started, and its high-water mark is the
+        # pipelining depth actually reached.
         self._c_ops = env.metrics.counter(f"cuda.stream.{self.name}.ops")
         self._g_depth = env.metrics.gauge(f"cuda.stream.{self.name}.depth")
         self._pending: deque = deque()
@@ -50,17 +53,22 @@ class Stream:
         #: a failed tail poisoned every successor).
         self._poison: Optional[BaseException] = None
 
-    def enqueue(self, operation: Callable[[], "object"]) -> Event:
-        """Append ``operation`` (a generator factory) to the stream.
+    def enqueue(self, operation: Generator) -> Event:
+        """Append ``operation`` (an operation's generator, not yet started)
+        to the stream.
 
         Returns the completion event of the enqueued operation.  The
         operation starts only after every previously enqueued operation on
-        this stream has completed (in-order execution).
+        this stream has completed (in-order execution); it never starts if
+        an earlier one failed.
         """
         self._c_ops.value += 1
         done = Event(self.env)
         self._pending.append((operation, done))
-        self._g_depth.set(len(self._pending))
+        depth = self._g_depth          # raised here, lowered by the pump
+        depth.value += 1
+        if depth.value > depth.high_water:
+            depth.high_water = depth.value
         if self._pump_proc is None:
             self._pump_proc = self.env.process(self._pump())
         elif self._wakeup is not None:
@@ -74,14 +82,16 @@ class Stream:
     def _pump(self):
         """The stream's drain loop (one simulated process per stream)."""
         pending = self._pending
+        depth = self._g_depth
         while True:
             while pending:
                 op, done = pending.popleft()
+                depth.value -= 1
                 if self._poison is not None:
                     done.fail(self._poison)
                     continue
                 try:
-                    result = yield from op()
+                    result = yield from op
                 except GeneratorExit:
                     # Interpreter shutdown / GC of a parked simulation:
                     # close quietly, never re-yield.

@@ -199,7 +199,7 @@ class FaultEngine:
             for p in rt.master_image.proxies:
                 if p.node_index == node_index:
                     proxy = p
-                    proxy.gpus_alive = False
+                    proxy.lose_gpus()
         self.note("gpu_lost", manager.place_name)
         dropped = manager.cache.invalidate_all()
         if dropped:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim import Environment, Resource
+from ..sim import Environment, Resource, Timeout
 from .link import Link
 from .specs import GPUSpec
 
@@ -66,11 +66,17 @@ class GPUDevice:
             raise ValueError(f"negative kernel duration {duration}")
         if self.failed:
             raise DeviceLostError(f"gpu {self.index} has been lost")
-        with self.compute.request() as req:
-            yield req
-            start = self.env.now
-            yield self.env.timeout(self.spec.kernel_launch_overhead + duration)
-            self._c_busy.value += self.env.now - start
+        compute = self.compute
+        req = compute.request()
+        try:
+            if req.callbacks is not None:
+                yield req
+            env = self.env
+            start = env._now
+            yield Timeout(env, self.spec.kernel_launch_overhead + duration)
+            self._c_busy.value += env._now - start
+        finally:
+            compute.release(req)
         self._c_kernels.value += 1
 
     def dma_transfer(self, nbytes: int, direction: str, pinned: bool = True):
@@ -88,9 +94,14 @@ class GPUDevice:
             raise ValueError(f"bad DMA direction {direction!r}")
         factor = 1.0 if pinned else (self.spec.pcie_pinned_bw /
                                      self.spec.pcie_pageable_bw)
-        with self.dma.request() as req:
-            yield req
+        dma = self.dma
+        req = dma.request()
+        try:
+            if req.callbacks is not None:
+                yield req
             yield from link.transfer(int(nbytes * factor))
+        finally:
+            dma.release(req)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<GPUDevice {self.index} {self.spec.name}>"

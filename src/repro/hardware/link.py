@@ -13,7 +13,7 @@ the link as busy for exactly as long as it really was held.  Counting only
 
 from __future__ import annotations
 
-from ..sim import Environment, Resource
+from ..sim import Environment, Resource, Timeout
 
 __all__ = ["Link"]
 
@@ -56,15 +56,22 @@ class Link:
         ``seconds`` must be the full hold time (latency included)."""
         self._c_bytes.value += nbytes
         self._c_transfers.value += 1
+        # Busy time only grows, so the gauge's high-water mark is its value.
         busy = self._g_busy
-        busy.set(busy.value + seconds)
+        busy.value += seconds
+        busy.high_water = busy.value
 
     def transfer(self, nbytes: int, priority: int = 0):
         """Process generator: move ``nbytes`` across the link."""
-        with self._lanes.request(priority=priority) as req:
-            yield req
+        lanes = self._lanes
+        req = lanes.request(priority)
+        try:
+            if req.callbacks is not None:
+                yield req
             # Occupancy is evaluated once the lane is granted, so a
             # degradation window opening while queued still applies.
             hold = self.occupancy(nbytes)
-            yield self.env.timeout(hold)
+            yield Timeout(self.env, hold)
+        finally:
+            lanes.release(req)
         self.account(nbytes, hold)

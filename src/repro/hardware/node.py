@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim import Environment, Resource
+from ..sim import Environment, Process, Resource, Timeout
 from .gpu import GPUDevice
 from .link import Link
 from .specs import NICSpec, NodeSpec
@@ -53,15 +53,20 @@ class Node:
 
     def host_copy(self, nbytes: int):
         """Process generator: a host-memory copy (e.g. pinned staging)."""
-        yield self.env.process(self.membus.transfer(nbytes))
+        yield Process(self.env, self.membus.transfer(nbytes))
 
     def run_cpu_work(self, duration: float):
         """Process generator: occupy one core for ``duration`` seconds."""
         if duration < 0:
             raise ValueError(f"negative CPU work duration {duration}")
-        with self.cores.request() as req:
-            yield req
-            yield self.env.timeout(duration)
+        cores = self.cores
+        req = cores.request()
+        try:
+            if req.callbacks is not None:
+                yield req
+            yield Timeout(self.env, duration)
+        finally:
+            cores.release(req)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.index} gpus={len(self.gpus)}>"

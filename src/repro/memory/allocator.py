@@ -43,10 +43,6 @@ class BytePool:
         self._waiters: list[tuple[int, Event]] = []
         self.peak_usage = 0
 
-    @property
-    def bytes_free(self) -> int:
-        return self.capacity - self.bytes_used
-
     def acquire(self, nbytes: int) -> Event:
         """Event that fires with a :class:`PoolLease` once bytes are free."""
         if nbytes <= 0:
@@ -64,7 +60,8 @@ class BytePool:
     def _release(self, nbytes: int) -> None:
         self.bytes_used -= nbytes
         assert self.bytes_used >= 0, "pool accounting went negative"
-        self._grant()
+        if self._waiters:
+            self._grant()
 
     def _grant(self) -> None:
         # FIFO: head-of-line blocking is intentional (a big request is not
@@ -74,9 +71,10 @@ class BytePool:
             if ev.triggered:
                 self._waiters.pop(0)
                 continue
-            if nbytes > self.bytes_free:
+            if nbytes > self.capacity - self.bytes_used:
                 return
             self._waiters.pop(0)
             self.bytes_used += nbytes
-            self.peak_usage = max(self.peak_usage, self.bytes_used)
+            if self.bytes_used > self.peak_usage:
+                self.peak_usage = self.bytes_used
             ev.succeed(PoolLease(self, nbytes))

@@ -17,9 +17,8 @@ The coherence layer performs the actual (simulated-time) transfers.
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..metrics import CounterRegistry
@@ -51,15 +50,11 @@ class CacheCapacityError(Exception):
     """A task's working set does not fit in the device memory."""
 
 
-_use_clock = itertools.count()
-
-
 @dataclass
 class CacheEntry:
     region: Region
     dirty: bool = False
     pin_count: int = 0
-    last_use: int = field(default_factory=lambda: next(_use_clock))
 
     @property
     def nbytes(self) -> int:
@@ -108,13 +103,24 @@ class SoftwareCache:
         # once instead of a name lookup per lookup().
         self._c_hits = metrics.counter(f"{self._mprefix}.hits")
         self._c_misses = metrics.counter(f"{self._mprefix}.misses")
+        #: the other instruments, each bound on its first use (one that is
+        #: never used stays out of the snapshot).
+        self._bound: dict = {}
+        self._g_used = None
 
     def _count(self, what: str) -> None:
-        self.metrics.inc(f"{self._mprefix}.{what}")
+        c = self._bound.get(what)
+        if c is None:
+            c = self._bound[what] = self.metrics.counter(
+                f"{self._mprefix}.{what}")
+        c.value += 1
 
     def _track_usage(self) -> None:
-        self.metrics.set_gauge(f"{self._mprefix}.bytes_used",
-                               self.bytes_used)
+        g = self._g_used
+        if g is None:
+            g = self._g_used = self.metrics.gauge(
+                f"{self._mprefix}.bytes_used")
+        g.set(self.bytes_used)
 
     # -- queries ---------------------------------------------------------
     def has(self, region: Region) -> bool:
@@ -135,15 +141,19 @@ class SoftwareCache:
         return hits / accesses if accesses else 0.0
 
     # -- access path ------------------------------------------------------
-    def lookup(self, region: Region) -> bool:
-        """Record an access; True on hit (entry refreshed), False on miss."""
-        ent = self._entries.get(region.key)
+    def lookup(self, region: Region, pin: bool = False) -> bool:
+        """Record an access; True on hit (entry refreshed, and pinned when
+        ``pin``), False on miss.  A task's staging pins every hit this
+        way, so a hit costs one call."""
+        key = region.key
+        ent = self._entries.get(key)
         if ent is None:
             self._c_misses.value += 1
             return False
-        ent.last_use = next(_use_clock)
-        self._entries.move_to_end(region.key)
+        self._entries.move_to_end(key)
         self._c_hits.value += 1
+        if pin:
+            ent.pin_count += 1
         return True
 
     def choose_victims(self, nbytes_needed: int) -> list[CacheEntry]:
@@ -207,7 +217,6 @@ class SoftwareCache:
         """Add a resident entry.  Space must already have been made."""
         ent = self._entries.get(region.key)
         if ent is not None:
-            ent.last_use = next(_use_clock)
             self._entries.move_to_end(region.key)
             if dirty:
                 ent.dirty = True

@@ -23,9 +23,6 @@ from .space import AddressSpace
 
 __all__ = ["Directory", "DirectoryEntry"]
 
-#: interned ``directory.*`` counter names (shared across instances).
-_COUNT_KEYS: dict[str, str] = {}
-
 
 @dataclass
 class DirectoryEntry:
@@ -59,30 +56,37 @@ class Directory:
         #: into (``metrics=None``: a private one), namespaced ``directory.*``.
         self.metrics = metrics
         #: bound counter for the hottest count (every affinity score and
-        #: coherence check funnels through entry()): incrementing the live
-        #: Counter object skips the registry's name lookup per call.
+        #: coherence check is a lookup): incrementing the live Counter
+        #: object skips the registry's name lookup per call.
         self._c_lookups = metrics.counter("directory.lookups")
+        #: the other ``directory.*`` counters, each bound on its first
+        #: count (a counter that never counts stays out of the snapshot).
+        self._bound: dict = {}
 
     def _count(self, what: str) -> None:
-        key = _COUNT_KEYS.get(what)
-        if key is None:
-            key = _COUNT_KEYS[what] = "directory." + what
-        self.metrics.inc(key)
+        c = self._bound.get(what)
+        if c is None:
+            c = self._bound[what] = self.metrics.counter(
+                "directory." + what)
+        c.value += 1
 
     # -- bookkeeping -----------------------------------------------------
     def entry(self, region: Region) -> DirectoryEntry:
-        # entry() is the single hottest directory call (every affinity
-        # score and coherence check funnels through it): the metrics count
-        # and the found-path lookup are inlined.
+        # The hottest directory call (every affinity score funnels through
+        # it): one lookup counted, one dict probe; an unseen region's
+        # entry is made by _create.
         self._c_lookups.value += 1
         ent = self._entries.get(region.key)
         if ent is None:
-            self._check_shape(region)
-            ent = DirectoryEntry(region=region, version=0,
-                                 holders={self.home})
-            self._entries[region.key] = ent
-            self._count("entries_created")
-            self.metrics.set_gauge("directory.entries", len(self._entries))
+            ent = self._create(region)
+        return ent
+
+    def _create(self, region: Region) -> DirectoryEntry:
+        self._check_shape(region)
+        ent = DirectoryEntry(region=region, version=0, holders={self.home})
+        self._entries[region.key] = ent
+        self._count("entries_created")
+        self.metrics.set_gauge("directory.entries", len(self._entries))
         return ent
 
     def _check_shape(self, region: Region) -> None:
@@ -114,7 +118,12 @@ class Directory:
         return frozenset(self.entry(region).holders)
 
     def is_current(self, region: Region, space: AddressSpace) -> bool:
-        return space in self.entry(region).holders
+        # Every staged access asks this: entry()'s lookup, without its call.
+        self._c_lookups.value += 1
+        ent = self._entries.get(region.key)
+        if ent is None:
+            ent = self._create(region)
+        return space in ent.holders
 
     def nodes_with(self, region: Region) -> frozenset[int]:
         """Node-level (hierarchical) view: nodes holding the latest version."""

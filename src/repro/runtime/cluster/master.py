@@ -49,9 +49,8 @@ class NodeProxy:
         #: tids whose inputs the datamove prestage already started moving
         #: (prevents re-spawning the same speculative fetches every poll).
         self.prestaged: set[int] = set()
-        #: cleared by fault recovery when the node's last GPU dies, so
-        #: the node stops attracting cuda work that would only bounce.
-        self.gpus_alive = True
+        #: cleared by :meth:`lose_gpus`.
+        self._gpus_alive = True
         # ``cluster.node<i>.*`` instruments, bound when the event they
         # record first happens so an idle node exports no keys.
         self._metric_ns = f"cluster.node{node_index}"
@@ -87,6 +86,12 @@ class NodeProxy:
         assert self.outstanding >= 0, "presend window broke"
         self._g_outstanding.set(self.outstanding)
 
+    def lose_gpus(self) -> None:
+        """Fault recovery: the node's last GPU died, so it stops attracting
+        cuda work that would only bounce."""
+        self._gpus_alive = False
+        self.rt.master_image.scheduler.forget_takers()   # accepts() changed
+
     def accepts(self, task: Task) -> bool:
         # A remote node has CPUs and a GPU: it can host either device kind.
         # Decomposition children are local to the image that runs their
@@ -94,7 +99,7 @@ class NodeProxy:
         # node") and are never shipped through a proxy.
         if task.nest is not None and task.parent is not None:
             return False
-        return task.device != "cuda" or self.gpus_alive
+        return task.device != "cuda" or self._gpus_alive
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<NodeProxy node{self.node_index}>"

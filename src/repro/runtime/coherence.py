@@ -56,6 +56,9 @@ class CoherenceEngine:
         #: per-link bound counter pairs (the f-string names are built and
         #: resolved once per link, not once per transfer leg).
         self._leg_counters: dict[str, tuple] = {}
+        #: (source, destination) space -> how a same-node leg between them
+        #: moves: ``(link label, GPU manager or None, DMA direction)``.
+        self._moves: dict[tuple, tuple] = {}
         metrics = runtime.metrics
         self._c_transfers = metrics.counter("coherence.transfers")
         self._c_bytes = metrics.counter("coherence.bytes_transferred")
@@ -89,25 +92,29 @@ class CoherenceEngine:
             # without copy clauses see host data as-is).
             return
             yield  # pragma: no cover - generator marker
-        cache: Optional[SoftwareCache] = getattr(place, "cache", None)
+        cache: Optional[SoftwareCache] = place.cache
         space: AddressSpace = place.space
         issued = self.probes.transfer_issued
         directory = self.directory
         needed = []
         for acc in copy_accs:
-            if cache is not None:
-                yield from self._allocate_and_pin(acc.region, cache)
+            region = acc.region
+            # Record the access: a hit (resident) is pinned in the same
+            # call; a miss makes room first.  This is the hit/miss
+            # statistic the cache-policy ablations report.
+            if cache is not None and not cache.lookup(region, pin=True):
+                yield from self._allocate_and_pin(region, cache)
             if acc.direction.reads:
                 # Already-current inputs (cache hits, re-reads of a tile
                 # this device produced) spawn no fetch process at all —
                 # on figure workloads that is most of them.
-                if not directory.is_current(acc.region, space):
+                if not directory.is_current(region, space):
                     for fn in issued:
-                        fn(task, acc.region, space)
-                    needed.append(acc.region)
+                        fn(task, region, space)
+                    needed.append(region)
             elif self.config.functional and cache is not None:
                 # Output-only on a device: materialize a writable buffer.
-                space.writable(acc.region)
+                space.writable(region)
         if len(needed) == 1:
             # Single missing input: run the fetch inline in this process
             # instead of spawning (and immediately joining) a child.
@@ -126,12 +133,12 @@ class CoherenceEngine:
         if not copy_accs:
             return True
             yield  # pragma: no cover - generator marker
-        cache: Optional[SoftwareCache] = getattr(place, "cache", None)
+        cache: Optional[SoftwareCache] = place.cache
         space: AddressSpace = place.space
         written = [a for a in copy_accs if a.direction.writes]
         protect = self.protect_outputs and cache is not None
-        host = self.rt.host_space(space.node_index)
         if protect:
+            host = self.rt.host_space(space.node_index)
             # Checkpoint-on-commit, data first: host memory receives the
             # new bytes *before* the directory flips to the new version,
             # so there is no instant at which the sole current copy lives
@@ -148,6 +155,7 @@ class CoherenceEngine:
             # Unprotected torn commit: the outputs died with the device
             # and were never published.  Leave the old version (still
             # recorded elsewhere) as current; the caller re-executes.
+            # (So from here on, ``lost`` implies ``protect`` and ``host``.)
             return False
         for acc in written:
             self.directory.record_write(acc.region, host if lost else space,
@@ -204,8 +212,13 @@ class CoherenceEngine:
                                      dead=acc.region.key in elided)
             return True
         # WB / WT: just unpin; entries stay resident.
-        for acc in copy_accs:
-            self._safe_unpin(acc.region, cache)
+        if space.failed:
+            # Lost during a write-through's writebacks.
+            for acc in copy_accs:
+                self._safe_unpin(acc.region, cache)
+        else:
+            for acc in copy_accs:
+                cache.unpin(acc.region)
         return True
 
     @staticmethod
@@ -243,11 +256,8 @@ class CoherenceEngine:
     # Cache allocation / eviction
     # ------------------------------------------------------------------
     def _allocate_and_pin(self, region: Region, cache: SoftwareCache):
-        """Make room for + pin ``region`` in ``cache`` (evicting LRU)."""
-        # Record the access: resident = hit (no allocation work), absent =
-        # miss (evict until it fits).  This is the hit/miss statistic the
-        # cache-policy ablations report.
-        cache.lookup(region)
+        """After a miss: make room for + pin ``region`` in ``cache``
+        (evicting LRU)."""
         while not cache.has(region):
             victims = cache.choose_victims(region.nbytes)
             if not victims:
@@ -433,18 +443,29 @@ class CoherenceEngine:
         """Same-node leg: host<->GPU DMA (or a pure host copy)."""
         if src is dst:
             return
-        start = self.env.now
-        if src.kind == "host" and dst.kind == "host":
+        env = self.env
+        start = env._now
+        move = self._moves.get((src, dst))
+        if move is None:
+            move = self._moves[(src, dst)] = self._resolve_move(src, dst)
+        link, manager, direction = move
+        if manager is None:
             node = self.rt.machine.nodes[src.node_index]
             yield from node.host_copy(region.nbytes)
         else:
-            gpu_space = dst if dst.kind == "gpu" else src
-            direction = "h2d" if dst.kind == "gpu" else "d2h"
-            manager = self.rt.gpu_manager_of(gpu_space)
             yield from manager.dma(region.nbytes, direction)
         if self.config.functional:
             dst.write(region, src.read(region))
-        link = f"link:{src.name}->{dst.name}"
         self._count_leg(link, region.nbytes)
         for fn in self.probes.transfer_done:
-            fn(region, link, start, self.env.now)
+            fn(region, link, start, env._now)
+
+    def _resolve_move(self, src: AddressSpace, dst: AddressSpace) -> tuple:
+        """``(link label, GPU manager, direction)`` of the same-node legs
+        from ``src`` to ``dst``; the manager is None for a host copy."""
+        link = f"link:{src.name}->{dst.name}"
+        if src.kind == "host" and dst.kind == "host":
+            return link, None, None
+        gpu_space = dst if dst.kind == "gpu" else src
+        direction = "h2d" if dst.kind == "gpu" else "d2h"
+        return link, self.rt.gpu_manager_of(gpu_space), direction

@@ -60,8 +60,8 @@ class DependencyGraph:
         self._regions: dict[RegionKey, _RegionState] = {}
         #: per object id, the distinct region shapes seen, sorted by start.
         self._shapes: dict[int, list[Region]] = {}
-        #: registered tasks not yet finished.
-        self._live = 0
+        #: registered tasks not yet finished (read-only outside the graph).
+        self.live_count = 0
 
     # -- bookkeeping ------------------------------------------------------
     def _check_shape(self, region: Region) -> None:
@@ -117,10 +117,13 @@ class DependencyGraph:
         # The arc deduplication in _add_arc relies on this.
         assert (task.state is TaskState.CREATED
                 and task.pending_preds == 0), f"{task!r} registered twice"
-        self._live += 1
+        self.live_count += 1
+        regions = self._regions
         for acc in task.accesses:
-            st = self._state(acc.region)
             region = acc.region
+            st = regions.get(region.key)
+            if st is None:
+                st = self._state(region)
             if acc.direction.reads and st.last_writer is not None:
                 self._add_arc(st.last_writer, task, region, "raw")
             if acc.direction.writes:
@@ -128,9 +131,9 @@ class DependencyGraph:
                     self._add_arc(st.last_writer, task, region, "waw")
                 for reader in st.readers_since_write:
                     self._add_arc(reader, task, region, "war")
-        # Second pass: update per-region state.
+        # Second pass: update per-region state (every state exists now).
         for acc in task.accesses:
-            st = self._state(acc.region)
+            st = regions[acc.region.key]
             if acc.direction.writes:
                 st.last_writer = task
                 st.readers_since_write = []
@@ -158,7 +161,7 @@ class DependencyGraph:
         if task.state is TaskState.FINISHED:
             return []
         task.state = TaskState.FINISHED
-        self._live -= 1
+        self.live_count -= 1
         newly_ready: list[Task] = []
         for succ in task.successors:
             succ.pending_preds -= 1
@@ -181,7 +184,3 @@ class DependencyGraph:
         if writer is None or writer.state is TaskState.FINISHED:
             return None
         return writer
-
-    @property
-    def live_count(self) -> int:
-        return self._live

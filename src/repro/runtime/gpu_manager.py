@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..cuda.api import CudaContext
 from ..faults.errors import TaskRetryExceeded
-from ..sim import Event
+from ..sim import Event, Process, Timeout
 from .task import Task, TaskState
 from .worker import resolve_args
 
@@ -49,9 +49,7 @@ class GPUManager:
         self.ctx = CudaContext(self.env, gpu, image.node,
                                jitter=self.rt.config.kernel_jitter)
         self.copy_stream = self.ctx.create_stream()
-        #: cleared by the fault engine on a gpu_loss event; the manager
-        #: loop abandons (and requeues) its work and exits.
-        self.alive = True
+        self._alive = True
         self.current_task: Optional[Task] = None
         #: the bound ``kernel_should_abort`` interceptors (the fault engine's)
         self._aborts = self.rt.probes.kernel_should_abort
@@ -71,9 +69,23 @@ class GPUManager:
         self._c_prefetch_hits = metrics.counter(f"{prefix}.prefetch.hits")
         self._c_prefetch_staged = metrics.counter(
             f"{prefix}.prefetch.staged")
+        #: ``tasks.cuda.duration``, bound at the first finished task (a
+        #: run without one has no such histogram).
+        self._h_duration = None
+
+    def _is_alive(self) -> bool:
+        return self._alive
+
+    def _set_alive(self, alive: bool) -> None:
+        self._alive = alive
+        self.image.scheduler.forget_takers()    # accepts() changed
+
+    #: cleared by the fault engine on a gpu_loss event; the manager loop
+    #: abandons (and requeues) its work and exits.
+    alive = property(_is_alive, _set_alive)
 
     def accepts(self, task: Task) -> bool:
-        return task.device == "cuda" and self.alive
+        return task.device == "cuda" and self._alive
 
     # ------------------------------------------------------------------
     def dma(self, nbytes: int, direction: str):
@@ -105,9 +117,10 @@ class GPUManager:
     def run(self):
         """The manager loop (a simulated process)."""
         rt = self.rt
+        env = self.env
         staged_next: Optional[Task] = None
         while rt.running:
-            if not self.alive:
+            if not self._alive:
                 self._abandon(None, staged_next)
                 return
             task = staged_next
@@ -122,12 +135,12 @@ class GPUManager:
             self.current_task = task
             task.state = TaskState.RUNNING
             task.assigned_to = self
-            start = self.env.now
+            start = env._now
             for fn in rt.probes.task_started:
                 fn(task, self)
             if rt.config.task_overhead:
-                yield self.env.timeout(rt.config.task_overhead)
-            if not self.alive:
+                yield Timeout(env, rt.config.task_overhead)
+            if not self._alive:
                 self._abandon(task, None)
                 return
             if prefetched:
@@ -135,7 +148,7 @@ class GPUManager:
                 self._c_prefetch_hits.value += 1
             else:
                 yield from rt.coherence.stage_in(task, self)
-            if not self.alive:
+            if not self._alive:
                 self._abandon(task, None)
                 return
             # Abort-before-side-effects: while a kernel can be aborted, an
@@ -150,18 +163,20 @@ class GPUManager:
             if rt.config.prefetch:
                 candidate = self.image.scheduler.next_task(self)
                 if candidate is not None:
-                    prefetch_proc = self.env.process(
-                        self._prefetch(candidate))
+                    # Stage the next task's inputs while the kernel runs.
+                    candidate.assigned_to = self
+                    prefetch_proc = Process(
+                        env, rt.coherence.stage_in(candidate, self))
                     staged_next = candidate
                     self._c_prefetch_staged.value += 1
 
-            kernel_enqueued = self.env.now
+            kernel_enqueued = env._now
             yield kernel_done
             for fn in rt.probes.kernel_done:
-                fn(task, self, kernel_enqueued, self.env.now)
+                fn(task, self, kernel_enqueued, env._now)
             if prefetch_proc is not None:
                 yield prefetch_proc
-            if not self.alive:
+            if not self._alive:
                 self._abandon(task, staged_next)
                 return
             if aborted:
@@ -176,20 +191,20 @@ class GPUManager:
                 # protection): nothing was published, re-execute.
                 self._requeue(task, "torn_commit")
                 self.current_task = None
-                if not self.alive:
+                if not self._alive:
                     self._abandon(None, staged_next)
                     return
                 continue
             if task.nest is not None and task.nest.owner is task:
                 yield self.image.run_children(task)
             self._c_tasks.value += 1
-            rt.metrics.observe("tasks.cuda.duration", self.env.now - start)
+            duration = self._h_duration
+            if duration is None:
+                duration = self._h_duration = rt.metrics.histogram(
+                    "tasks.cuda.duration")
+            duration.observe(env._now - start)
             self.current_task = None
             self.image.finish_task(task, self, start)
-
-    def _prefetch(self, task: Task):
-        task.assigned_to = self
-        yield from self.rt.coherence.stage_in(task, self)
 
     def _launch(self, task: Task) -> Event:
         """Enqueue the task's kernel; returns the completion event.

@@ -212,7 +212,20 @@ class Image:
         waited = rt._waited
         done = waited.pop(task.tid, None) if waited else None
         (Event(rt.env) if done is None else done).succeed()
-        rt.notify_completion()
+        # SMP/GPU places are woken by scheduler.submit when a successor
+        # actually becomes ready, so completions don't wake them; the
+        # master's communication thread must still see completions — a
+        # remote task finishing frees proxy capacity, which can make a
+        # long-queued dispatch possible without any new submission.
+        # (notify_work for the one kind, inlined: once per task.)
+        events = rt.master_image._work_events
+        node_ev = events["node"]
+        if node_ev.callbacks:
+            events["node"] = Event(rt.env)
+            node_ev.succeed()
+        if rt._idle_event is not None and rt.graph.live_count == 0:
+            ev, rt._idle_event = rt._idle_event, None
+            ev.succeed()
 
 
 class Runtime:
@@ -373,22 +386,6 @@ class Runtime:
         """
         for image in self.images:
             image.notify_work()
-
-    def notify_completion(self) -> None:
-        # SMP/GPU places are woken by scheduler.submit when a successor
-        # actually becomes ready, so completions don't wake them; the
-        # master's communication thread must still see completions — a
-        # remote task finishing frees proxy capacity, which can make a
-        # long-queued dispatch possible without any new submission.
-        # Inlined Image.notify_work for the one kind (per-task path).
-        events = self.master_image._work_events
-        node_ev = events["node"]
-        if node_ev.callbacks:
-            events["node"] = Event(self.env)
-            node_ev.succeed()
-        if self._idle_event is not None and self.graph.live_count == 0:
-            ev, self._idle_event = self._idle_event, None
-            ev.succeed()
 
     # ------------------------------------------------------------------
     # Data registration (the application's shared objects)

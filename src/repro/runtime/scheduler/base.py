@@ -40,7 +40,10 @@ class WorkerProtocol(Protocol):
     (``parent is None``).  Every worker in the runtime satisfies this (SMP
     workers take ``smp`` tasks, GPU managers take ``cuda`` tasks, node
     proxies take any top-level task); :class:`TaskQueue` relies on it to
-    answer polls without scanning.
+    answer polls without scanning, and :meth:`Scheduler.takers` to cache
+    the places that accept a signature.  A worker whose answer changes
+    (a GPU manager whose device died) calls
+    :meth:`Scheduler.forget_takers`.
     """
 
     kind: str          # "smp" | "gpu" | "node"
@@ -268,6 +271,9 @@ class Scheduler:
         #: the adaptive controller's spread signal under any row).
         self.estimator = BottomLevelEstimator(metrics)
         self._victims: dict[int, list] = {}
+        #: per acceptance signature, the workers accepting it (see
+        #: :meth:`takers`).
+        self._takers: dict[tuple[str, bool], list] = {}
         self._rr = 0
         self._cursors: dict[str, int] = {}
         self.policy = policy
@@ -297,7 +303,25 @@ class Scheduler:
         self.workers.append(worker)
         self._local[id(worker)] = self.policy.queue(self)
         self._victims.clear()
+        self._takers.clear()
         self.estimator.note_worker(worker)
+
+    def takers(self, task: Task) -> list:
+        """The registered workers that accept ``task``, in registration
+        order: one list per acceptance signature (see
+        :class:`WorkerProtocol`), kept until the worker set or a worker's
+        acceptance changes.  Read-only."""
+        sig = _signature(task)
+        takers = self._takers.get(sig)
+        if takers is None:
+            takers = self._takers[sig] = [
+                w for w in self.workers if w.accepts(task)]
+        return takers
+
+    def forget_takers(self) -> None:
+        """A registered worker's acceptance changed: recompute
+        :meth:`takers` on next use."""
+        self._takers.clear()
 
     def blacklist(self, worker: WorkerProtocol) -> list[Task]:
         """Remove a dead execution place; return the tasks stranded in its
@@ -306,6 +330,7 @@ class Scheduler:
         self.workers = [w for w in self.workers if w is not worker]
         self._local.pop(id(worker), None)
         self._victims.clear()
+        self._takers.clear()
         self.metrics.inc("scheduler.blacklisted")
         return stranded
 

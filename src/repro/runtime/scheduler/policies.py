@@ -27,7 +27,7 @@ from ...memory.directory import Directory
 from ..task import Task
 from .base import PriorityTaskQueue, Scheduler, TaskQueue, WorkerProtocol
 
-__all__ = ["Policy", "POLICIES", "locality_pulls", "locality_score"]
+__all__ = ["Policy", "POLICIES", "locality_pulls", "most_local"]
 
 
 # -- queue disciplines ------------------------------------------------------
@@ -76,25 +76,32 @@ def locality_pulls(directory: Directory, task: Task) -> list[tuple[int, set]]:
     return pulls
 
 
-def locality_score(pulls, worker: WorkerProtocol) -> int:
-    """Bytes of the task's data currently resident in the worker's
-    domain.  GPU workers score their own device space; node proxies (and
-    SMP workers) score every space of their node — the hierarchical
-    (node-level) view of the directory."""
-    score = 0
-    if worker.kind == "gpu":
-        space = worker.space
-        for nbytes, holders in pulls:
-            if space in holders:
-                score += nbytes
-    else:
-        node = worker.node_index
-        for nbytes, holders in pulls:
-            for s in holders:
-                if s.node_index == node:
+def most_local(pulls, workers) -> "tuple[Optional[WorkerProtocol], int]":
+    """The first of ``workers`` with the highest locality score, and that
+    score; ``(None, 0)`` when none scores above zero.  A worker's score is
+    the bytes of the task's data currently resident in its domain: GPU
+    workers score their own device space; node proxies (and SMP workers)
+    score every space of their node — the hierarchical (node-level) view
+    of the directory."""
+    best: Optional[WorkerProtocol] = None
+    best_score = 0
+    for worker in workers:
+        score = 0
+        if worker.kind == "gpu":
+            space = worker.space
+            for nbytes, holders in pulls:
+                if space in holders:
                     score += nbytes
-                    break
-    return score
+        else:
+            node = worker.node_index
+            for nbytes, holders in pulls:
+                for s in holders:
+                    if s.node_index == node:
+                        score += nbytes
+                        break
+        if score > best_score:
+            best, best_score = worker, score
+    return best, best_score
 
 
 def place_shared(sched: Scheduler, task: Task) -> None:
@@ -112,14 +119,8 @@ def _place_by_locality(sched: Scheduler, task: Task, deal) -> None:
     task to the shared queue without moving the deal cursor."""
     pulls = locality_pulls(sched.directory, task)
     best: Optional[WorkerProtocol] = None
-    best_score = 0
     if pulls:
-        for worker in sched.workers:
-            if not worker.accepts(task):
-                continue
-            score = locality_score(pulls, worker)
-            if score > best_score:
-                best, best_score = worker, score
+        best = most_local(pulls, sched.takers(task))[0]
     if best is None:
         slots = deal(sched, task)
         if slots:
@@ -136,15 +137,14 @@ def _node_domains(sched: Scheduler, task: Task) -> list:
     across the node domains: the master itself (the shared queue) and the
     per-node task pools the communication thread polls (paper Section
     III.D.1)."""
-    proxies = [w for w in sched.workers
-               if w.kind == "node" and w.accepts(task)]
+    proxies = [w for w in sched.takers(task) if w.kind == "node"]
     return [None, *proxies] if proxies else proxies
 
 
 def _accepting_places(sched: Scheduler, task: Task) -> list:
     """Every place that could run the task, so the initial (cold)
     wavefront is spread before stealing has any depth to work with."""
-    return [w for w in sched.workers if w.accepts(task)]
+    return sched.takers(task)
 
 
 def place_over_nodes(sched: Scheduler, task: Task) -> None:
@@ -236,7 +236,8 @@ def steal_half(sched: Scheduler, thief: WorkerProtocol) -> Optional[Task]:
         coldest = queue.back()
         if not thief.accepts(coldest):
             continue
-        bias = locality_score(locality_pulls(sched.directory, coldest), thief)
+        bias = most_local(locality_pulls(sched.directory, coldest),
+                          (thief,))[1]
         key = (queue._size, bias)
         if best_key is None or key > best_key:
             best, best_key = queue, key

@@ -94,11 +94,17 @@ class Event:
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None, priority: int = PRIORITY_NORMAL) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        # The engine's most frequent call, so its guard and its schedule
+        # are inlined: a triggered event is scheduled at the current
+        # instant, and only a triggered event can already be scheduled.
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         self._ok = True
-        self.env._schedule(self, priority)
+        self._scheduled = True
+        env = self.env
+        env._seq += 1
+        env._imm[priority].append((env._seq, self))
         return self
 
     def fail(self, exc: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -212,17 +218,12 @@ class Environment:
         return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL,
-                  delay: float = 0.0) -> None:
+    def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL) -> None:
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         event._scheduled = True
         self._seq += 1
-        if delay == 0.0:
-            self._imm[priority].append((self._seq, event))
-        else:
-            heapq.heappush(self._queue,
-                           (self._now + delay, priority, self._seq, event))
+        self._imm[priority].append((self._seq, event))
 
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (an Event, a time, or queue exhaustion).
@@ -242,8 +243,7 @@ class Environment:
                 raise SimulationError("cannot run into the past")
 
         # The one event loop, with local aliases: one Python frame per run
-        # instead of one per event, and a direct call for the
-        # overwhelmingly common single-callback event.  Immediate
+        # instead of one per event, and no builtin call per event.  Immediate
         # lanes are drained before the heap may advance the clock; at equal
         # timestamps the (priority, seq) comparison against the heap top
         # keeps the total order identical to a single heap's.
@@ -278,11 +278,8 @@ class Environment:
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
+                for callback in callbacks:
+                    callback(event)
                 if not event._ok and not event._defused:
                     # Nobody waited on a failed event: surface the error
                     # loudly instead of losing it.
@@ -291,7 +288,7 @@ class Environment:
             return stop.args[0] if stop.args else None
         finally:
             self.events_processed += processed
-        if until_event is not None and not until_event.triggered:
+        if until_event is not None and until_event._value is _PENDING:
             raise SimulationError(
                 "run(until=event) exhausted the event queue before the event "
                 "triggered (deadlock in the simulated system?)"

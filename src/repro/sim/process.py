@@ -71,7 +71,11 @@ class Process(Event):
                 self.fail(exc)
                 return
 
-            if not isinstance(next_event, Event):
+            try:
+                # Every event has a ``callbacks`` slot; reading it is the
+                # type check, at no call per resume.
+                callbacks = next_event.callbacks
+            except AttributeError:
                 name = getattr(self._generator, "__name__", "process")
                 exc = SimulationError(
                     f"process {name!r} yielded a non-event: {next_event!r}"
@@ -81,11 +85,11 @@ class Process(Event):
                 except BaseException as err:
                     self.fail(err)
                     return
-                raise exc
+                raise exc from None
 
-            if next_event.callbacks is not None:
+            if callbacks is not None:
                 # Event still pending: sleep until it fires.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 return
             # Event already processed: loop and resume immediately.
             event = next_event

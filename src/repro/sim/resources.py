@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from typing import Any
 
-from .core import Event, SimulationError
+from .core import Event, SimulationError, _PENDING
 
 __all__ = ["Resource", "Request", "Store"]
 
@@ -24,12 +24,33 @@ class Request(Event):
             yield req
             ... hold the resource ...
         # released on exit
+
+    The simulator's own hot paths hold a slot with ``try``/``finally``
+    and wait only for a grant that is not yet processed (an uncontended
+    request is granted on the spot, see :meth:`Resource.request`, and
+    yielding it would resume the process at once, without an event)::
+
+        req = resource.request()
+        try:
+            if req.callbacks is not None:
+                yield req
+            ... hold the resource ...
+        finally:
+            resource.release(req)
     """
 
     __slots__ = ("resource", "priority", "_key")
 
     def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.env)
+        # One per acquisition: the Event slots are initialised here, as
+        # Timeout and Process do, not through Event.__init__.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
+        self._processed = False
+        self._defused = False
         self.resource = resource
         self.priority = priority
         self._key = None
@@ -83,7 +104,8 @@ class Resource:
         """Free a held slot, or withdraw a request still waiting for one."""
         if request in self._users:
             self._users.remove(request)
-            self._grant_next()
+            if self._waiting:
+                self._grant_next()
         elif request._key is not None:
             self._cancel(request)
         # Releasing an unknown request is a no-op (idempotent release).
@@ -102,7 +124,7 @@ class Resource:
         while self._waiting and len(self._users) < self.capacity:
             _prio, _seq, req = heapq.heappop(self._waiting)
             req._key = None
-            if req.triggered:  # cancelled/failed elsewhere
+            if req._value is not _PENDING:  # cancelled/failed elsewhere
                 continue
             self._users.add(req)
             req.succeed(self)
@@ -135,6 +157,6 @@ class Store:
     def _serve(self) -> None:
         while self.items and self._getters:
             getter = self._getters.pop(0)
-            if getter.triggered:
+            if getter._value is not _PENDING:
                 continue
             getter.succeed(self.items.pop(0))

@@ -13,7 +13,9 @@ Counts depend on the interpreter (bytecode, inlined comprehensions), so
 ``layer_calls.json`` records the one the pins were taken on and the counts
 are compared exactly only there.  On any other interpreter (CI also runs
 3.10 and 3.12, where the pins were never taken) the test checks only the
-event counts, which are the simulation's own and must match everywhere.
+event counts, which are the simulation's own and must match everywhere,
+and the ceiling of :data:`SIM_CALLS_PER_EVENT` calls into the event core
+per event.
 
 Comprehension frames (``<listcomp>``, ``<dictcomp>``, ``<setcomp>``) are
 left out: Python 3.12 inlines them, so they are not calls there.
@@ -59,6 +61,9 @@ CHOLESKY_MINI = PointSpec(
 
 LABELS = ("fig-irr/affinity@jacobi-mgpu", "fig5/wb-affinity@4",
           "fig9/StoS-gpu-ps4@8", CHOLESKY_MINI.label)
+
+#: the event core's budget: calls into ``repro.sim`` per processed event.
+SIM_CALLS_PER_EVENT = 4
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +144,10 @@ def test_layer_calls_match_the_pins(label):
     assert got["events"] == pinned["events"], (
         f"{label}: {got['events']} events, pinned {pinned['events']}: the "
         f"simulated event stream changed")
+    per_event = got["layers"]["sim"] / got["events"]
+    assert per_event <= SIM_CALLS_PER_EVENT, (
+        f"{label}: {per_event:.2f} sim calls per event, over the budget "
+        f"of {SIM_CALLS_PER_EVENT}")
     if interpreter() != pins["interpreter"]:
         return      # counts are pinned on one interpreter only (see above)
     assert got["layers"] == pinned["layers"], (
