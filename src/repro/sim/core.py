@@ -111,11 +111,14 @@ class Event:
         """Trigger the event with an exception to be thrown into waiters."""
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() needs an exception instance")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._value = exc
         self._ok = False
-        self.env._schedule(self, priority)
+        self._scheduled = True
+        env = self.env
+        env._seq += 1
+        env._imm[priority].append((env._seq, self))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -136,9 +139,8 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         # Timeouts are born triggered-and-scheduled: initialize and enqueue
-        # directly instead of building a pending Event and re-wrapping it
-        # through the guarded _schedule path (timeouts are the single most
-        # common event, and the guard can never fire for a fresh one).
+        # directly instead of building a pending Event and triggering it
+        # (timeouts are the single most common event).
         self.env = env
         self.callbacks = []
         self._value = value
@@ -218,13 +220,6 @@ class Environment:
         return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        self._imm[priority].append((self._seq, event))
-
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (an Event, a time, or queue exhaustion).
 

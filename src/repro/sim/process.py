@@ -45,8 +45,7 @@ class Process(Event):
         self._generator = generator
         # Kick off the process at the current instant, ahead of normal
         # events.  The bootstrap is born triggered-and-scheduled and lands
-        # directly in the urgent immediate lane (same fast path as Timeout:
-        # the _schedule guard can never fire for a fresh event).
+        # directly in the urgent immediate lane (as a Timeout does).
         bootstrap = Event(env)
         bootstrap.callbacks = [self._resume]
         bootstrap._value = None

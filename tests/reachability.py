@@ -58,6 +58,7 @@ KEEP: dict[str, str] = {
         "repro.faults.engine:FaultEngine.return_to_master",
         "repro.faults.engine:FaultEngine.wait_restored",
         "repro.runtime.cluster.master:CommThread.forget_dispatch",
+        "repro.runtime.cluster.master:NodeProxy.lose_gpus",
         "repro.runtime.datamove:DataMover.note_resubmit",
     ], "safety: fault recovery, which only a plan with device loss, "
        "timed windows or paranoid checks reaches (tests/faults)"),
