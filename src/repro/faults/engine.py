@@ -189,7 +189,7 @@ class FaultEngine:
                 break
         if manager is None or not manager.alive:
             return
-        manager.alive = False
+        manager.lose()
         manager.gpu.failed = True
         manager.space.failed = True
         # The master must stop treating this node as a cuda target when no

@@ -50,7 +50,7 @@ class NodeProxy:
         #: (prevents re-spawning the same speculative fetches every poll).
         self.prestaged: set[int] = set()
         #: cleared by :meth:`lose_gpus`.
-        self._gpus_alive = True
+        self.gpus_alive = True
         # ``cluster.node<i>.*`` instruments, bound when the event they
         # record first happens so an idle node exports no keys.
         self._metric_ns = f"cluster.node{node_index}"
@@ -89,7 +89,7 @@ class NodeProxy:
     def lose_gpus(self) -> None:
         """Fault recovery: the node's last GPU died, so it stops attracting
         cuda work that would only bounce."""
-        self._gpus_alive = False
+        self.gpus_alive = False
         self.rt.master_image.scheduler.forget_takers()   # accepts() changed
 
     def accepts(self, task: Task) -> bool:
@@ -99,7 +99,7 @@ class NodeProxy:
         # node") and are never shipped through a proxy.
         if task.nest is not None and task.parent is not None:
             return False
-        return task.device != "cuda" or self._gpus_alive
+        return task.device != "cuda" or self.gpus_alive
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<NodeProxy node{self.node_index}>"

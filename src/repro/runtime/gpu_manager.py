@@ -49,7 +49,9 @@ class GPUManager:
         self.ctx = CudaContext(self.env, gpu, image.node,
                                jitter=self.rt.config.kernel_jitter)
         self.copy_stream = self.ctx.create_stream()
-        self._alive = True
+        #: cleared by :meth:`lose`; the manager loop then abandons (and
+        #: requeues) its work and exits.
+        self.alive = True
         self.current_task: Optional[Task] = None
         #: the bound ``kernel_should_abort`` interceptors (the fault engine's)
         self._aborts = self.rt.probes.kernel_should_abort
@@ -73,19 +75,13 @@ class GPUManager:
         #: run without one has no such histogram).
         self._h_duration = None
 
-    def _is_alive(self) -> bool:
-        return self._alive
-
-    def _set_alive(self, alive: bool) -> None:
-        self._alive = alive
+    def lose(self) -> None:
+        """Fault recovery: the GPU is gone (a gpu_loss event)."""
+        self.alive = False
         self.image.scheduler.forget_takers()    # accepts() changed
 
-    #: cleared by the fault engine on a gpu_loss event; the manager loop
-    #: abandons (and requeues) its work and exits.
-    alive = property(_is_alive, _set_alive)
-
     def accepts(self, task: Task) -> bool:
-        return task.device == "cuda" and self._alive
+        return task.device == "cuda" and self.alive
 
     # ------------------------------------------------------------------
     def dma(self, nbytes: int, direction: str):
@@ -120,7 +116,7 @@ class GPUManager:
         env = self.env
         staged_next: Optional[Task] = None
         while rt.running:
-            if not self._alive:
+            if not self.alive:
                 self._abandon(None, staged_next)
                 return
             task = staged_next
@@ -140,7 +136,7 @@ class GPUManager:
                 fn(task, self)
             if rt.config.task_overhead:
                 yield Timeout(env, rt.config.task_overhead)
-            if not self._alive:
+            if not self.alive:
                 self._abandon(task, None)
                 return
             if prefetched:
@@ -148,7 +144,7 @@ class GPUManager:
                 self._c_prefetch_hits.value += 1
             else:
                 yield from rt.coherence.stage_in(task, self)
-            if not self._alive:
+            if not self.alive:
                 self._abandon(task, None)
                 return
             # Abort-before-side-effects: while a kernel can be aborted, an
@@ -176,7 +172,7 @@ class GPUManager:
                 fn(task, self, kernel_enqueued, env._now)
             if prefetch_proc is not None:
                 yield prefetch_proc
-            if not self._alive:
+            if not self.alive:
                 self._abandon(task, staged_next)
                 return
             if aborted:
@@ -191,7 +187,7 @@ class GPUManager:
                 # protection): nothing was published, re-execute.
                 self._requeue(task, "torn_commit")
                 self.current_task = None
-                if not self._alive:
+                if not self.alive:
                     self._abandon(None, staged_next)
                     return
                 continue
